@@ -15,9 +15,8 @@ import argparse
 import sys
 
 from fmplib.fmp import Index, zeta_variant
-from fmplib.identities import obstruction_n5_residual, ones_fmp
+from fmplib.identities import depth5_symmetry_difference, obstruction_n5_closed_form
 from fmplib.modular import bernoulli_mod, primes_in
-from fmplib.polyfp import compose_one_minus_t
 
 
 def main() -> int:
@@ -36,9 +35,9 @@ def main() -> int:
         w = [zeta_variant(idx, i, p).value for i in (1, 2, 3, 4)]
         law = w[1] == (-2 * b) % p
         law_holds_everywhere &= law
-        five = ones_fmp(5, p)
-        symmetric = (five - compose_one_minus_t(five)).is_zero
-        closed = obstruction_n5_residual(p).is_zero
+        diff = depth5_symmetry_difference(p)
+        symmetric = diff.is_zero
+        closed = (diff - obstruction_n5_closed_form(b, p)).is_zero
         if closed:
             closed_form_matches.append(p)
         print(f"{p:>5} {b:>7} {w[0]:>6} {w[1]:>6} {w[2]:>6} {w[3]:>6}  "

@@ -21,10 +21,12 @@ __all__ = [
     "IdentityReport",
     "closed_form_residuals",
     "curly_L",
+    "depth5_symmetry_difference",
     "f_poly",
     "functional_eq_residual",
     "g_poly",
     "main_theorem_residual",
+    "obstruction_n5_closed_form",
     "obstruction_n5_residual",
     "recurrence_residual",
     "shuffle_lemma_residual",
@@ -172,18 +174,27 @@ def functional_eq_residual(n: int, p: int) -> PolyFp:
     return l - compose_one_minus_t(l)
 
 
+def depth5_symmetry_difference(p: int) -> PolyFp:
+    """The depth-5 all-ones polylog minus its image under t -> 1-t."""
+    five = ones_fmp(5, p)
+    return five - compose_one_minus_t(five)
+
+
+def obstruction_n5_closed_form(b: int, p: int) -> PolyFp:
+    """The claimed depth-5 difference (b/5) t^p (1 - t^p)(2 t^p - 1), where b
+    is B_{p-5} mod p."""
+    tp = PolyFp.monomial(p, p)
+    return tp * (PolyFp.one(p) - tp) * (tp * 2 - PolyFp.one(p)) * (b * _inv_int(5, p))
+
+
 def obstruction_n5_residual(p: int) -> PolyFp:
     """Difference of the depth-5 polylog under t -> 1-t, minus its closed form
     (B_{p-5}/5) t^p (1 - t^p)(2 t^p - 1).  Zero residual means the closed form
     is exact; the closed form itself is nonzero whenever B_{p-5} != 0 mod p."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
-    five = ones_fmp(5, p)
-    diff = five - compose_one_minus_t(five)
-    scale = bernoulli_mod(p - 5, p).value * _inv_int(5, p) % p
-    tp = PolyFp.monomial(p, p)
-    closed = tp * (PolyFp.one(p) - tp) * (tp * 2 - PolyFp.one(p)) * scale
-    return diff - closed
+    b = bernoulli_mod(p - 5, p).value
+    return depth5_symmetry_difference(p) - obstruction_n5_closed_form(b, p)
 
 
 def closed_form_residuals(p: int) -> list[IdentityReport]:

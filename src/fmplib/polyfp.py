@@ -8,6 +8,7 @@ prime window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Iterable, Mapping
 
 from .modular import PrimeMismatch, primes_in, require_prime
@@ -200,46 +201,57 @@ def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
     return PolyFp(f.p, _normalize(_convolve_schoolbook(f.coeffs, g.coeffs, f.p)))
 
 
-def _block_at_one_minus_t(block: tuple[int, ...], p: int) -> list[int]:
-    # Horner at the affine argument: res <- res*(1-t) + c, degree < p throughout.
-    res: list[int] = []
-    for c in reversed(block):
-        nxt = [0] * (len(res) + 1)
-        for i, r in enumerate(res):
-            if r:
-                nxt[i] = (nxt[i] + r) % p
-                nxt[i + 1] = (nxt[i + 1] - r) % p
-        nxt[0] = (nxt[0] + c) % p
-        res = nxt
-    return res
+def _factorial_tables(n: int, p: int) -> tuple[list[int], list[int]]:
+    """k! and 1/k! mod p for 0 <= k < n; needs n <= p so every k! is a unit."""
+    fact = [1] * n
+    for k in range(1, n):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [1] * n
+    inv_fact[-1] = pow(fact[-1], p - 2, p)
+    for k in range(n - 1, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    return fact, inv_fact
+
+
+def _block_at_one_minus_t(
+    block: tuple[int, ...], p: int, fact: list[int], inv_fact: list[int]
+) -> list[int]:
+    # Taylor shift g(x) = f(1+x): with a_i = c_i i!, the coefficient of x^k is
+    # (1/k!) sum_i a_i / (i-k)!, a correlation of a against 1/j!, done as one
+    # convolution of reversed a with 1/j!.  Then f(1-t) = g(-t).
+    n = len(block)
+    weighted = tuple(block[i] * fact[i] % p for i in range(n - 1, -1, -1))
+    corr = _convolve(weighted, tuple(inv_fact[:n]), p)
+    shifted = [corr[n - 1 - k] * inv_fact[k] % p for k in range(n)]
+    shifted[1::2] = [-c % p for c in shifted[1::2]]
+    return shifted
 
 
 def compose_one_minus_t(f: PolyFp) -> PolyFp:
     """f(1-t), exactly, in (Z/pZ)[t].
 
     Splits the coefficient vector into blocks of size p and runs Horner in
-    y = (1-t)^p, which equals 1 - t^p by the Frobenius identity; only the
-    sub-degree-p blocks need dense affine composition.  An involution, and a
-    ring homomorphism with respect to + and *.
+    y = (1-t)^p, which equals 1 - t^p by the Frobenius identity.  Each block
+    (degree < p) is composed with 1-t by a Taylor shift done as one
+    Kronecker convolution against 1/k! (von zur Gathen and Gerhard, "Fast
+    algorithms for Taylor shifts", 1997): O(p) Python-level work and one
+    bignum multiply per block, where Horner at 1-t costs O(p^2).  Factorials
+    below p are invertible mod p, so the arithmetic stays exact.  An
+    involution, and a ring homomorphism with respect to + and *.
     """
     p = f.p
     if f.is_zero:
         return f
+    fact, inv_fact = _factorial_tables(min(p, len(f.coeffs)), p)
     blocks = [f.coeffs[i : i + p] for i in range(0, len(f.coeffs), p)]
     acc: list[int] = []
     for block in reversed(blocks):
-        if acc:
-            grown = acc + [0] * p
-            for i, c in enumerate(acc):
-                if c:
-                    grown[i + p] = (grown[i + p] - c) % p
-            acc = grown
-        small = _block_at_one_minus_t(block, p)
-        if len(small) > len(acc):
-            acc.extend([0] * (len(small) - len(acc)))
-        for i, c in enumerate(small):
-            if c:
-                acc[i] = (acc[i] + c) % p
+        # acc <- acc * (1 - t^p) + block(1 - t)
+        small = _block_at_one_minus_t(block, p, fact, inv_fact)
+        acc = [
+            (a + c - b) % p
+            for a, c, b in zip_longest(acc, small, [0] * p + acc, fillvalue=0)
+        ]
     return PolyFp(p, _normalize(acc))
 
 

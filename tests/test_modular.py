@@ -44,6 +44,16 @@ def reduce_fraction(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, p - 2, p) % p
 
 
+def bernoulli_triangle(m: int, p: int) -> int:
+    """B_m mod p by the Akiyama-Tanigawa scheme run mod p; every divisor is
+    <= m+1 < p.  O(m^2), a second oracle next to the exact rationals."""
+    row = [pow(j + 1, p - 2, p) for j in range(m + 1)]
+    for i in range(1, m + 1):
+        for j in range(m + 1 - i):
+            row[j] = (j + 1) * (row[j] - row[j + 1]) % p
+    return row[0]
+
+
 # --- inverse ---------------------------------------------------------------
 
 
@@ -156,10 +166,17 @@ def test_bernoulli_guards():
 
 
 def test_bernoulli_dual_path_against_exact_rationals():
-    # The triangle scheme must agree with exact rational recurrence + reduction
+    # The power-sum route must agree with exact rational recurrence + reduction
     # for every even m <= p - 3 and every prime 7 <= p <= 199.
     primes = primes_in(7, 199)
     exact = bernoulli_exact(primes[-1] - 3)
     for p in primes:
         for m in range(0, p - 2, 2):
             assert bernoulli_mod(m, p).value == reduce_fraction(exact[m], p), (m, p)
+
+
+def test_bernoulli_matches_triangle():
+    # From the boundary prime p = 5, where only m = 0 and m = 2 are defined.
+    for p in primes_in(5, 300):
+        for m in sorted({0, 2, p - 5, p - 3} & set(range(0, p - 2, 2))):
+            assert bernoulli_mod(m, p).value == bernoulli_triangle(m, p), (m, p)

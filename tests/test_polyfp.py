@@ -3,9 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmplib.identities import ones_fmp
 from fmplib.modular import PrimeMismatch
 from fmplib.polyfp import (
     MINUS_INFINITY,
@@ -36,6 +37,53 @@ def compose_binomial(f: PolyFp) -> PolyFp:
             for j in range(i + 1):
                 out[j] = (out[j] + c * math.comb(i, j) * (-1) ** j) % f.p
     return PolyFp.of(f.p, out)
+
+
+def _horner_block(block: tuple[int, ...], p: int) -> list[int]:
+    # Horner at the affine argument: res <- res*(1-t) + c, degree < p throughout.
+    res: list[int] = []
+    for c in reversed(block):
+        nxt = [0] * (len(res) + 1)
+        for i, r in enumerate(res):
+            if r:
+                nxt[i] = (nxt[i] + r) % p
+                nxt[i + 1] = (nxt[i + 1] - r) % p
+        nxt[0] = (nxt[0] + c) % p
+        res = nxt
+    return res
+
+
+def compose_horner(f: PolyFp) -> PolyFp:
+    """Second oracle for f(1-t): Horner in (1-t)^p = 1 - t^p over blocks of
+    size p, each block by an O(p^2) Horner at 1-t."""
+    p = f.p
+    blocks = [f.coeffs[i : i + p] for i in range(0, len(f.coeffs), p)]
+    acc: list[int] = []
+    for block in reversed(blocks):
+        if acc:
+            grown = acc + [0] * p
+            for i, c in enumerate(acc):
+                if c:
+                    grown[i + p] = (grown[i + p] - c) % p
+            acc = grown
+        small = _horner_block(block, p)
+        if len(small) > len(acc):
+            acc.extend([0] * (len(small) - len(acc)))
+        for i, c in enumerate(small):
+            if c:
+                acc[i] = (acc[i] + c) % p
+    return PolyFp.of(p, acc)
+
+
+@st.composite
+def multi_block_polys(draw):
+    """Polynomials at primes where composition splits into 1 to 3 blocks of
+    size p, with a full or a partial last block."""
+    p = draw(st.sampled_from([101, 211]))
+    blocks = draw(st.integers(1, 3))
+    last = p if draw(st.booleans()) else draw(st.integers(1, p - 1))
+    rng = draw(st.randoms(use_true_random=False))
+    return PolyFp.of(p, [rng.randrange(p) for _ in range((blocks - 1) * p + last)])
 
 
 # --- construction and degree ----------------------------------------------
@@ -169,6 +217,23 @@ def test_compose_involution(data):
 def test_compose_matches_binomial_oracle(data):
     _, f = data
     assert compose_one_minus_t(f) == compose_binomial(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_block_polys())
+def test_compose_matches_horner_across_blocks(f):
+    fast = compose_one_minus_t(f)
+    assert fast == compose_horner(f)
+    if f.p == 101:
+        assert fast == compose_binomial(f)
+
+
+def test_compose_depth5_symmetry_at_1009():
+    p = 1009
+    five = ones_fmp(5, p)
+    assert compose_one_minus_t(five) == five
+    f = PolyFp.of(p, [(7 * i * i + 3) % p for i in range(3 * p + 17)])
+    assert compose_one_minus_t(compose_one_minus_t(f)) == f
 
 
 @given(poly_pairs())
