@@ -24,7 +24,6 @@ from .fmp import (
 )
 from .identities import (
     FactorialNotInvertible,
-    IdentityReport,
     closed_form_residuals,
     curly_L,
     f_poly,
@@ -38,25 +37,20 @@ from .identities import (
 )
 from .modular import (
     DenominatorNotInvertible,
-    NotInvertible,
     PrimeMismatch,
     Residue,
     bernoulli_mod,
-    inverse,
     is_prime,
     primes_in,
 )
 from .polyfp import (
     MINUS_INFINITY,
     PolyFp,
-    PrimeFamily,
     compose_one_minus_t,
-    schoolbook_mul,
 )
 from .ss import (
     AdjacentDistinctSurjection,
     EnumerationCapExceeded,
-    classify,
     corollary_depth3_residual,
     corollary_depth4_residual,
     enumerate_phi,

@@ -15,11 +15,11 @@ import argparse
 import os
 import sys
 
-from .fmp import DEFAULT_ORACLE_BUDGET, Index, oy_fmp, zeta_variant
+from .fmp import Index, oracle_budget, oy_fmp, zeta_variant
 from .modular import bernoulli_mod, is_prime
 from .ss import ss_star
 from .sweep import (
-    ConflictError,
+    _IDENTITIES,
     IDENTITY_IDS,
     RunConfig,
     SweepReport,
@@ -28,8 +28,6 @@ from .sweep import (
     merge_reports,
     run_sweep,
 )
-
-_N_IDENTITIES = ("shuffle-lemma", "recurrence", "main-theorem", "functional-eq")
 
 
 def parse_index(text: str) -> Index:
@@ -100,40 +98,9 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _resolve_budget(cli_value: int | None) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("FMP_ORACLE_BUDGET")
-    return int(env) if env else DEFAULT_ORACLE_BUDGET
-
-
-def _cmd_verify(args) -> int:
-    lo, hi = args.primes
-    if args.n is not None and args.identity not in _N_IDENTITIES:
-        raise SystemExit(f"error: identity {args.identity} takes no --n parameter")
-    if args.n is not None:
-        jobs = [(args.identity, {"n": n}) for n in args.n]
-    else:
-        jobs = default_jobs(args.identity)
-    floors = {args.identity: args.floor} if args.floor is not None else {}
-    config = RunConfig(
-        lo=lo,
-        hi=hi,
-        identities=(args.identity,),
-        floors=floors,
-        budget=_resolve_budget(args.budget),
-        workers=args.workers,
-        fmt=args.format,
-    )
-    job_floors = [
-        floors.get(ident, default_floor(ident, params)) for ident, params in jobs
-    ]
-    if all(hi < floor for floor in job_floors):
-        raise SystemExit(
-            f"error: range {lo}..{hi} lies below the identity floor "
-            f"{min(job_floors)}; nothing to verify"
-        )
-    report = run_sweep(config, jobs)
+def _emit(report: SweepReport, args) -> int:
+    """Write the report to --out (printing the text summary) or to stdout;
+    exit status 0 iff the report is clean."""
     rendered = report.render(args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -144,23 +111,44 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _cmd_verify(args) -> int:
+    lo, hi = args.primes
+    if args.n is not None and not _IDENTITIES[args.identity].depths:
+        raise SystemExit(f"error: identity {args.identity} takes no --n parameter")
+    # A pool starts every worker up front, however few the tasks.
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise SystemExit(f"error: --workers {args.workers} exceeds the {cpus} available CPUs")
+    if args.n is not None:
+        jobs = [(args.identity, {"n": n}) for n in args.n]
+    else:
+        jobs = default_jobs(args.identity)
+    floors = {args.identity: args.floor} if args.floor is not None else {}
+    config = RunConfig(
+        lo=lo,
+        hi=hi,
+        identities=(args.identity,),
+        floors=floors,
+        budget=oracle_budget(args.budget),
+        workers=args.workers,
+    )
+    job_floors = [
+        floors.get(ident, default_floor(ident, params)) for ident, params in jobs
+    ]
+    if all(hi < floor for floor in job_floors):
+        raise SystemExit(
+            f"error: range {lo}..{hi} lies below the identity floor "
+            f"{min(job_floors)}; nothing to verify"
+        )
+    return _emit(run_sweep(config, jobs), args)
+
+
 def _cmd_merge(args) -> int:
     reports = []
     for path in args.reports:
         with open(path, encoding="utf-8") as fh:
             reports.append(SweepReport.from_json(fh.read()))
-    try:
-        merged = merge_reports(reports)
-    except ConflictError as exc:
-        raise SystemExit(f"error: {exc}")
-    rendered = merged.render(args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        print(merged.to_text(), end="")
-    else:
-        print(rendered, end="")
-    return 0 if merged.ok else 1
+    return _emit(merge_reports(reports), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,13 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compute":
-        for name, needed in (("index", ("oy", "ss", "zeta")),):
-            if args.kind in needed and getattr(args, name) is None:
-                raise SystemExit(f"error: compute {args.kind} requires --{name}")
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
 

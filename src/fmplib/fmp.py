@@ -31,6 +31,7 @@ __all__ = [
     "chain_distribution",
     "naive_reference",
     "naive_reference_general",
+    "oracle_budget",
     "oy_fmp",
     "oy_fmp_general",
     "zeta_variant",
@@ -40,11 +41,12 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 _BUDGET_ENV = "FMP_ORACLE_BUDGET"
 
 
-class OracleTooLarge(Exception):
+class OracleTooLarge(ValueError):
     """The naive oracle would enumerate more tuples than the budget allows."""
 
 
-def _oracle_budget(budget: int | None) -> int:
+def oracle_budget(budget: int | None) -> int:
+    """The given tuple budget, else $FMP_ORACLE_BUDGET, else the default."""
     if budget is not None:
         return budget
     env = os.environ.get(_BUDGET_ENV)
@@ -162,19 +164,12 @@ class ChainDistribution:
             if self.values[s] != 0:
                 raise ValueError(f"nonzero value at excluded S={s}")
 
-    def value(self, s: int) -> Residue:
-        v = self.values[s] if 0 <= s < len(self.values) else 0
-        return Residue(v, self.p)
-
     def window_sum(self, i: int) -> Residue:
         """Sum of values over (i-1)p < S < ip."""
         if not 1 <= i <= self.index.depth:
             raise ValueError(f"window {i} out of range 1..{self.index.depth}")
         lo, hi = (i - 1) * self.p, i * self.p
         return Residue(sum(self.values[lo + 1 : hi]) % self.p, self.p)
-
-    def total(self) -> Residue:
-        return Residue(sum(self.values) % self.p, self.p)
 
     def to_poly(self) -> PolyFp:
         return PolyFp(self.p, _normalize(list(self.values)))
@@ -215,7 +210,7 @@ def naive_reference(index: Index, p: int, budget: int | None = None) -> PolyFp:
     """Literal transcription of the chain sum: nested loops over all tuples,
     skipping any whose running denominator hits a multiple of p."""
     require_prime(p)
-    budget = _oracle_budget(budget)
+    budget = oracle_budget(budget)
     if p**index.depth > budget:
         raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds budget {budget}")
     inv = inverse_table(p)
@@ -236,7 +231,7 @@ def naive_reference(index: Index, p: int, budget: int | None = None) -> PolyFp:
 def naive_reference_general(blocks: BlockTriple, p: int, budget: int | None = None) -> PolyFp:
     """Nested-loop oracle for the three-block sum."""
     require_prime(p)
-    budget = _oracle_budget(budget)
+    budget = oracle_budget(budget)
     if p**blocks.total_depth > budget:
         raise OracleTooLarge(
             f"p^depth = {p}^{blocks.total_depth} exceeds budget {budget}"

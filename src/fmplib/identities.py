@@ -9,7 +9,6 @@ diagnosis (a wrong window slice shows up as a recognizable shape).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .fmp import BlockTriple, Index, oy_fmp, oy_fmp_general, zeta_variant
@@ -18,7 +17,6 @@ from .polyfp import PolyFp, compose_one_minus_t
 
 __all__ = [
     "FactorialNotInvertible",
-    "IdentityReport",
     "closed_form_residuals",
     "curly_L",
     "depth5_symmetry_difference",
@@ -35,20 +33,6 @@ __all__ = [
 
 class FactorialNotInvertible(ValueError):
     """n! has no inverse mod p (p <= n)."""
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """One identity instance at one prime; pass means zero residual."""
-
-    identity: str
-    params: tuple[tuple[str, int], ...]
-    prime: int
-    residual: PolyFp
-
-    @property
-    def passed(self) -> bool:
-        return self.residual.is_zero
 
 
 def _require_p_gt_n(n: int, p: int):
@@ -200,9 +184,9 @@ def obstruction_n5_residual(p: int) -> PolyFp:
     return depth5_symmetry_difference(p) - obstruction_n5_closed_form(b, p)
 
 
-def closed_form_residuals(p: int) -> list[IdentityReport]:
-    """Residuals of the worked closed forms for depths 3, 4, 5 and the
-    factorization f_4 = f_3 * (depth-1 polylog)."""
+def closed_form_residuals(p: int) -> list[tuple[str, PolyFp]]:
+    """(note, residual) for each worked closed form, at depths 3, 4, 5, and
+    for the factorization f_4 = f_3 * (depth-1 polylog)."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
     one = PolyFp.one(p)
@@ -220,8 +204,8 @@ def closed_form_residuals(p: int) -> list[IdentityReport]:
         + f_poly(5, p) * _inv_int(5, p)
     )
     return [
-        IdentityReport("closed-form", (("n", 3),), p, n3),
-        IdentityReport("closed-form", (("n", 4),), p, n4),
-        IdentityReport("closed-form-f4-factorization", (), p, f4),
-        IdentityReport("closed-form", (("n", 5),), p, n5),
+        ("closed-form {'n': 3}", n3),
+        ("closed-form {'n': 4}", n4),
+        ("closed-form-f4-factorization {}", f4),
+        ("closed-form {'n': 5}", n5),
     ]

@@ -11,11 +11,9 @@ from functools import lru_cache
 
 __all__ = [
     "DenominatorNotInvertible",
-    "NotInvertible",
     "PrimeMismatch",
     "Residue",
     "bernoulli_mod",
-    "inverse",
     "inverse_table",
     "is_prime",
     "primes_in",
@@ -25,14 +23,6 @@ __all__ = [
 
 class PrimeMismatch(ValueError):
     """Arithmetic between values attached to different primes."""
-
-
-class NotInvertible(ArithmeticError):
-    """Attempt to invert 0 mod p."""
-
-    def __init__(self, prime: int):
-        super().__init__(f"0 is not invertible mod {prime}")
-        self.prime = prime
 
 
 class DenominatorNotInvertible(ValueError):
@@ -106,12 +96,9 @@ def inverse_table(p: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Residue:
-    """An element of Z/pZ tagged with its prime.
-
-    Mixing residues of different primes raises PrimeMismatch: the library is a
-    family of computations over many primes, and silent prime-mixing is the
-    worst available bug.
-    """
+    """An element of Z/pZ tagged with its prime: the (value, p) record that
+    zeta_variant and bernoulli_mod return.  Equal only to a residue of the
+    same value and prime."""
 
     value: int
     p: int
@@ -121,80 +108,11 @@ class Residue:
         if not 0 <= self.value < self.p:
             raise ValueError(f"{self.value} is not reduced mod {self.p}")
 
-    @classmethod
-    def of(cls, value: int, p: int) -> "Residue":
-        return cls(value % p, p)
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, int):
-            return Residue(other % self.p, self.p)
-        if isinstance(other, Residue):
-            if other.p != self.p:
-                raise PrimeMismatch(f"mod {self.p} vs mod {other.p}")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue((self.value + other.value) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue((self.value - other.value) % self.p, self.p)
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __neg__(self):
         return Residue(-self.value % self.p, self.p)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return Residue(pow(self.value, e, self.p), self.p)
-
-    def inverse(self) -> "Residue":
-        if self.value == 0:
-            raise NotInvertible(self.p)
-        return Residue(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Residue):
-            return self.value == other.value and self.p == other.p
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
     def __str__(self):
         return f"{self.value} (mod {self.p})"
-
-
-def inverse(a: Residue) -> Residue:
-    """Multiplicative inverse of a nonzero residue."""
-    return a.inverse()
 
 
 def bernoulli_mod(m: int, p: int) -> Residue:

@@ -1,24 +1,17 @@
-"""Dense univariate polynomials over Z/pZ, one prime at a time.
-
-A value of the quotient ring "almost all primes agree" kind is represented
-operationally by a PrimeFamily: one polynomial per prime over an explicit
-prime window.
-"""
+"""Dense univariate polynomials over Z/pZ, one prime at a time."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
-from .modular import PrimeMismatch, primes_in, require_prime
+from .modular import PrimeMismatch, require_prime
 
 __all__ = [
     "MINUS_INFINITY",
     "PolyFp",
-    "PrimeFamily",
     "compose_one_minus_t",
-    "schoolbook_mul",
 ]
 
 #: Degree of the zero polynomial.  A distinguished marker, deliberately not -1:
@@ -53,17 +46,6 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
         int.from_bytes(raw[i * width : (i + 1) * width], "little") % p
         for i in range(len(a) + len(b) - 1)
     ]
-
-
-def _convolve_schoolbook(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % p for c in out]
 
 
 @dataclass(frozen=True)
@@ -194,13 +176,6 @@ class PolyFp:
         return cls.of(int(head), coeffs)
 
 
-def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
-    """Quadratic-time reference product, kept as an independent check on the
-    packed-integer convolution."""
-    f._check(g)
-    return PolyFp(f.p, _normalize(_convolve_schoolbook(f.coeffs, g.coeffs, f.p)))
-
-
 def _factorial_tables(n: int, p: int) -> tuple[list[int], list[int]]:
     """k! and 1/k! mod p for 0 <= k < n; needs n <= p so every k! is a unit."""
     fact = [1] * n
@@ -254,31 +229,3 @@ def compose_one_minus_t(f: PolyFp) -> PolyFp:
         ]
     return PolyFp(p, _normalize(acc))
 
-
-@dataclass(frozen=True)
-class PrimeFamily:
-    """One polynomial per prime over the window [lo, hi]."""
-
-    lo: int
-    hi: int
-    polys: Mapping[int, PolyFp] = field(repr=False)
-
-    def __post_init__(self):
-        for p, poly in self.polys.items():
-            if poly.p != p:
-                raise PrimeMismatch(f"entry keyed {p} holds a mod-{poly.p} polynomial")
-            if not self.lo <= p <= self.hi:
-                raise ValueError(f"prime {p} outside window [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def compute(cls, fn: Callable[[int], PolyFp], lo: int, hi: int) -> "PrimeFamily":
-        return cls(lo, hi, {p: fn(p) for p in primes_in(lo, hi)})
-
-    def __getitem__(self, p: int) -> PolyFp:
-        return self.polys[p]
-
-    def primes(self) -> list[int]:
-        return sorted(self.polys)
-
-    def items(self):
-        return sorted(self.polys.items())

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .fmp import Index, OracleTooLarge, _oracle_budget
+from .fmp import Index, OracleTooLarge, oracle_budget
 from .modular import inverse_table, require_prime
 from .polyfp import PolyFp, compose_one_minus_t
 
 __all__ = [
     "AdjacentDistinctSurjection",
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_CAP",
     "EnumerationCapExceeded",
-    "classify",
     "corollary_depth3_residual",
     "corollary_depth4_residual",
     "corollary_terms",
@@ -34,11 +33,12 @@ __all__ = [
     "ss_star_reference",
 ]
 
-DEFAULT_ENUMERATION_CAP = 8
+#: Deepest surjection family enumerated; the family grows faster than r!.
+ENUMERATION_CAP = 8
 
 
 class EnumerationCapExceeded(ValueError):
-    """Surjection enumeration request above the configured depth cap."""
+    """Surjection enumeration request above ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,6 @@ class AdjacentDistinctSurjection:
         return self.descent_prefix()[-1] + 1
 
 
-def classify(phi: AdjacentDistinctSurjection) -> tuple[tuple[int, ...], int]:
-    """Descent-count prefix sequence and the group key beta = delta(r) + 1."""
-    return phi.descent_prefix(), phi.beta
-
-
 @lru_cache(maxsize=None)
 def _all_surjections(r: int) -> tuple[AdjacentDistinctSurjection, ...]:
     found: list[AdjacentDistinctSurjection] = []
@@ -113,9 +108,7 @@ def _all_surjections(r: int) -> tuple[AdjacentDistinctSurjection, ...]:
     return tuple(found)
 
 
-def enumerate_phi(
-    r: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> dict[int, tuple[AdjacentDistinctSurjection, ...]]:
+def enumerate_phi(r: int) -> dict[int, tuple[AdjacentDistinctSurjection, ...]]:
     """All adjacent-distinct surjections from [r], grouped by beta.
 
     Group i holds the maps with exactly i-1 descents; the groups partition the
@@ -123,8 +116,8 @@ def enumerate_phi(
     """
     if r < 1:
         raise ValueError(f"depth must be positive, got {r}")
-    if r > cap:
-        raise EnumerationCapExceeded(f"depth {r} above enumeration cap {cap}")
+    if r > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"depth {r} above enumeration cap {ENUMERATION_CAP}")
     groups: dict[int, list[AdjacentDistinctSurjection]] = {i: [] for i in range(1, r + 1)}
     for phi in _all_surjections(r):
         groups[phi.beta].append(phi)
@@ -188,7 +181,7 @@ def ss_star_reference(index: Index, slot: int, p: int, budget: int | None = None
     require_prime(p)
     if not 1 <= slot <= index.depth:
         raise ValueError(f"slot {slot} out of range 1..{index.depth}")
-    budget = _oracle_budget(budget)
+    budget = oracle_budget(budget)
     if p**index.depth > budget:
         raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds budget {budget}")
     inv = inverse_table(p)
@@ -202,11 +195,11 @@ def ss_star_reference(index: Index, slot: int, p: int, budget: int | None = None
     return PolyFp.of(p, coeffs)
 
 
-def oy_from_ss(index: Index, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> PolyFp:
+def oy_from_ss(index: Index, p: int) -> PolyFp:
     """Rebuild the chain-sum polylog as sum over i of t^{(i-1)p} times the
     slot-indexed strict-chain polylogs of the grouped indices; must agree with
     oy_fmp exactly, prime by prime."""
-    groups = enumerate_phi(index.depth, cap)
+    groups = enumerate_phi(index.depth)
     total = PolyFp.zero(p)
     for i in sorted(groups):
         inner = PolyFp.zero(p)

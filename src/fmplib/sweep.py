@@ -15,6 +15,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .fmp import (
     BlockTriple,
@@ -64,84 +65,17 @@ class ConflictError(ValueError):
     """Reports to merge disagree about the same prime."""
 
 
-IDENTITY_IDS = (
-    "kontsevich",
-    "shuffle-lemma",
-    "recurrence",
-    "main-theorem",
-    "functional-eq",
-    "obstruction-n5",
-    "closed-forms",
-    "zeta-vanishing",
-    "prop42",
-    "corollary-d3",
-    "corollary-d4",
-    "oracle-crosscheck",
-)
-
-# Identities parameterized by the depth n, with their default sweep values.
-_N_DEFAULTS = {
-    "shuffle-lemma": (1, 2, 3, 4, 5),
-    "recurrence": (2, 3, 4),
-    "main-theorem": (1, 2, 3, 4, 5),
-    "functional-eq": (1, 2, 3, 4),
-}
-
-
-def default_floor(identity: str, params: dict) -> int:
-    """Default minimal prime above which a failure fails the sweep.
-
-    n+2 where the identity divides by n!, 7 where Bernoulli numbers B_{p-5}
-    enter, 5 otherwise.
-    """
-    n = params.get("n", 0)
-    return {
-        "kontsevich": 5,
-        "shuffle-lemma": max(5, n + 1),
-        "recurrence": max(5, n + 1),
-        "main-theorem": max(5, n + 2),
-        "functional-eq": max(5, n + 2),
-        "obstruction-n5": 7,
-        "closed-forms": 7,
-        "zeta-vanishing": 5,
-        "prop42": 5,
-        "corollary-d3": 7,
-        "corollary-d4": 7,
-        "oracle-crosscheck": 5,
-    }[identity]
-
-
-def default_jobs(identity: str) -> list[tuple[str, dict]]:
-    if identity in _N_DEFAULTS:
-        return [(identity, {"n": n}) for n in _N_DEFAULTS[identity]]
-    return [(identity, {})]
-
-
-def _gate(identity: str, params: dict, p: int) -> str | None:
-    """Reason this prime cannot even be evaluated, or None."""
-    n = params.get("n")
-    if identity in _N_DEFAULTS and p <= n:
-        return f"requires p > n = {n}"
-    if identity in ("obstruction-n5", "closed-forms") and p < 7:
-        return "requires p >= 7"
-    return None
-
-
 # ---------------------------------------------------------------------------
-# per-prime evaluators: residual polynomial (zero means pass) plus note
+# per-prime evaluators: a residual polynomial (zero means pass), or a
+# (residual, note) pair when the note names the failing part
 
 
-def _eval_kontsevich(params, p, budget):
+def _kontsevich(p):
     f = ones_fmp(1, p)
-    return f - compose_one_minus_t(f), None
+    return f - compose_one_minus_t(f)
 
 
-def _eval_shuffle(params, p, budget):
-    return shuffle_lemma_residual(params["n"], p), None
-
-
-def _eval_recurrence(params, p, budget):
-    n = params["n"]
+def _recurrence(n, p):
     total = PolyFp.zero(p)
     for k in range(n - 1):
         r = recurrence_residual(n, k, p)
@@ -154,22 +88,10 @@ def _eval_recurrence(params, p, budget):
     return PolyFp.zero(p), None
 
 
-def _eval_main_theorem(params, p, budget):
-    return main_theorem_residual(params["n"], p), None
-
-
-def _eval_functional_eq(params, p, budget):
-    return functional_eq_residual(params["n"], p), None
-
-
-def _eval_obstruction(params, p, budget):
-    return obstruction_n5_residual(p), None
-
-
-def _eval_closed_forms(params, p, budget):
-    for rep in closed_form_residuals(p):
-        if not rep.passed:
-            return rep.residual, f"{rep.identity} {dict(rep.params)}"
+def _closed_forms(p):
+    for note, residual in closed_form_residuals(p):
+        if not residual.is_zero:
+            return residual, note
     return PolyFp.zero(p), None
 
 
@@ -178,7 +100,7 @@ _REPEAT_PAIRS = tuple(
 )
 
 
-def _eval_zeta_vanishing(params, p, budget):
+def _zeta_vanishing(p):
     # Repeated indices {k}^r with k*r <= 6 vanish; applicability floor k*r+2.
     for k, r in _REPEAT_PAIRS:
         if p >= k * r + 2:
@@ -202,20 +124,12 @@ def _eval_zeta_vanishing(params, p, budget):
     return PolyFp.zero(p), None
 
 
-def _eval_prop42(params, p, budget):
+def _prop42(p):
     for idx in all_indices(4, 3):
         diff = oy_from_ss(idx, p) - oy_fmp(idx, p)
         if not diff.is_zero:
             return diff, f"conversion mismatch at {idx}"
     return PolyFp.zero(p), None
-
-
-def _eval_corollary_d3(params, p, budget):
-    return corollary_depth3_residual(p), None
-
-
-def _eval_corollary_d4(params, p, budget):
-    return corollary_depth4_residual(p), None
 
 
 def _block_triples(max_total_depth: int) -> list[BlockTriple]:
@@ -231,7 +145,7 @@ def _block_triples(max_total_depth: int) -> list[BlockTriple]:
     return out
 
 
-def _eval_oracle_crosscheck(params, p, budget):
+def _oracle_crosscheck(p, budget):
     ran = False
     if p <= 13:
         ran = True
@@ -253,29 +167,77 @@ def _eval_oracle_crosscheck(params, p, budget):
     return PolyFp.zero(p), None if ran else "oracle caps below this prime; nothing checked"
 
 
-_EVALUATORS = {
-    "kontsevich": _eval_kontsevich,
-    "shuffle-lemma": _eval_shuffle,
-    "recurrence": _eval_recurrence,
-    "main-theorem": _eval_main_theorem,
-    "functional-eq": _eval_functional_eq,
-    "obstruction-n5": _eval_obstruction,
-    "closed-forms": _eval_closed_forms,
-    "zeta-vanishing": _eval_zeta_vanishing,
-    "prop42": _eval_prop42,
-    "corollary-d3": _eval_corollary_d3,
-    "corollary-d4": _eval_corollary_d4,
-    "oracle-crosscheck": _eval_oracle_crosscheck,
+# ---------------------------------------------------------------------------
+# the identity table
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """What the sweep knows about one identity.
+
+    evaluate is called as evaluate(n, p) when depths is nonempty, else as
+    evaluate(p), with the oracle tuple budget appended when takes_budget.
+    floor(n) is the default prime from which a failure fails the sweep (n is
+    0 for identities without depths).  Primes below min_prime, or p <= n,
+    cannot be evaluated and get pass null with a note.
+    """
+
+    evaluate: Callable
+    depths: tuple[int, ...] = ()
+    floor: Callable[[int], int] = lambda n: 5
+    min_prime: int = 5
+    takes_budget: bool = False
+
+
+# Floors: n+2 where the identity divides by n!, n+1 where it needs p > n,
+# 7 where B_{p-5} enters or p = 5 is a known exception (corollary-d4).
+_IDENTITIES = {
+    "kontsevich": _Identity(_kontsevich),
+    "shuffle-lemma": _Identity(
+        shuffle_lemma_residual, (1, 2, 3, 4, 5), lambda n: max(5, n + 1)
+    ),
+    "recurrence": _Identity(_recurrence, (2, 3, 4), lambda n: max(5, n + 1)),
+    "main-theorem": _Identity(
+        main_theorem_residual, (1, 2, 3, 4, 5), lambda n: max(5, n + 2)
+    ),
+    "functional-eq": _Identity(
+        functional_eq_residual, (1, 2, 3, 4), lambda n: max(5, n + 2)
+    ),
+    "obstruction-n5": _Identity(obstruction_n5_residual, floor=lambda n: 7, min_prime=7),
+    "closed-forms": _Identity(_closed_forms, floor=lambda n: 7, min_prime=7),
+    "zeta-vanishing": _Identity(_zeta_vanishing),
+    "prop42": _Identity(_prop42),
+    "corollary-d3": _Identity(corollary_depth3_residual, floor=lambda n: 7),
+    "corollary-d4": _Identity(corollary_depth4_residual, floor=lambda n: 7),
+    "oracle-crosscheck": _Identity(_oracle_crosscheck, takes_budget=True),
 }
+
+IDENTITY_IDS = tuple(_IDENTITIES)
+
+
+def default_floor(identity: str, params: dict) -> int:
+    """Default minimal prime above which a failure fails the sweep."""
+    return _IDENTITIES[identity].floor(params.get("n", 0))
+
+
+def default_jobs(identity: str) -> list[tuple[str, dict]]:
+    depths = _IDENTITIES[identity].depths
+    if depths:
+        return [(identity, {"n": n}) for n in depths]
+    return [(identity, {})]
 
 
 def _run_task(task: tuple) -> tuple:
     identity, params_items, p, budget = task
+    row = _IDENTITIES[identity]
     params = dict(params_items)
-    note = _gate(identity, params, p)
-    if note is not None:
-        return identity, params_items, p, None, None, note
-    residual, note = _EVALUATORS[identity](params, p, budget)
+    if row.depths and p <= params["n"]:
+        return identity, params_items, p, None, None, f"requires p > n = {params['n']}"
+    if p < row.min_prime:
+        return identity, params_items, p, None, None, f"requires p >= {row.min_prime}"
+    args = (params["n"], p) if row.depths else (p,)
+    result = row.evaluate(*args, budget) if row.takes_budget else row.evaluate(*args)
+    residual, note = (result, None) if isinstance(result, PolyFp) else result
     if residual.is_zero:
         return identity, params_items, p, True, None, note
     return identity, params_items, p, False, residual.compact(), note
@@ -420,7 +382,7 @@ class SweepReport:
 @dataclass(frozen=True)
 class RunConfig:
     """A sweep request: prime range, identity selection, floors, budget,
-    worker count, output format."""
+    worker count."""
 
     lo: int
     hi: int
@@ -428,19 +390,16 @@ class RunConfig:
     floors: dict = field(default_factory=dict)
     budget: int = DEFAULT_ORACLE_BUDGET
     workers: int = 1
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty prime range {self.lo}..{self.hi}")
         for ident in self.identities:
-            if ident not in IDENTITY_IDS:
+            if ident not in _IDENTITIES:
                 raise ValueError(f"unknown identity {ident!r}")
         for ident, floor in self.floors.items():
             if floor < 5:
                 raise ValueError(f"floor for {ident} must be >= 5, got {floor}")
-        if self.fmt not in ("json", "csv", "text"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

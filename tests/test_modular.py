@@ -1,4 +1,4 @@
-"""Residue arithmetic, prime enumeration, Bernoulli numbers mod p."""
+"""Inverses and residues mod p, prime enumeration, Bernoulli numbers mod p."""
 
 import math
 from fractions import Fraction
@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from fmplib.modular import (
     DenominatorNotInvertible,
-    NotInvertible,
-    PrimeMismatch,
     Residue,
     bernoulli_mod,
-    inverse,
+    inverse_table,
     is_prime,
     primes_in,
 )
@@ -54,12 +52,12 @@ def bernoulli_triangle(m: int, p: int) -> int:
     return row[0]
 
 
-# --- inverse ---------------------------------------------------------------
+# --- inverse table -----------------------------------------------------------
 
 
 def test_inverse_examples():
-    assert inverse(Residue(3, 5)) == Residue(2, 5)
-    assert inverse(Residue(4, 13)) == Residue(10, 13)
+    assert inverse_table(5)[3] == 2
+    assert inverse_table(13)[4] == 10
     g, x, _ = extended_gcd(4, 13)
     assert g == 1 and x % 13 == 10
     assert 4 * 10 % 13 == 1
@@ -67,49 +65,34 @@ def test_inverse_examples():
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_inverse_of_one(p):
-    assert inverse(Residue(1, p)) == Residue(1, p)
-
-
-def test_inverse_of_zero_raises_with_prime():
-    with pytest.raises(NotInvertible) as err:
-        Residue(0, 7).inverse()
-    assert err.value.prime == 7
+    assert inverse_table(p)[1] == 1
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
 def test_inverse_involution_and_product(p, data):
-    a = Residue(data.draw(st.integers(1, p - 1)), p)
-    assert inverse(inverse(a)) == a
-    assert a * inverse(a) == Residue(1, p)
+    inv = inverse_table(p)
+    a = data.draw(st.integers(1, p - 1))
+    assert inv[inv[a]] == a
+    assert a * inv[a] % p == 1
 
 
-# --- residue ring ----------------------------------------------------------
+# --- residue record ------------------------------------------------------------
 
 
 def test_residue_validation():
     with pytest.raises(ValueError):
         Residue(5, 5)
     with pytest.raises(ValueError):
+        Residue(-1, 5)
+    with pytest.raises(ValueError):
         Residue(1, 6)
-    assert Residue.of(-1, 5) == Residue(4, 5)
-    assert Residue.of(12, 5) == Residue(2, 5)
-
-
-def test_cross_prime_arithmetic_rejected():
-    a, b = Residue(1, 5), Residue(1, 7)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
-        with pytest.raises(PrimeMismatch):
-            op()
 
 
 def test_residue_ops():
     a = Residue(3, 7)
-    assert a + 5 == 1
-    assert a - 4 == 6
-    assert -a == 4
-    assert a * 5 == 1
-    assert a / 5 == Residue(2, 7)
-    assert a**0 == 1 and a**2 == 2 and a**-1 == 5
+    assert -a == Residue(4, 7)
+    assert -Residue(0, 7) == Residue(0, 7)
+    assert a == Residue(3, 7) and a != Residue(3, 11) and a != 3
     assert str(a) == "3 (mod 7)"
 
 

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from fmplib.identities import ones_fmp
 from fmplib.modular import PrimeMismatch
-from fmplib.polyfp import (
-    MINUS_INFINITY,
-    PolyFp,
-    PrimeFamily,
-    compose_one_minus_t,
-    schoolbook_mul,
-)
+from fmplib.polyfp import MINUS_INFINITY, PolyFp, compose_one_minus_t
 
 PRIMES = [5, 7, 11, 13, 17, 31]
 
@@ -27,6 +21,17 @@ def poly_pairs(draw, count=2, max_len=30, prime_pool=PRIMES):
         for _ in range(count)
     )
     return (p, *polys)
+
+
+def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
+    """Quadratic-time reference product, an independent check on the
+    packed-integer convolution."""
+    assert f.p == g.p
+    out = [0] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return PolyFp.of(f.p, out)
 
 
 def compose_binomial(f: PolyFp) -> PolyFp:
@@ -273,16 +278,3 @@ def test_shifted():
     f = PolyFp.of(7, [1, 2])
     assert f.shifted(3) == PolyFp.of(7, [0, 0, 0, 1, 2])
     assert PolyFp.zero(7).shifted(4).is_zero
-
-
-# --- prime families ----------------------------------------------------------
-
-
-def test_prime_family():
-    fam = PrimeFamily.compute(lambda p: PolyFp.monomial(p, p), 5, 13)
-    assert fam.primes() == [5, 7, 11, 13]
-    assert fam[7] == PolyFp.monomial(7, 7)
-    with pytest.raises(PrimeMismatch):
-        PrimeFamily(5, 7, {5: PolyFp.one(7)})
-    with pytest.raises(ValueError):
-        PrimeFamily(5, 7, {11: PolyFp.one(11)})

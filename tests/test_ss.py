@@ -10,8 +10,8 @@ from fmplib.fmp import Index, all_indices, oy_fmp
 from fmplib.polyfp import PolyFp
 from fmplib.ss import (
     AdjacentDistinctSurjection,
+    ENUMERATION_CAP,
     EnumerationCapExceeded,
-    classify,
     corollary_depth3_residual,
     corollary_depth4_residual,
     corollary_terms,
@@ -77,8 +77,6 @@ def test_groups_partition_by_beta():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_phi(9)
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_phi(4, cap=3)
     with pytest.raises(ValueError):
         enumerate_phi(0)
 
@@ -96,9 +94,14 @@ def test_surjection_validation():
 
 
 def test_classify_examples():
-    assert classify(AdjacentDistinctSurjection((1, 2))) == ((0, 0), 1)
-    assert classify(AdjacentDistinctSurjection((2, 1))) == ((0, 1), 2)
-    assert classify(AdjacentDistinctSurjection((1, 2, 1))) == ((0, 0, 1), 2)
+    # descent-count prefix and the group key beta = delta(r) + 1
+    for values, prefix, beta in (
+        ((1, 2), (0, 0), 1),
+        ((2, 1), (0, 1), 2),
+        ((1, 2, 1), (0, 0, 1), 2),
+    ):
+        phi = AdjacentDistinctSurjection(values)
+        assert (phi.descent_prefix(), phi.beta) == (prefix, beta)
 
 
 def test_grouped_index_examples():
@@ -183,8 +186,9 @@ def test_conversion_family(p):
 
 
 def test_conversion_cap():
+    # raised by the enumeration, before any strict-chain polylog is computed
     with pytest.raises(EnumerationCapExceeded):
-        oy_from_ss(Index.ones(3), 7, cap=2)
+        oy_from_ss(Index.ones(ENUMERATION_CAP + 1), 7)
 
 
 # --- the two transcribed corollaries ---------------------------------------------------

@@ -1,9 +1,11 @@
 """Sweep driver, report plumbing, and the command-line interface."""
 
 import json
+import os
 
 import pytest
 
+from fmplib import cli
 from fmplib.cli import main, parse_index, parse_n_values, parse_prime_range
 from fmplib.fmp import Index
 from fmplib.sweep import (
@@ -36,8 +38,6 @@ def test_runconfig_validation():
         RunConfig(lo=5, hi=7, identities=("kontsevich",), floors={"kontsevich": 3})
     with pytest.raises(ValueError):
         RunConfig(lo=5, hi=7, identities=("kontsevich",), workers=0)
-    with pytest.raises(ValueError):
-        RunConfig(lo=5, hi=7, identities=("kontsevich",), fmt="xml")
 
 
 def test_default_floors():
@@ -226,6 +226,30 @@ def test_cli_verify_range_below_floor():
     with pytest.raises(SystemExit) as err:
         main(["verify", "main-theorem", "--n", "5", "--primes", "2..5"])
     assert "below the identity floor" in str(err.value.code)
+
+
+def test_cli_verify_budget_error_exits_cleanly():
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "oracle-crosscheck", "--primes", "5..13", "--budget", "10"])
+    assert err.value.code == "error: p^depth = 5^2 exceeds budget 10"
+
+
+def test_cli_verify_workers_bounded_by_cpus(monkeypatch, capsys):
+    # Never run with a large --workers: the pool would start them all.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = []
+
+    def fake_run_sweep(config, jobs):
+        seen.append(config.workers)
+        return SweepReport([(config.lo, config.hi)], config.budget, [])
+
+    monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "kontsevich", "--primes", "7..13", "--workers", "3"])
+    assert "--workers 3 exceeds the 2 available CPUs" in str(err.value.code)
+    assert seen == []
+    assert main(["verify", "kontsevich", "--primes", "7..13", "--workers", "2"]) == 0
+    assert seen == [2]
 
 
 def test_cli_verify_rejects_n_for_unparameterized():
