@@ -12,7 +12,7 @@ import pathlib
 import sys
 import time
 
-from fmplib.sweep import IDENTITY_IDS, RunConfig, merge_reports, run_sweep
+from fmplib.sweep import IDENTITY_IDS, RunConfig, merge_reports, require_workers, run_sweep
 
 
 def main() -> int:
@@ -21,6 +21,10 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out-dir", default="reports")
     args = ap.parse_args()
+    try:
+        require_workers(args.workers)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     lo, hi = (int(x) for x in args.primes.split(".."))
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,6 @@ shorthand: "1^4" means 1,1,1,1 and "1^3,2" means 1,1,1,2.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .fmp import Index, oracle_budget, oy_fmp, zeta_variant
@@ -26,6 +25,7 @@ from .sweep import (
     default_floor,
     default_jobs,
     merge_reports,
+    require_workers,
     run_sweep,
 )
 
@@ -115,10 +115,7 @@ def _cmd_verify(args) -> int:
     lo, hi = args.primes
     if args.n is not None and not _IDENTITIES[args.identity].depths:
         raise SystemExit(f"error: identity {args.identity} takes no --n parameter")
-    # A pool starts every worker up front, however few the tasks.
-    cpus = os.cpu_count() or 1
-    if args.workers > cpus:
-        raise SystemExit(f"error: --workers {args.workers} exceeds the {cpus} available CPUs")
+    require_workers(args.workers)
     if args.n is not None:
         jobs = [(args.identity, {"n": n}) for n in args.n]
     else:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, cycle, islice, repeat
 
 from .modular import Residue, inverse_table, require_prime
 from .polyfp import PolyFp, _convolve, _normalize
@@ -113,41 +115,39 @@ class BlockTriple:
         return len(self.first) + len(self.second) + len(self.third)
 
 
-def _window_extend(values: list[int], k: int, p: int) -> list[int]:
+def _inverse_powers(k: int, p: int) -> Sequence[int]:
+    """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0."""
+    inv = inverse_table(p)
+    return inv if k == 1 else [pow(iv, k, p) for iv in inv]
+
+
+def _window_extend(values: Sequence[int], k: int, p: int) -> list[int]:
     """One chain step: add a summand l in (0,p); the new running total is the
     new denominator.
 
     new[S] = (sum of old[S-p+1 .. S-1]) * S^{-k}, forced to 0 when p | S.
-    Prefix sums keep the step linear in the support size.
+    With prefix sums P over the n old values, the window sum is
+    P[min(S, n)] - P[max(S-p+1, 0)]: two shifted copies of P, zipped against
+    the period-p table of S^{-k}, whose 0 entry does the forcing.  Linear in
+    the support size; only the final comprehension runs as bytecode, the
+    prefix sums and shifts run in C.
     """
-    inv = inverse_table(p)
-    old_len = len(values)
-    prefix = [0] * (old_len + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = (prefix[i] + v) % p
-    hi = old_len - 1 + p - 1
-    out = [0] * (hi + 1)
-    for s in range(1, hi + 1):
-        if s % p == 0:
-            continue
-        a = max(s - p + 1, 0)
-        b = min(s, old_len)
-        if b <= a:
-            continue
-        w = (prefix[b] - prefix[a]) % p
-        if w:
-            iv = inv[s % p]
-            out[s] = w * (iv if k == 1 else pow(iv, k, p)) % p
-    return out
+    n = len(values)
+    prefix = [0, *accumulate(values)]
+    upper = chain(prefix, repeat(prefix[-1], p - 2))
+    lower = chain(repeat(0, p), islice(prefix, 1, n))
+    table = islice(cycle(_inverse_powers(k, p)), n + p - 1)
+    return [(u - d) * w % p for u, d, w in zip(upper, lower, table)]
 
 
 @lru_cache(maxsize=None)
 def _chain_values(parts: tuple[int, ...], p: int) -> tuple[int, ...]:
-    require_prime(p)
-    values = [1]  # the empty chain: total 0 with value 1
-    for k in parts:
-        values = _window_extend(values, k, p)
-    return tuple(values)
+    """Chain values of parts, one step on those of parts[:-1]; the empty
+    chain has total 0 with value 1."""
+    if not parts:
+        require_prime(p)
+        return (1,)
+    return tuple(_window_extend(_chain_values(parts[:-1], p), parts[-1], p))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from typing import Iterable
 
 from .modular import PrimeMismatch, require_prime
@@ -26,9 +26,17 @@ def _normalize(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
+#: An operand with at most this many nonzero coefficients is multiplied by
+#: shift-and-add.  The identity sweeps produce many such operands: window
+#: polynomials and corollary coefficients in T = t^p, and t^p factors.
+_SPARSE_NONZEROS = 6
+
+
 def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     """Exact convolution of reduced coefficient vectors.
 
+    When one operand has at most _SPARSE_NONZEROS nonzero coefficients, the
+    other is scaled and added in at each of their offsets.  Otherwise
     Kronecker substitution: pack each vector into one big integer with enough
     room per chunk that product coefficients cannot collide, multiply, unpack.
     Exact for every p (no floating point, no fixed-width overflow), and far
@@ -37,15 +45,22 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     """
     if not a or not b:
         return []
+    n = len(a) + len(b) - 1
+    nonzeros_a, nonzeros_b = len(a) - a.count(0), len(b) - b.count(0)
+    if min(nonzeros_a, nonzeros_b) <= _SPARSE_NONZEROS:
+        if nonzeros_a > nonzeros_b:
+            a, b = b, a
+        out = [0] * n
+        for i in compress(range(len(a)), a):
+            c, j = a[i], i + len(b)
+            out[i:j] = [x + c * y for x, y in zip(out[i:j], b)]
+        return [x % p for x in out]
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
     abig = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
     bbig = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
     raw = (abig * bbig).to_bytes(width * (len(a) + len(b)), "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") % p
-        for i in range(len(a) + len(b) - 1)
-    ]
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -98,30 +113,26 @@ class PolyFp:
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return PolyFp(self.p, _normalize(out))
+        p = self.p
+        out = [(a + b) % p for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        return PolyFp(p, _normalize(out))
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] - c) % self.p
-        return PolyFp(self.p, _normalize(out))
+        p = self.p
+        out = [(a - b) % p for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        return PolyFp(p, _normalize(out))
 
     def __neg__(self) -> "PolyFp":
         return PolyFp(self.p, tuple(-c % self.p for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.p
+            p = self.p
+            c = other % p
             if c == 0:
-                return PolyFp.zero(self.p)
-            return PolyFp(self.p, _normalize([a * c % self.p for a in self.coeffs]))
+                return PolyFp.zero(p)
+            return PolyFp(p, tuple([a * c % p for a in self.coeffs]))
         if isinstance(other, PolyFp):
             self._check(other)
             return PolyFp(self.p, _normalize(_convolve(self.coeffs, other.coeffs, self.p)))

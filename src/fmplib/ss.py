@@ -14,10 +14,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
+from operator import mul
 
-from .fmp import Index, OracleTooLarge, oracle_budget
+from .fmp import Index, OracleTooLarge, _inverse_powers, oracle_budget
 from .modular import inverse_table, require_prime
-from .polyfp import PolyFp, compose_one_minus_t
+from .polyfp import PolyFp, _normalize, compose_one_minus_t
 
 __all__ = [
     "AdjacentDistinctSurjection",
@@ -146,34 +148,21 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     s = len(ks)
     if not 1 <= slot <= s:
         raise ValueError(f"slot {slot} out of range 1..{s}")
-    inv = inverse_table(p)
 
-    heads = [0] * p  # chains for the first c parts ending exactly at v
-    heads[0] = 1
+    heads = [1] + [0] * (p - 1)  # chains for the first c parts ending exactly at v
     for c in range(slot):
-        k = ks[c]
-        run = 0
-        new = [0] * p
-        for v in range(1, p):
-            run = (run + heads[v - 1]) % p
-            if run:
-                iv = inv[v]
-                new[v] = run * (iv if k == 1 else pow(iv, k, p)) % p
-        heads = new
+        # new[v] = v^{-k} * (heads[0] + ... + heads[v-1]) for 0 < v < p
+        tab = _inverse_powers(ks[c], p)
+        heads = [0] + [run * w % p for run, w in zip(accumulate(heads), tab[1:])]
 
     tails = [1] * p  # completions with the parts past the slot, all entries above v
     for c in range(s - 1, slot - 1, -1):
-        k = ks[c]
-        run = 0
-        new = [0] * p
-        for v in range(p - 2, -1, -1):
-            u = v + 1
-            iv = inv[u]
-            run = (run + (iv if k == 1 else pow(iv, k, p)) * tails[u]) % p
-            new[v] = run
-        tails = new
+        # new[v] = sum over u > v of u^{-k} * tails[u], and new[p-1] = 0
+        tab = _inverse_powers(ks[c], p)
+        suffix = list(accumulate(map(mul, reversed(tab), reversed(tails))))
+        tails = [run % p for run in suffix[-2::-1]] + [0]
 
-    return PolyFp.of(p, [heads[v] * tails[v] % p for v in range(p)])
+    return PolyFp(p, _normalize([h * w % p for h, w in zip(heads, tails)]))
 
 
 def ss_star_reference(index: Index, slot: int, p: int, budget: int | None = None) -> PolyFp:

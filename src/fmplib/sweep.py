@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ __all__ = [
     "default_floor",
     "default_jobs",
     "merge_reports",
+    "require_workers",
     "run_sweep",
 ]
 
@@ -67,7 +69,8 @@ class ConflictError(ValueError):
 
 # ---------------------------------------------------------------------------
 # per-prime evaluators: a residual polynomial (zero means pass), or a
-# (residual, note) pair when the note names the failing part
+# (residual, note) pair when the note names the failing part; a residual of
+# None means nothing was checked at that prime
 
 
 def _kontsevich(p):
@@ -146,25 +149,23 @@ def _block_triples(max_total_depth: int) -> list[BlockTriple]:
 
 
 def _oracle_crosscheck(p, budget):
-    ran = False
-    if p <= 13:
-        ran = True
-        for idx in all_indices(5, 4):
-            diff = oy_fmp(idx, p) - naive_reference(idx, p, budget)
+    if p > 13:
+        return None, "oracle caps below this prime; nothing checked"
+    for idx in all_indices(5, 4):
+        diff = oy_fmp(idx, p) - naive_reference(idx, p, budget)
+        if not diff.is_zero:
+            return diff, f"window DP vs loops at {idx}"
+    for idx in all_indices(4, 3):
+        for slot in range(1, idx.depth + 1):
+            diff = ss_star(idx, slot, p) - ss_star_reference(idx, slot, p, budget)
             if not diff.is_zero:
-                return diff, f"window DP vs loops at {idx}"
-        for idx in all_indices(4, 3):
-            for slot in range(1, idx.depth + 1):
-                diff = ss_star(idx, slot, p) - ss_star_reference(idx, slot, p, budget)
-                if not diff.is_zero:
-                    return diff, f"strict-chain DP vs loops at {idx} slot {slot}"
+                return diff, f"strict-chain DP vs loops at {idx} slot {slot}"
     if p <= 7:
-        ran = True
         for blocks in _block_triples(4):
             diff = oy_fmp_general(blocks, p) - naive_reference_general(blocks, p, budget)
             if not diff.is_zero:
                 return diff, f"three-block DP vs loops at {blocks}"
-    return PolyFp.zero(p), None if ran else "oracle caps below this prime; nothing checked"
+    return PolyFp.zero(p), None
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,8 @@ def _run_task(task: tuple) -> tuple:
     args = (params["n"], p) if row.depths else (p,)
     result = row.evaluate(*args, budget) if row.takes_budget else row.evaluate(*args)
     residual, note = (result, None) if isinstance(result, PolyFp) else result
+    if residual is None:
+        return identity, params_items, p, None, None, note
     if residual.is_zero:
         return identity, params_items, p, True, None, note
     return identity, params_items, p, False, residual.compact(), note
@@ -249,8 +252,9 @@ def _run_task(task: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class PrimeOutcome:
-    """One prime of one identity.  passed is None when the prime cannot be
-    evaluated at all (hard precondition, e.g. p <= n); the note says why."""
+    """One prime of one identity.  passed is None when nothing was checked at
+    the prime (a hard precondition such as p <= n, or an oracle capped below
+    it); the note says why."""
 
     p: int
     passed: bool | None
@@ -283,7 +287,9 @@ class IdentityEntry:
 
     @property
     def ok(self) -> bool:
-        return all(o.passed is True for o in self.outcomes if o.p >= self.floor)
+        """No failure at or above the floor; a prime with nothing checked
+        neither passes nor fails."""
+        return not any(o.passed is False for o in self.outcomes if o.p >= self.floor)
 
     def to_dict(self) -> dict:
         return {
@@ -402,6 +408,17 @@ class RunConfig:
                 raise ValueError(f"floor for {ident} must be >= 5, got {floor}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+
+def require_workers(workers: int) -> None:
+    """Reject a worker count above the machine's CPU count.
+
+    A process pool starts every worker up front, however few the tasks, so
+    the entry points check a user's --workers here before any pool starts.
+    """
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"--workers {workers} exceeds the {cpus} available CPUs")
 
 
 def run_sweep(config: RunConfig, jobs: list[tuple[str, dict]] | None = None) -> SweepReport:

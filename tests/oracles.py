@@ -1,0 +1,138 @@
+"""Slow reference implementations that the tests check the library against.
+
+Each is written independently of the fast path it checks, or is the
+per-coefficient loop that the fast path replaced, kept here as it was.
+"""
+
+import math
+
+from fmplib.fmp import Index
+from fmplib.modular import inverse_table, require_prime
+from fmplib.polyfp import PolyFp
+
+
+def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
+    """Quadratic-time reference product, an independent check on the
+    packed-integer and shift-and-add convolutions."""
+    assert f.p == g.p
+    out = [0] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return PolyFp.of(f.p, out)
+
+
+def compose_binomial(f: PolyFp) -> PolyFp:
+    """Independent oracle for f(1-t): exact binomial expansion."""
+    out = [0] * len(f.coeffs)
+    for i, c in enumerate(f.coeffs):
+        if c:
+            for j in range(i + 1):
+                out[j] = (out[j] + c * math.comb(i, j) * (-1) ** j) % f.p
+    return PolyFp.of(f.p, out)
+
+
+def _horner_block(block: tuple[int, ...], p: int) -> list[int]:
+    # Horner at the affine argument: res <- res*(1-t) + c, degree < p throughout.
+    res: list[int] = []
+    for c in reversed(block):
+        nxt = [0] * (len(res) + 1)
+        for i, r in enumerate(res):
+            if r:
+                nxt[i] = (nxt[i] + r) % p
+                nxt[i + 1] = (nxt[i + 1] - r) % p
+        nxt[0] = (nxt[0] + c) % p
+        res = nxt
+    return res
+
+
+def compose_horner(f: PolyFp) -> PolyFp:
+    """Second oracle for f(1-t): Horner in (1-t)^p = 1 - t^p over blocks of
+    size p, each block by an O(p^2) Horner at 1-t."""
+    p = f.p
+    blocks = [f.coeffs[i : i + p] for i in range(0, len(f.coeffs), p)]
+    acc: list[int] = []
+    for block in reversed(blocks):
+        if acc:
+            grown = acc + [0] * p
+            for i, c in enumerate(acc):
+                if c:
+                    grown[i + p] = (grown[i + p] - c) % p
+            acc = grown
+        small = _horner_block(block, p)
+        if len(small) > len(acc):
+            acc.extend([0] * (len(small) - len(acc)))
+        for i, c in enumerate(small):
+            if c:
+                acc[i] = (acc[i] + c) % p
+    return PolyFp.of(p, acc)
+
+
+def window_extend_loop(values: list[int], k: int, p: int) -> list[int]:
+    """One chain step: add a summand l in (0,p); the new running total is the
+    new denominator.
+
+    new[S] = (sum of old[S-p+1 .. S-1]) * S^{-k}, forced to 0 when p | S.
+    Prefix sums keep the step linear in the support size.
+    """
+    inv = inverse_table(p)
+    old_len = len(values)
+    prefix = [0] * (old_len + 1)
+    for i, v in enumerate(values):
+        prefix[i + 1] = (prefix[i] + v) % p
+    hi = old_len - 1 + p - 1
+    out = [0] * (hi + 1)
+    for s in range(1, hi + 1):
+        if s % p == 0:
+            continue
+        a = max(s - p + 1, 0)
+        b = min(s, old_len)
+        if b <= a:
+            continue
+        w = (prefix[b] - prefix[a]) % p
+        if w:
+            iv = inv[s % p]
+            out[s] = w * (iv if k == 1 else pow(iv, k, p)) % p
+    return out
+
+
+def ss_star_loop(index: Index, slot: int, p: int) -> PolyFp:
+    """Sum over strictly increasing chains 0 < n_1 < ... < n_s < p of
+    t^{n_slot} / (n_1^{k_1} ... n_s^{k_s}); every other argument is fixed at 1.
+
+    Ascending prefix-sum DP up to the slot, suffix sums past it; cost O(s*p)
+    and degree always below p.
+    """
+    require_prime(p)
+    ks = index.parts
+    s = len(ks)
+    if not 1 <= slot <= s:
+        raise ValueError(f"slot {slot} out of range 1..{s}")
+    inv = inverse_table(p)
+
+    heads = [0] * p  # chains for the first c parts ending exactly at v
+    heads[0] = 1
+    for c in range(slot):
+        k = ks[c]
+        run = 0
+        new = [0] * p
+        for v in range(1, p):
+            run = (run + heads[v - 1]) % p
+            if run:
+                iv = inv[v]
+                new[v] = run * (iv if k == 1 else pow(iv, k, p)) % p
+        heads = new
+
+    tails = [1] * p  # completions with the parts past the slot, all entries above v
+    for c in range(s - 1, slot - 1, -1):
+        k = ks[c]
+        run = 0
+        new = [0] * p
+        for v in range(p - 2, -1, -1):
+            u = v + 1
+            iv = inv[u]
+            run = (run + (iv if k == 1 else pow(iv, k, p)) * tails[u]) % p
+            new[v] = run
+        tails = new
+
+    return PolyFp.of(p, [heads[v] * tails[v] % p for v in range(p)])

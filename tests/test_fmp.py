@@ -5,11 +5,13 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import window_extend_loop
 
 from fmplib.fmp import (
     BlockTriple,
     Index,
     OracleTooLarge,
+    _window_extend,
     all_indices,
     chain_distribution,
     naive_reference,
@@ -84,6 +86,25 @@ def test_excluded_positions_are_zero(idx, p):
     dist = chain_distribution(idx, p)
     assert all(dist.values[s] == 0 for s in range(0, len(dist.values), p))
     assert len(dist.values) == idx.depth * (p - 1) + 1
+
+
+@st.composite
+def chain_steps(draw):
+    """A reduced coefficient vector of length 1..4p, about a quarter zeros,
+    at a prime up to 211."""
+    p = draw(st.sampled_from([5, 7, 13, 101, 211]))
+    rng = draw(st.randoms(use_true_random=False))
+    length = draw(st.integers(1, 4 * p))
+    return p, [rng.randrange(p) if rng.randrange(4) else 0 for _ in range(length)]
+
+
+@settings(max_examples=60)
+@given(chain_steps(), st.sampled_from([1, 2, 3]))
+def test_window_extend_matches_loop(step, k):
+    p, values = step
+    expected = window_extend_loop(values, k, p)
+    assert _window_extend(values, k, p) == expected
+    assert _window_extend(tuple(values), k, p) == expected
 
 
 # --- the polylog -------------------------------------------------------------

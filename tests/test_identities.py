@@ -5,9 +5,17 @@ import itertools
 
 import pytest
 
-from fmplib.fmp import Index, naive_reference, naive_reference_general, BlockTriple, oy_fmp, zeta_variant
+from fmplib.fmp import (
+    BlockTriple,
+    Index,
+    naive_reference,
+    naive_reference_general,
+    oy_fmp_general,
+    zeta_variant,
+)
 from fmplib.identities import (
     FactorialNotInvertible,
+    _bridge,
     closed_form_residuals,
     curly_L,
     f_poly,
@@ -142,6 +150,16 @@ def test_recurrence_n3_oracle_path():
 @pytest.mark.parametrize("n,k,p", [(4, 0, 11), (4, 1, 11), (4, 2, 11), (3, 0, 13)])
 def test_recurrence_dp_path(n, k, p):
     assert recurrence_residual(n, k, p).is_zero
+
+
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_bridges_are_three_block_sums(p):
+    # _bridge builds each bridge from the product form by chain steps; the
+    # three-block DP convolves and steps from scratch.
+    for n in range(1, 6):
+        for j in range(n):
+            blocks = BlockTriple.of((1,) * (n - j - 1), (1,), (1,) * j)
+            assert _bridge(n, j, p) == oy_fmp_general(blocks, p), (n, j)
 
 
 def test_recurrence_k_range():

@@ -1,14 +1,19 @@
 """Dense polynomial ring over Z/pZ."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import compose_binomial, compose_horner, schoolbook_mul
 
 from fmplib.identities import ones_fmp
 from fmplib.modular import PrimeMismatch
-from fmplib.polyfp import MINUS_INFINITY, PolyFp, compose_one_minus_t
+from fmplib.polyfp import (
+    _SPARSE_NONZEROS,
+    MINUS_INFINITY,
+    PolyFp,
+    _convolve,
+    compose_one_minus_t,
+)
 
 PRIMES = [5, 7, 11, 13, 17, 31]
 
@@ -21,63 +26,6 @@ def poly_pairs(draw, count=2, max_len=30, prime_pool=PRIMES):
         for _ in range(count)
     )
     return (p, *polys)
-
-
-def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
-    """Quadratic-time reference product, an independent check on the
-    packed-integer convolution."""
-    assert f.p == g.p
-    out = [0] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            out[i + j] += a * b
-    return PolyFp.of(f.p, out)
-
-
-def compose_binomial(f: PolyFp) -> PolyFp:
-    """Independent oracle for f(1-t): exact binomial expansion."""
-    out = [0] * len(f.coeffs)
-    for i, c in enumerate(f.coeffs):
-        if c:
-            for j in range(i + 1):
-                out[j] = (out[j] + c * math.comb(i, j) * (-1) ** j) % f.p
-    return PolyFp.of(f.p, out)
-
-
-def _horner_block(block: tuple[int, ...], p: int) -> list[int]:
-    # Horner at the affine argument: res <- res*(1-t) + c, degree < p throughout.
-    res: list[int] = []
-    for c in reversed(block):
-        nxt = [0] * (len(res) + 1)
-        for i, r in enumerate(res):
-            if r:
-                nxt[i] = (nxt[i] + r) % p
-                nxt[i + 1] = (nxt[i + 1] - r) % p
-        nxt[0] = (nxt[0] + c) % p
-        res = nxt
-    return res
-
-
-def compose_horner(f: PolyFp) -> PolyFp:
-    """Second oracle for f(1-t): Horner in (1-t)^p = 1 - t^p over blocks of
-    size p, each block by an O(p^2) Horner at 1-t."""
-    p = f.p
-    blocks = [f.coeffs[i : i + p] for i in range(0, len(f.coeffs), p)]
-    acc: list[int] = []
-    for block in reversed(blocks):
-        if acc:
-            grown = acc + [0] * p
-            for i, c in enumerate(acc):
-                if c:
-                    grown[i + p] = (grown[i + p] - c) % p
-            acc = grown
-        small = _horner_block(block, p)
-        if len(small) > len(acc):
-            acc.extend([0] * (len(small) - len(acc)))
-        for i, c in enumerate(small):
-            if c:
-                acc[i] = (acc[i] + c) % p
-    return PolyFp.of(p, acc)
 
 
 @st.composite
@@ -165,6 +113,40 @@ def test_prime_mismatch():
 def test_kronecker_mul_matches_schoolbook(data):
     _, f, g = data
     assert f * g == schoolbook_mul(f, g)
+
+
+@st.composite
+def sparse_dense_pairs(draw):
+    """A polynomial with exactly 6 or exactly 7 nonzero coefficients, spread
+    over up to three blocks of size p, and a dense one with more than 6."""
+    p = draw(st.sampled_from([5, 13, 101, 211]))
+    rng = draw(st.randoms(use_true_random=False))
+    nonzeros = draw(st.sampled_from([_SPARSE_NONZEROS, _SPARSE_NONZEROS + 1]))
+    length = draw(st.integers(nonzeros, 3 * p))
+    sparse = [0] * length
+    for d in rng.sample(range(length), nonzeros):
+        sparse[d] = rng.randrange(1, p)
+    dense = [rng.randrange(1, p) for _ in range(draw(st.integers(7, 2 * p)))]
+    return PolyFp.of(p, sparse), PolyFp.of(p, dense)
+
+
+@settings(max_examples=60)
+@given(sparse_dense_pairs())
+def test_sparse_mul_matches_schoolbook(data):
+    # 6 nonzeros take the shift-and-add path, 7 the packed-integer one.
+    sparse, dense = data
+    expected = schoolbook_mul(sparse, dense)
+    assert sparse * dense == expected
+    assert dense * sparse == expected
+
+
+def test_sparse_mul_zero_operand():
+    p = 13
+    f = PolyFp.of(p, range(1, 12))
+    assert (f * PolyFp.zero(p)).is_zero and (PolyFp.zero(p) * f).is_zero
+    # an unnormalized all-zero vector has no nonzeros, so it takes the sparse path
+    assert _convolve((0, 0, 0), f.coeffs, p) == [0] * (len(f.coeffs) + 2)
+    assert _convolve(f.coeffs, (0, 0, 0), p) == [0] * (len(f.coeffs) + 2)
 
 
 @given(poly_pairs(count=3))

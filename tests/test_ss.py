@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ss_star_loop
 
 from fmplib.fmp import Index, all_indices, oy_fmp
 from fmplib.polyfp import PolyFp
@@ -143,6 +144,17 @@ def test_ss_star_slot1_example():
 def test_ss_star_matches_reference(idx, p, data):
     slot = data.draw(st.integers(1, idx.depth))
     assert ss_star(idx, slot, p) == ss_star_reference(idx, slot, p)
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.sampled_from([5, 7, 13, 101, 211]),
+)
+@settings(max_examples=40)
+def test_ss_star_matches_loop(parts, p):
+    idx = Index(tuple(parts))
+    for slot in range(1, idx.depth + 1):
+        assert ss_star(idx, slot, p) == ss_star_loop(idx, slot, p)
 
 
 @given(st.sampled_from(all_indices(4, 3)), st.sampled_from([5, 7, 11, 13]))

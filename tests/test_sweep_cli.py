@@ -1,7 +1,10 @@
 """Sweep driver, report plumbing, and the command-line interface."""
 
+import importlib.util
 import json
 import os
+import pathlib
+import sys
 
 import pytest
 
@@ -69,6 +72,26 @@ def test_sweep_gate_notes():
     assert [o.p for o in skipped] == [5]
     assert "requires p > n" in skipped[0].note
     assert entry.ok  # floor is 6, the skipped prime lies below it
+
+
+def test_sweep_crosscheck_null_where_nothing_checked():
+    report = run_sweep(RunConfig(lo=11, hi=19, identities=("oracle-crosscheck",)))
+    entry = report.entries[0]
+    assert [(o.p, o.passed) for o in entry.outcomes] == [
+        (11, True),
+        (13, True),
+        (17, None),
+        (19, None),
+    ]
+    assert all(o.note.endswith("nothing checked") for o in entry.outcomes[2:])
+    assert entry.ok
+    assert "2 primes checked" in report.to_text()
+
+
+def test_entry_ok_fails_only_on_false_at_or_above_floor():
+    outcomes = [PrimeOutcome(5, False), PrimeOutcome(7, None, note="n/a"), PrimeOutcome(11, True)]
+    assert IdentityEntry("kontsevich", {}, 7, outcomes).ok
+    assert not IdentityEntry("kontsevich", {}, 5, outcomes).ok
 
 
 def test_sweep_obstruction_reports_exceptional():
@@ -250,6 +273,32 @@ def test_cli_verify_workers_bounded_by_cpus(monkeypatch, capsys):
     assert seen == []
     assert main(["verify", "kontsevich", "--primes", "7..13", "--workers", "2"]) == 0
     assert seen == [2]
+
+
+def test_full_verification_workers_bounded_by_cpus(monkeypatch, tmp_path, capsys):
+    # The script shares the CLI's bound; no pool is started here either.
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "full_verification.py"
+    spec = importlib.util.spec_from_file_location("full_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = []
+
+    def fake_run_sweep(config):
+        seen.append(config.workers)
+        return SweepReport([(config.lo, config.hi)], config.budget, [])
+
+    monkeypatch.setattr(script, "run_sweep", fake_run_sweep)
+    out_dir = tmp_path / "reports"
+    argv = ["full_verification.py", "--primes", "7..13", "--out-dir", str(out_dir)]
+    monkeypatch.setattr(sys, "argv", argv + ["--workers", "3"])
+    with pytest.raises(SystemExit) as err:
+        script.main()
+    assert "--workers 3 exceeds the 2 available CPUs" in str(err.value.code)
+    assert seen == [] and not out_dir.exists()
+    monkeypatch.setattr(sys, "argv", argv + ["--workers", "2"])
+    assert script.main() == 0
+    assert set(seen) == {2}
 
 
 def test_cli_verify_rejects_n_for_unparameterized():

@@ -1,0 +1,62 @@
+"""How much work the all-ones identities do at one prime.
+
+The shuffle lemma, the recurrence and the main theorem share their dense
+products and chain steps through the memos: each product of the depth-(n-1)
+and depth-1 polylogs is formed once, every chain extends its prefix's chain,
+and each bridge of the recurrence is one chain step on a shorter bridge.
+These counts guard that sharing, which no result would reveal if it broke.
+"""
+
+import sys
+
+import pytest
+
+from fmplib import fmp, polyfp
+from fmplib.sweep import RunConfig, run_sweep
+
+P = 101
+SPARSE = 6  # an operand with at most this many nonzeros is not a dense product
+
+
+def _fmplib_modules():
+    return [m for name, m in sys.modules.items() if name.startswith("fmplib.")]
+
+
+def _wrap_everywhere(monkeypatch, original, wrapper):
+    """Replace original by wrapper in every fmplib module that bound it."""
+    for module in _fmplib_modules():
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, wrapper)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    for module in _fmplib_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    seen = {"dense": 0, "steps": 0}
+    convolve, window_extend = polyfp._convolve, fmp._window_extend
+
+    def counted_convolve(a, b, p):
+        if min(len(a) - a.count(0), len(b) - b.count(0)) > SPARSE:
+            seen["dense"] += 1
+        return convolve(a, b, p)
+
+    def counted_window_extend(values, k, p):
+        seen["steps"] += 1
+        return window_extend(values, k, p)
+
+    _wrap_everywhere(monkeypatch, convolve, counted_convolve)
+    _wrap_everywhere(monkeypatch, window_extend, counted_window_extend)
+    return seen
+
+
+def test_all_ones_identities_share_products_and_chain_steps(counts):
+    ids = ("shuffle-lemma", "recurrence", "main-theorem")
+    report = run_sweep(RunConfig(lo=P, hi=P, identities=ids))
+    assert report.ok
+    assert all(o.passed is True for e in report.entries for o in e.outcomes)
+    assert counts["dense"] <= 9, counts
+    assert counts["steps"] <= 14, counts
