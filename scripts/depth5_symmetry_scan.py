@@ -14,16 +14,16 @@ B_{p-5} vanishes mod p (irregular pairs; p = 37 below 199).
 import argparse
 import sys
 
+from fmplib.cli import parse_prime_range
 from fmplib.fmp import Index, zeta_variant
 from fmplib.identities import depth5_symmetry_difference, obstruction_n5_closed_form
 from fmplib.modular import bernoulli_mod, primes_in
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--primes", default="7..199", help="range LO..HI")
-    args = ap.parse_args()
-    lo, hi = (int(x) for x in args.primes.split(".."))
+    ap.add_argument("--primes", type=parse_prime_range, default="7..199", help="range LO..HI")
+    lo, hi = ap.parse_args(argv).primes
 
     idx = Index.of(1, 1, 1, 2)
     law_holds_everywhere = True

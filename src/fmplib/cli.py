@@ -2,7 +2,8 @@
 
     fmp compute oy --index 1,1 --prime 7
     fmp compute zeta --index 1,1,1,2 --window 1 --prime 13
-    fmp verify main-theorem --n 1..5 --primes 7..199 --workers 4
+    fmp verify main-theorem --n 1..5 --primes 7..199 --workers 2
+    fmp verify all --primes 7..199 --format text
     fmp merge a.json b.json --out merged.json
 
 Index syntax is comma-separated positive integers with a repetition
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .fmp import Index, oracle_budget, oy_fmp, zeta_variant
+from .fmp import Index, oy_fmp, zeta_variant
 from .modular import bernoulli_mod, is_prime
 from .ss import ss_star
 from .sweep import (
@@ -22,8 +23,6 @@ from .sweep import (
     IDENTITY_IDS,
     RunConfig,
     SweepReport,
-    default_floor,
-    default_jobs,
     merge_reports,
     require_workers,
     run_sweep,
@@ -113,31 +112,29 @@ def _emit(report: SweepReport, args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = args.primes
-    if args.n is not None and not _IDENTITIES[args.identity].depths:
-        raise SystemExit(f"error: identity {args.identity} takes no --n parameter")
+    every = args.identity == "all"
+    for flag, given, allowed in (
+        ("--n", args.n, not every and _IDENTITIES[args.identity].depths),
+        ("--floor", args.floor, not every),
+    ):
+        if given is not None and not allowed:
+            raise SystemExit(f"error: identity {args.identity} takes no {flag} parameter")
     require_workers(args.workers)
-    if args.n is not None:
-        jobs = [(args.identity, {"n": n}) for n in args.n]
-    else:
-        jobs = default_jobs(args.identity)
-    floors = {args.identity: args.floor} if args.floor is not None else {}
+    jobs = None if args.n is None else [(args.identity, {"n": n}) for n in args.n]
     config = RunConfig(
         lo=lo,
         hi=hi,
-        identities=(args.identity,),
-        floors=floors,
-        budget=oracle_budget(args.budget),
+        identities=IDENTITY_IDS if every else (args.identity,),
+        floors={} if args.floor is None else {args.identity: args.floor},
         workers=args.workers,
     )
-    job_floors = [
-        floors.get(ident, default_floor(ident, params)) for ident, params in jobs
-    ]
-    if all(hi < floor for floor in job_floors):
+    report = run_sweep(config, jobs)
+    if not any(o.passed is not None for e in report.entries for o in e.outcomes if o.p >= e.floor):
         raise SystemExit(
-            f"error: range {lo}..{hi} lies below the identity floor "
-            f"{min(job_floors)}; nothing to verify"
+            f"error: no prime in {lo}..{hi} was checked at or above the identity floor;"
+            " nothing to verify"
         )
-    return _emit(run_sweep(config, jobs), args)
+    return _emit(report, args)
 
 
 def _cmd_merge(args) -> int:
@@ -165,11 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(fn=_cmd_compute)
 
     ver = sub.add_parser("verify", help="sweep an identity over a prime range")
-    ver.add_argument("identity", choices=IDENTITY_IDS)
+    ver.add_argument("identity", choices=(*IDENTITY_IDS, "all"))
     ver.add_argument("--primes", type=parse_prime_range, required=True, metavar="LO..HI")
     ver.add_argument("--n", type=parse_n_values, help="depth parameter, e.g. 3 or 1..5")
     ver.add_argument("--floor", type=int, help="override the identity's prime floor")
-    ver.add_argument("--budget", type=int, help="naive-oracle tuple budget")
     ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--format", choices=("json", "csv", "text"), default="json")
     ver.add_argument("--out", help="write the report to this file")

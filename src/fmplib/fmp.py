@@ -14,7 +14,6 @@ likeliest bug site, so the loops are the oracle of record at small scale.
 from __future__ import annotations
 
 import itertools
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,33 +25,25 @@ from .polyfp import PolyFp, _convolve, _normalize
 __all__ = [
     "BlockTriple",
     "ChainDistribution",
-    "DEFAULT_ORACLE_BUDGET",
     "Index",
+    "ORACLE_BUDGET",
     "OracleTooLarge",
     "all_indices",
     "chain_distribution",
     "naive_reference",
     "naive_reference_general",
-    "oracle_budget",
     "oy_fmp",
     "oy_fmp_general",
     "zeta_variant",
 ]
 
-DEFAULT_ORACLE_BUDGET = 10_000_000
-_BUDGET_ENV = "FMP_ORACLE_BUDGET"
+#: Most tuples a nested-loop oracle may enumerate.  The sweeps run the
+#: oracles at p <= 13 only, where the largest enumerates 13^4 = 28,561.
+ORACLE_BUDGET = 10_000_000
 
 
 class OracleTooLarge(ValueError):
-    """The naive oracle would enumerate more tuples than the budget allows."""
-
-
-def oracle_budget(budget: int | None) -> int:
-    """The given tuple budget, else $FMP_ORACLE_BUDGET, else the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(_BUDGET_ENV)
-    return int(env) if env else DEFAULT_ORACLE_BUDGET
+    """The naive oracle would enumerate more tuples than ORACLE_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ class ChainDistribution:
         return Residue(sum(self.values[lo + 1 : hi]) % self.p, self.p)
 
     def to_poly(self) -> PolyFp:
-        return PolyFp(self.p, _normalize(list(self.values)))
+        return PolyFp(self.p, _normalize(self.values))
 
 
 def chain_distribution(index: Index, p: int) -> ChainDistribution:
@@ -203,16 +194,15 @@ def oy_fmp_general(blocks: BlockTriple, p: int) -> PolyFp:
     values = _convolve(a, b, p)
     for k in blocks.third:
         values = _window_extend(values, k, p)
-    return PolyFp(p, _normalize(list(values)))
+    return PolyFp(p, _normalize(values))
 
 
-def naive_reference(index: Index, p: int, budget: int | None = None) -> PolyFp:
+def naive_reference(index: Index, p: int) -> PolyFp:
     """Literal transcription of the chain sum: nested loops over all tuples,
     skipping any whose running denominator hits a multiple of p."""
     require_prime(p)
-    budget = oracle_budget(budget)
-    if p**index.depth > budget:
-        raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds budget {budget}")
+    if p**index.depth > ORACLE_BUDGET:
+        raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds {ORACLE_BUDGET}")
     inv = inverse_table(p)
     coeffs = [0] * (index.depth * (p - 1) + 1)
     for tup in itertools.product(range(1, p), repeat=index.depth):
@@ -228,14 +218,11 @@ def naive_reference(index: Index, p: int, budget: int | None = None) -> PolyFp:
     return PolyFp.of(p, coeffs)
 
 
-def naive_reference_general(blocks: BlockTriple, p: int, budget: int | None = None) -> PolyFp:
+def naive_reference_general(blocks: BlockTriple, p: int) -> PolyFp:
     """Nested-loop oracle for the three-block sum."""
     require_prime(p)
-    budget = oracle_budget(budget)
-    if p**blocks.total_depth > budget:
-        raise OracleTooLarge(
-            f"p^depth = {p}^{blocks.total_depth} exceeds budget {budget}"
-        )
+    if p**blocks.total_depth > ORACLE_BUDGET:
+        raise OracleTooLarge(f"p^depth = {p}^{blocks.total_depth} exceeds {ORACLE_BUDGET}")
     inv = inverse_table(p)
     a, b, c = len(blocks.first), len(blocks.second), len(blocks.third)
     coeffs = [0] * (blocks.total_depth * (p - 1) + 1)

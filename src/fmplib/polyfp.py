@@ -2,28 +2,24 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress, zip_longest
-from typing import Iterable
+from itertools import compress, islice, zip_longest
 
 from .modular import PrimeMismatch, require_prime
 
 __all__ = [
-    "MINUS_INFINITY",
     "PolyFp",
     "compose_one_minus_t",
 ]
 
-#: Degree of the zero polynomial.  A distinguished marker, deliberately not -1:
-#: it compares below every integer and survives degree arithmetic audits.
-MINUS_INFINITY = float("-inf")
 
-
-def _normalize(coeffs: list[int]) -> tuple[int, ...]:
+def _normalize(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """coeffs without trailing zeros, in one copy."""
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
+    return tuple(coeffs if n == len(coeffs) else islice(coeffs, n))
 
 
 #: An operand with at most this many nonzero coefficients is multiplied by
@@ -97,8 +93,9 @@ class PolyFp:
         return cls.of(p, [0] * degree + [coeff])
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+    def degree(self) -> int:
+        """-1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import accumulate
 from operator import mul
 
-from .fmp import Index, OracleTooLarge, _inverse_powers, oracle_budget
+from .fmp import ORACLE_BUDGET, Index, OracleTooLarge, _inverse_powers
 from .modular import inverse_table, require_prime
 from .polyfp import PolyFp, _normalize, compose_one_minus_t
 
@@ -165,14 +165,13 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     return PolyFp(p, _normalize([h * w % p for h, w in zip(heads, tails)]))
 
 
-def ss_star_reference(index: Index, slot: int, p: int, budget: int | None = None) -> PolyFp:
+def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:
     """Literal loop over strictly increasing tuples; the oracle for ss_star."""
     require_prime(p)
     if not 1 <= slot <= index.depth:
         raise ValueError(f"slot {slot} out of range 1..{index.depth}")
-    budget = oracle_budget(budget)
-    if p**index.depth > budget:
-        raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds budget {budget}")
+    if p**index.depth > ORACLE_BUDGET:
+        raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds {ORACLE_BUDGET}")
     inv = inverse_table(p)
     coeffs = [0] * p
     for tup in itertools.combinations(range(1, p), index.depth):

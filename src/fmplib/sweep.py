@@ -20,7 +20,6 @@ from typing import Callable
 
 from .fmp import (
     BlockTriple,
-    DEFAULT_ORACLE_BUDGET,
     Index,
     all_indices,
     naive_reference,
@@ -148,21 +147,21 @@ def _block_triples(max_total_depth: int) -> list[BlockTriple]:
     return out
 
 
-def _oracle_crosscheck(p, budget):
+def _oracle_crosscheck(p):
     if p > 13:
         return None, "oracle caps below this prime; nothing checked"
     for idx in all_indices(5, 4):
-        diff = oy_fmp(idx, p) - naive_reference(idx, p, budget)
+        diff = oy_fmp(idx, p) - naive_reference(idx, p)
         if not diff.is_zero:
             return diff, f"window DP vs loops at {idx}"
     for idx in all_indices(4, 3):
         for slot in range(1, idx.depth + 1):
-            diff = ss_star(idx, slot, p) - ss_star_reference(idx, slot, p, budget)
+            diff = ss_star(idx, slot, p) - ss_star_reference(idx, slot, p)
             if not diff.is_zero:
                 return diff, f"strict-chain DP vs loops at {idx} slot {slot}"
     if p <= 7:
         for blocks in _block_triples(4):
-            diff = oy_fmp_general(blocks, p) - naive_reference_general(blocks, p, budget)
+            diff = oy_fmp_general(blocks, p) - naive_reference_general(blocks, p)
             if not diff.is_zero:
                 return diff, f"three-block DP vs loops at {blocks}"
     return PolyFp.zero(p), None
@@ -177,7 +176,7 @@ class _Identity:
     """What the sweep knows about one identity.
 
     evaluate is called as evaluate(n, p) when depths is nonempty, else as
-    evaluate(p), with the oracle tuple budget appended when takes_budget.
+    evaluate(p).
     floor(n) is the default prime from which a failure fails the sweep (n is
     0 for identities without depths).  Primes below min_prime, or p <= n,
     cannot be evaluated and get pass null with a note.
@@ -187,7 +186,6 @@ class _Identity:
     depths: tuple[int, ...] = ()
     floor: Callable[[int], int] = lambda n: 5
     min_prime: int = 5
-    takes_budget: bool = False
 
 
 # Floors: n+2 where the identity divides by n!, n+1 where it needs p > n,
@@ -210,7 +208,7 @@ _IDENTITIES = {
     "prop42": _Identity(_prop42),
     "corollary-d3": _Identity(corollary_depth3_residual, floor=lambda n: 7),
     "corollary-d4": _Identity(corollary_depth4_residual, floor=lambda n: 7),
-    "oracle-crosscheck": _Identity(_oracle_crosscheck, takes_budget=True),
+    "oracle-crosscheck": _Identity(_oracle_crosscheck),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
@@ -229,15 +227,14 @@ def default_jobs(identity: str) -> list[tuple[str, dict]]:
 
 
 def _run_task(task: tuple) -> tuple:
-    identity, params_items, p, budget = task
+    identity, params_items, p = task
     row = _IDENTITIES[identity]
     params = dict(params_items)
     if row.depths and p <= params["n"]:
         return identity, params_items, p, None, None, f"requires p > n = {params['n']}"
     if p < row.min_prime:
         return identity, params_items, p, None, None, f"requires p >= {row.min_prime}"
-    args = (params["n"], p) if row.depths else (p,)
-    result = row.evaluate(*args, budget) if row.takes_budget else row.evaluate(*args)
+    result = row.evaluate(params["n"], p) if row.depths else row.evaluate(p)
     residual, note = (result, None) if isinstance(result, PolyFp) else result
     if residual is None:
         return identity, params_items, p, None, None, note
@@ -313,7 +310,6 @@ class IdentityEntry:
 @dataclass
 class SweepReport:
     ranges: list[tuple[int, int]]
-    budget: int
     entries: list[IdentityEntry]
     timing: dict = field(default_factory=dict)
 
@@ -323,19 +319,16 @@ class SweepReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "ranges": [list(r) for r in self.ranges],
-                "budget": self.budget,
-            },
+            "config": {"ranges": [list(r) for r in self.ranges]},
             "identities": [e.to_dict() for e in self.entries],
             "timing": self.timing,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
+        # Older reports also carry config.budget, which is ignored.
         return cls(
             [tuple(r) for r in d["config"]["ranges"]],
-            d["config"]["budget"],
             [IdentityEntry.from_dict(e) for e in d["identities"]],
             dict(d.get("timing", {})),
         )
@@ -387,14 +380,13 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A sweep request: prime range, identity selection, floors, budget,
-    worker count."""
+    """A sweep request: prime range, identity selection, floors, worker
+    count."""
 
     lo: int
     hi: int
     identities: tuple[str, ...]
     floors: dict = field(default_factory=dict)
-    budget: int = DEFAULT_ORACLE_BUDGET
     workers: int = 1
 
     def __post_init__(self):
@@ -432,7 +424,7 @@ def run_sweep(config: RunConfig, jobs: list[tuple[str, dict]] | None = None) -> 
         jobs = [job for ident in config.identities for job in default_jobs(ident)]
     primes = primes_in(config.lo, config.hi)
     tasks = [
-        (ident, tuple(sorted(params.items())), p, config.budget)
+        (ident, tuple(sorted(params.items())), p)
         for ident, params in jobs
         for p in primes
     ]
@@ -457,7 +449,6 @@ def run_sweep(config: RunConfig, jobs: list[tuple[str, dict]] | None = None) -> 
         entries.append(IdentityEntry(ident, dict(params), floor, outcomes))
     return SweepReport(
         ranges=[(config.lo, config.hi)],
-        budget=config.budget,
         entries=entries,
         timing={"workers": config.workers, "seconds": round(elapsed, 3)},
     )
@@ -471,10 +462,6 @@ def merge_reports(reports: list[SweepReport]) -> SweepReport:
     """
     if not reports:
         raise ValueError("nothing to merge")
-    budget = reports[0].budget
-    for rep in reports[1:]:
-        if rep.budget != budget:
-            raise ConflictError(f"budget mismatch: {rep.budget} vs {budget}")
     merged: dict[tuple, IdentityEntry] = {}
     order: list[tuple] = []
     for rep in reports:
@@ -511,7 +498,6 @@ def merge_reports(reports: list[SweepReport]) -> SweepReport:
     seconds = round(sum(rep.timing.get("seconds", 0.0) for rep in reports), 3)
     return SweepReport(
         ranges=list(ranges),
-        budget=budget,
         entries=entries,
         timing={"merged_from": len(reports), "seconds": seconds},
     )

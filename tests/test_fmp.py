@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import window_extend_loop
 
+from fmplib import fmp, ss
 from fmplib.fmp import (
+    ORACLE_BUDGET,
     BlockTriple,
     Index,
     OracleTooLarge,
@@ -131,19 +133,18 @@ def test_naive_reference_p3_exhaustive():
     assert naive_reference(Index.of(1, 1), 3) == PolyFp.of(3, [0, 0, 2, 0, 2])
 
 
-def test_oracle_budget_guard():
+def test_oracle_budget_guard(monkeypatch):
+    # 17^6 tuples exceed the budget; each oracle refuses before it builds its
+    # inverse table, so none of them starts to loop.
+    assert 17**6 > ORACLE_BUDGET
+    monkeypatch.setattr(fmp, "inverse_table", None)
+    monkeypatch.setattr(ss, "inverse_table", None)
     with pytest.raises(OracleTooLarge):
-        naive_reference(Index.ones(4), 7, budget=100)
+        naive_reference(Index.ones(6), 17)
     with pytest.raises(OracleTooLarge):
-        naive_reference_general(BlockTriple.of((1,), (1,), (1, 1)), 7, budget=100)
-
-
-def test_oracle_budget_env(monkeypatch):
-    monkeypatch.setenv("FMP_ORACLE_BUDGET", "10")
+        naive_reference_general(BlockTriple.of((1, 1), (1, 1), (1, 1)), 17)
     with pytest.raises(OracleTooLarge):
-        naive_reference(Index.of(1, 1), 7)
-    monkeypatch.setenv("FMP_ORACLE_BUDGET", "1000000")
-    naive_reference(Index.of(1, 1), 7)
+        ss.ss_star_reference(Index.ones(6), 1, 17)
 
 
 # --- zeta variants -----------------------------------------------------------

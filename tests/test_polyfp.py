@@ -9,7 +9,6 @@ from fmplib.identities import ones_fmp
 from fmplib.modular import PrimeMismatch
 from fmplib.polyfp import (
     _SPARSE_NONZEROS,
-    MINUS_INFINITY,
     PolyFp,
     _convolve,
     compose_one_minus_t,
@@ -54,8 +53,8 @@ def test_normalization_and_zero():
 
 
 def test_degree_marker():
-    assert PolyFp.zero(7).degree == MINUS_INFINITY
-    assert PolyFp.zero(7).degree < -(10**9)
+    assert PolyFp.zero(7).degree == -1
+    assert type(PolyFp.zero(7).degree) is int
     assert PolyFp.one(7).degree == 0
     assert PolyFp.monomial(7, 12).degree == 12
 
@@ -174,7 +173,7 @@ def test_mul_degree_adds():
     f = PolyFp.of(7, [1, 1, 3])
     g = PolyFp.of(7, [2, 5])
     assert (f * g).degree == f.degree + g.degree
-    assert (f * PolyFp.zero(7)).degree == MINUS_INFINITY
+    assert (f * PolyFp.zero(7)).degree == -1
 
 
 # --- composition at 1 - t ----------------------------------------------------

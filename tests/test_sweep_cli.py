@@ -4,7 +4,6 @@ import importlib.util
 import json
 import os
 import pathlib
-import sys
 
 import pytest
 
@@ -12,6 +11,7 @@ from fmplib import cli
 from fmplib.cli import main, parse_index, parse_n_values, parse_prime_range
 from fmplib.fmp import Index
 from fmplib.sweep import (
+    IDENTITY_IDS,
     ConflictError,
     IdentityEntry,
     PrimeOutcome,
@@ -144,11 +144,14 @@ def test_merge_floor_mismatch():
         merge_reports([a, b])
 
 
-def test_merge_budget_mismatch():
+def test_report_with_stale_budget_key_loads_and_merges():
     a = run_sweep(RunConfig(lo=7, hi=13, identities=("kontsevich",)))
-    b = run_sweep(RunConfig(lo=17, hi=19, identities=("kontsevich",), budget=99))
-    with pytest.raises(ConflictError):
-        merge_reports([a, b])
+    old = a.to_dict()
+    old["config"]["budget"] = 10_000_000
+    b = run_sweep(RunConfig(lo=17, hi=19, identities=("kontsevich",)))
+    loaded = SweepReport.from_json(json.dumps(old))
+    assert loaded.to_dict() == a.to_dict()
+    assert merge_reports([loaded, b]).ranges == [(7, 13), (17, 19)]
 
 
 # --- rendering ----------------------------------------------------------------------
@@ -248,13 +251,31 @@ def test_cli_verify_pass_and_fail(tmp_path, capsys):
 def test_cli_verify_range_below_floor():
     with pytest.raises(SystemExit) as err:
         main(["verify", "main-theorem", "--n", "5", "--primes", "2..5"])
-    assert "below the identity floor" in str(err.value.code)
+    assert str(err.value.code).startswith("error: ")
+    assert str(err.value.code).endswith("nothing to verify")
 
 
-def test_cli_verify_budget_error_exits_cleanly():
+def test_cli_verify_nothing_checked(capsys):
+    # The oracles only run at p <= 13: every prime of 17..31 is null.
     with pytest.raises(SystemExit) as err:
-        main(["verify", "oracle-crosscheck", "--primes", "5..13", "--budget", "10"])
-    assert err.value.code == "error: p^depth = 5^2 exceeds budget 10"
+        main(["verify", "oracle-crosscheck", "--primes", "17..31"])
+    assert str(err.value.code).endswith("nothing to verify")
+    assert capsys.readouterr().out == ""
+    # The other identities do check those primes.
+    assert main(["verify", "all", "--primes", "17..31", "--format", "text"]) == 1
+    text = capsys.readouterr().out
+    assert "oracle-crosscheck: ok (0 primes checked" in text
+    assert "kontsevich: ok (5 primes checked" in text
+
+
+def test_cli_verify_all_matches_merged_sweeps(capsys):
+    assert main(["verify", "all", "--primes", "5..31", "--format", "json"]) == 1
+    report = SweepReport.from_json(capsys.readouterr().out)
+    singles = [
+        run_sweep(RunConfig(lo=5, hi=31, identities=(ident,))) for ident in IDENTITY_IDS
+    ]
+    assert _stripped(report) == _stripped(merge_reports(singles))
+    assert not report.ok  # obstruction-n5 and zeta-vanishing report exceptional primes
 
 
 def test_cli_verify_workers_bounded_by_cpus(monkeypatch, capsys):
@@ -264,7 +285,7 @@ def test_cli_verify_workers_bounded_by_cpus(monkeypatch, capsys):
 
     def fake_run_sweep(config, jobs):
         seen.append(config.workers)
-        return SweepReport([(config.lo, config.hi)], config.budget, [])
+        return run_sweep(RunConfig(lo=config.lo, hi=config.hi, identities=config.identities), jobs)
 
     monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
     with pytest.raises(SystemExit) as err:
@@ -275,35 +296,13 @@ def test_cli_verify_workers_bounded_by_cpus(monkeypatch, capsys):
     assert seen == [2]
 
 
-def test_full_verification_workers_bounded_by_cpus(monkeypatch, tmp_path, capsys):
-    # The script shares the CLI's bound; no pool is started here either.
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "full_verification.py"
-    spec = importlib.util.spec_from_file_location("full_verification", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seen = []
-
-    def fake_run_sweep(config):
-        seen.append(config.workers)
-        return SweepReport([(config.lo, config.hi)], config.budget, [])
-
-    monkeypatch.setattr(script, "run_sweep", fake_run_sweep)
-    out_dir = tmp_path / "reports"
-    argv = ["full_verification.py", "--primes", "7..13", "--out-dir", str(out_dir)]
-    monkeypatch.setattr(sys, "argv", argv + ["--workers", "3"])
-    with pytest.raises(SystemExit) as err:
-        script.main()
-    assert "--workers 3 exceeds the 2 available CPUs" in str(err.value.code)
-    assert seen == [] and not out_dir.exists()
-    monkeypatch.setattr(sys, "argv", argv + ["--workers", "2"])
-    assert script.main() == 0
-    assert set(seen) == {2}
-
-
 def test_cli_verify_rejects_n_for_unparameterized():
     with pytest.raises(SystemExit):
         main(["verify", "kontsevich", "--n", "3", "--primes", "7..13"])
+    for flag in (["--n", "3"], ["--floor", "11"]):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "all", "--primes", "7..13", *flag])
+        assert err.value.code == f"error: identity all takes no {flag[0]} parameter"
 
 
 def test_cli_merge_files(tmp_path, capsys):
@@ -327,3 +326,21 @@ def test_cli_merge_conflict(tmp_path):
     b.write_text(json.dumps(payload))
     with pytest.raises(SystemExit):
         main(["merge", str(a), str(b)])
+
+
+# --- scripts --------------------------------------------------------------------------
+
+
+def test_depth5_symmetry_scan(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "depth5_symmetry_scan.py"
+    spec = importlib.util.spec_from_file_location("depth5_symmetry_scan", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--primes", "7..41"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "window-2 slice equals -2*B_{p-5} at every prime: True",
+        "primes where the closed form matches the difference: [37]",
+    ]
+    assert script.main(["--primes", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[0] == "7" and lines[-1].endswith(": []")
