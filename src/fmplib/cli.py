@@ -23,6 +23,7 @@ from .sweep import (
     IDENTITY_IDS,
     RunConfig,
     SweepReport,
+    checks_anything,
     merge_reports,
     require_workers,
     run_sweep,
@@ -128,13 +129,12 @@ def _cmd_verify(args) -> int:
         floors={} if args.floor is None else {args.identity: args.floor},
         workers=args.workers,
     )
-    report = run_sweep(config, jobs)
-    if not any(o.passed is not None for e in report.entries for o in e.outcomes if o.p >= e.floor):
+    if not checks_anything(config, jobs):
         raise SystemExit(
             f"error: no prime in {lo}..{hi} was checked at or above the identity floor;"
             " nothing to verify"
         )
-    return _emit(report, args)
+    return _emit(run_sweep(config, jobs), args)
 
 
 def _cmd_merge(args) -> int:
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
 
 

@@ -61,30 +61,35 @@ def _window_poly(parts: tuple[int, ...], i_max: int, p: int) -> PolyFp:
     return PolyFp.of(p, coeffs)
 
 
+def _f_term(n: int, k: int, p: int) -> PolyFp:
+    """The k-th summand of f_n: window slices of ({1}^{n-k-2}, 2) against the
+    depth-k all-ones polylog."""
+    return _window_poly((1,) * (n - k - 2) + (2,), n - k - 1, p) * ones_fmp(k, p)
+
+
+def _g_term(n: int, k: int, p: int) -> PolyFp:
+    """The k-th summand of g_n: window slices of {1}^m, m = n-k-2, against
+    the polylog of (2, {1}^k); zero when m < 1."""
+    m = n - k - 2
+    if m < 1:
+        return PolyFp.zero(p)
+    return _window_poly((1,) * m, m, p) * oy_fmp(Index((2,) + (1,) * k), p)
+
+
 @lru_cache(maxsize=None)
 def f_poly(n: int, p: int) -> PolyFp:
-    """First error-term polynomial: window slices of ({1}^m, 2) indices
-    weighted by t^{i*p}, against all-ones polylogs.  Empty sum for n < 2."""
+    """First error-term polynomial, the sum of _f_term over k = 0..n-2.
+    Empty sum for n < 2."""
     _require_p_gt_n(n, p)
-    total = PolyFp.zero(p)
-    for k in range(n - 1):
-        parts = (1,) * (n - k - 2) + (2,)
-        total = total + _window_poly(parts, n - k - 1, p) * ones_fmp(k, p)
-    return total
+    return sum((_f_term(n, k, p) for k in range(n - 1)), PolyFp.zero(p))
 
 
 @lru_cache(maxsize=None)
 def g_poly(n: int, p: int) -> PolyFp:
-    """Second error-term polynomial: window slices of all-ones indices against
-    polylogs of (2, {1}^k).  Empty sum for n < 3."""
+    """Second error-term polynomial, the sum of _g_term over k = 0..n-2.
+    Empty sum for n < 3."""
     _require_p_gt_n(n, p)
-    total = PolyFp.zero(p)
-    for k in range(n - 1):
-        m = n - k - 2
-        if m < 1:
-            continue
-        total = total + _window_poly((1,) * m, m, p) * oy_fmp(Index((2,) + (1,) * k), p)
-    return total
+    return sum((_g_term(n, k, p) for k in range(n - 1)), PolyFp.zero(p))
 
 
 def shuffle_lemma_residual(n: int, p: int) -> PolyFp:
@@ -116,22 +121,14 @@ def recurrence_residual(n: int, k: int, p: int) -> PolyFp:
     _require_p_gt_n(n, p)
     if not 0 <= k <= n - 2:
         raise ValueError(f"need 0 <= k <= n-2, got k={k}, n={n}")
-    f_term = _window_poly((1,) * (n - k - 2) + (2,), n - k - 1, p) * ones_fmp(k, p)
-    m = n - k - 2
-    g_term = (
-        _window_poly((1,) * m, m, p) * oy_fmp(Index((2,) + (1,) * k), p)
-        if m >= 1
-        else PolyFp.zero(p)
-    )
-    rhs = _bridge(n, k + 1, p) + ones_fmp(n, p) - f_term - g_term
+    rhs = _bridge(n, k + 1, p) + ones_fmp(n, p) - _f_term(n, k, p) - _g_term(n, k, p)
     return _bridge(n, k, p) - rhs
 
 
-def _inv_int(c: int, p: int) -> int:
-    c %= p
-    if c == 0:
-        raise FactorialNotInvertible(f"{c} not invertible mod {p}")
-    return pow(c, p - 2, p)
+def _inv_factorial(n: int, p: int) -> int:
+    if p <= n:
+        raise FactorialNotInvertible(f"{n}! is not invertible mod {p}")
+    return pow(math.factorial(n), -1, p)
 
 
 def _correction_sum(n: int, p: int) -> PolyFp:
@@ -143,22 +140,17 @@ def _correction_sum(n: int, p: int) -> PolyFp:
     return total
 
 
-def main_theorem_residual(n: int, p: int) -> PolyFp:
-    """Depth-n all-ones polylog minus (1/n!) [ (depth-1 polylog)^n + correction ]."""
-    if p <= n:
-        raise FactorialNotInvertible(f"{n}! is not invertible mod {p}")
-    inv_fact = _inv_int(math.factorial(n) % p, p)
-    rhs = (_depth1_power(n, p) + _correction_sum(n, p)) * inv_fact
-    return ones_fmp(n, p) - rhs
-
-
 def curly_L(n: int, p: int) -> PolyFp:
     """Depth-n polylog minus (1/n!) * correction; equals (1/n!) (depth-1)^n
     whenever the main identity holds at p."""
-    if p <= n:
-        raise FactorialNotInvertible(f"{n}! is not invertible mod {p}")
-    inv_fact = _inv_int(math.factorial(n) % p, p)
+    inv_fact = _inv_factorial(n, p)
     return ones_fmp(n, p) - _correction_sum(n, p) * inv_fact
+
+
+def main_theorem_residual(n: int, p: int) -> PolyFp:
+    """Depth-n all-ones polylog minus (1/n!) [ (depth-1 polylog)^n + correction ],
+    that is curly_L minus (1/n!) (depth-1 polylog)^n."""
+    return curly_L(n, p) - _depth1_power(n, p) * _inv_factorial(n, p)
 
 
 def functional_eq_residual(n: int, p: int) -> PolyFp:
@@ -178,7 +170,7 @@ def obstruction_n5_closed_form(b: int, p: int) -> PolyFp:
     b is B_{p-5} mod p.  The measured difference is zero (see
     depth5_symmetry_difference), so this form is right only where b = 0."""
     tp = PolyFp.monomial(p, p)
-    return tp * (PolyFp.one(p) - tp) * (tp * 2 - PolyFp.one(p)) * (b * _inv_int(5, p))
+    return tp * (PolyFp.one(p) - tp) * (tp * 2 - PolyFp.one(p)) * (b * pow(5, -1, p))
 
 
 def obstruction_n5_residual(p: int) -> PolyFp:
@@ -204,13 +196,13 @@ def closed_form_residuals(p: int) -> list[tuple[str, PolyFp]]:
     tail = tp * (one - tp) * z12  # t^p (1-t)^p times the depth-2 zeta value
     l1 = lambda e: _depth1_power(e, p)
 
-    n3 = ones_fmp(3, p) - (l1(3) * _inv_int(6, p) + tail * _inv_int(3, p))
-    n4 = ones_fmp(4, p) - (l1(4) * _inv_int(24, p) + tail * l1(1) * _inv_int(3, p))
+    n3 = ones_fmp(3, p) - (l1(3) * pow(6, -1, p) + tail * pow(3, -1, p))
+    n4 = ones_fmp(4, p) - (l1(4) * pow(24, -1, p) + tail * l1(1) * pow(3, -1, p))
     f4 = f_poly(4, p) - f_poly(3, p) * l1(1)
     n5 = ones_fmp(5, p) - (
-        l1(5) * _inv_int(120, p)
-        + f_poly(3, p) * l1(2) * _inv_int(15, p)
-        + f_poly(5, p) * _inv_int(5, p)
+        l1(5) * pow(120, -1, p)
+        + f_poly(3, p) * l1(2) * pow(15, -1, p)
+        + f_poly(5, p) * pow(5, -1, p)
     )
     return [
         ("closed-form {'n': 3}", n3),

@@ -101,9 +101,6 @@ class PolyFp:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, d: int) -> int:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
-
     def _check(self, other: "PolyFp"):
         if self.p != other.p:
             raise PrimeMismatch(f"mod {self.p} vs mod {other.p}")
@@ -137,18 +134,6 @@ class PolyFp:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "PolyFp":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = PolyFp.one(self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def shifted(self, d: int) -> "PolyFp":
         """Multiply by t^d."""
         if self.is_zero:
@@ -173,15 +158,6 @@ class PolyFp:
         """Compact list form "[p; c0,c1,...]" used in machine-readable reports."""
         coeffs = self.coeffs if self.coeffs else (0,)
         return f"[{self.p}; {','.join(str(c) for c in coeffs)}]"
-
-    @classmethod
-    def from_compact(cls, text: str) -> "PolyFp":
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")) or ";" not in body:
-            raise ValueError(f"not a compact polynomial: {text!r}")
-        head, tail = body[1:-1].split(";", 1)
-        coeffs = [int(c) for c in tail.split(",")] if tail.strip() else []
-        return cls.of(int(head), coeffs)
 
 
 def _factorial_tables(n: int, p: int) -> tuple[list[int], list[int]]:

@@ -54,8 +54,8 @@ __all__ = [
     "PrimeOutcome",
     "RunConfig",
     "SweepReport",
+    "checks_anything",
     "default_floor",
-    "default_jobs",
     "merge_reports",
     "require_workers",
     "run_sweep",
@@ -67,9 +67,9 @@ class ConflictError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# per-prime evaluators: a residual polynomial (zero means pass), or a
-# (residual, note) pair when the note names the failing part; a residual of
-# None means nothing was checked at that prime
+# per-prime evaluators: a residual polynomial, or an iterable of (note,
+# residual) checks; zero residuals mean pass, and the first nonzero check
+# fails the prime with its note
 
 
 def _kontsevich(p):
@@ -78,23 +78,10 @@ def _kontsevich(p):
 
 
 def _recurrence(n, p):
-    total = PolyFp.zero(p)
     for k in range(n - 1):
-        r = recurrence_residual(n, k, p)
-        total = total + r
-        if not r.is_zero:
-            return r, f"step k={k}"
-    telescope = total - shuffle_lemma_residual(n, p)
-    if not telescope.is_zero:
-        return telescope, "telescoping mismatch against shuffle lemma"
-    return PolyFp.zero(p), None
-
-
-def _closed_forms(p):
-    for note, residual in closed_form_residuals(p):
-        if not residual.is_zero:
-            return residual, note
-    return PolyFp.zero(p), None
+        yield f"step k={k}", recurrence_residual(n, k, p)
+    # Reached only when every step is zero, so the steps telescope to zero.
+    yield "telescoping mismatch against shuffle lemma", -shuffle_lemma_residual(n, p)
 
 
 _REPEAT_PAIRS = tuple(
@@ -107,31 +94,23 @@ def _zeta_vanishing(p):
     for k, r in _REPEAT_PAIRS:
         if p >= k * r + 2:
             v = zeta_variant(Index((k,) * r), 1, p)
-            if v.value:
-                return PolyFp.of(p, [v.value]), f"zeta of {(k,) * r} nonzero"
+            yield f"zeta of {(k,) * r} nonzero", PolyFp.of(p, [v.value])
     if p >= 11:
         for idx in all_indices(4, 4):
             if idx.weight == 4:
                 v = zeta_variant(idx, 1, p)
-                if v.value:
-                    return PolyFp.of(p, [v.value]), f"weight-4 zeta of {idx} nonzero"
+                yield f"weight-4 zeta of {idx} nonzero", PolyFp.of(p, [v.value])
     if p >= 7:
         v = zeta_variant(Index.of(1, 1, 1, 2), 1, p)
         b = bernoulli_mod(p - 5, p)
-        if v != b:
-            return PolyFp.of(p, [(v.value - b.value) % p]), "zeta(1,1,1,2) != B_{p-5}"
+        yield "zeta(1,1,1,2) != B_{p-5}", PolyFp.of(p, [v.value - b.value])
         v2 = zeta_variant(Index.of(1, 1, 1, 2), 2, p)
-        if v2.value:
-            return PolyFp.of(p, [v2.value]), "window-2 zeta(1,1,1,2) nonzero"
-    return PolyFp.zero(p), None
+        yield "window-2 zeta(1,1,1,2) nonzero", PolyFp.of(p, [v2.value])
 
 
 def _prop42(p):
     for idx in all_indices(4, 3):
-        diff = oy_from_ss(idx, p) - oy_fmp(idx, p)
-        if not diff.is_zero:
-            return diff, f"conversion mismatch at {idx}"
-    return PolyFp.zero(p), None
+        yield f"conversion mismatch at {idx}", oy_from_ss(idx, p) - oy_fmp(idx, p)
 
 
 def _block_triples(max_total_depth: int) -> list[BlockTriple]:
@@ -148,23 +127,16 @@ def _block_triples(max_total_depth: int) -> list[BlockTriple]:
 
 
 def _oracle_crosscheck(p):
-    if p > 13:
-        return None, "oracle caps below this prime; nothing checked"
     for idx in all_indices(5, 4):
-        diff = oy_fmp(idx, p) - naive_reference(idx, p)
-        if not diff.is_zero:
-            return diff, f"window DP vs loops at {idx}"
+        yield f"window DP vs loops at {idx}", oy_fmp(idx, p) - naive_reference(idx, p)
     for idx in all_indices(4, 3):
         for slot in range(1, idx.depth + 1):
             diff = ss_star(idx, slot, p) - ss_star_reference(idx, slot, p)
-            if not diff.is_zero:
-                return diff, f"strict-chain DP vs loops at {idx} slot {slot}"
+            yield f"strict-chain DP vs loops at {idx} slot {slot}", diff
     if p <= 7:
         for blocks in _block_triples(4):
             diff = oy_fmp_general(blocks, p) - naive_reference_general(blocks, p)
-            if not diff.is_zero:
-                return diff, f"three-block DP vs loops at {blocks}"
-    return PolyFp.zero(p), None
+            yield f"three-block DP vs loops at {blocks}", diff
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +150,15 @@ class _Identity:
     evaluate is called as evaluate(n, p) when depths is nonempty, else as
     evaluate(p).
     floor(n) is the default prime from which a failure fails the sweep (n is
-    0 for identities without depths).  Primes below min_prime, or p <= n,
-    cannot be evaluated and get pass null with a note.
+    0 for identities without depths).  Primes p <= n, below min_prime or
+    above max_prime are not evaluated and get pass null with a note.
     """
 
     evaluate: Callable
     depths: tuple[int, ...] = ()
     floor: Callable[[int], int] = lambda n: 5
     min_prime: int = 5
+    max_prime: float = float("inf")
 
 
 # Floors: n+2 where the identity divides by n!, n+1 where it needs p > n,
@@ -203,12 +176,13 @@ _IDENTITIES = {
         functional_eq_residual, (1, 2, 3, 4), lambda n: max(5, n + 2)
     ),
     "obstruction-n5": _Identity(obstruction_n5_residual, floor=lambda n: 7, min_prime=7),
-    "closed-forms": _Identity(_closed_forms, floor=lambda n: 7, min_prime=7),
+    "closed-forms": _Identity(closed_form_residuals, floor=lambda n: 7, min_prime=7),
     "zeta-vanishing": _Identity(_zeta_vanishing),
     "prop42": _Identity(_prop42),
     "corollary-d3": _Identity(corollary_depth3_residual, floor=lambda n: 7),
     "corollary-d4": _Identity(corollary_depth4_residual, floor=lambda n: 7),
-    "oracle-crosscheck": _Identity(_oracle_crosscheck),
+    # The loop oracles enumerate p^4 tuples; above 13 they would dominate a sweep.
+    "oracle-crosscheck": _Identity(_oracle_crosscheck, max_prime=13),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
@@ -219,28 +193,31 @@ def default_floor(identity: str, params: dict) -> int:
     return _IDENTITIES[identity].floor(params.get("n", 0))
 
 
-def default_jobs(identity: str) -> list[tuple[str, dict]]:
-    depths = _IDENTITIES[identity].depths
-    if depths:
-        return [(identity, {"n": n}) for n in depths]
-    return [(identity, {})]
-
-
-def _run_task(task: tuple) -> tuple:
-    identity, params_items, p = task
+def _null_note(identity: str, params: dict, p: int) -> str | None:
+    """Why nothing is checked for this job at p, or None when it is evaluated."""
     row = _IDENTITIES[identity]
-    params = dict(params_items)
-    if row.depths and p <= params["n"]:
-        return identity, params_items, p, None, None, f"requires p > n = {params['n']}"
+    n = params.get("n", 0)
+    if p <= n:
+        return f"requires p > n = {n}"
     if p < row.min_prime:
-        return identity, params_items, p, None, None, f"requires p >= {row.min_prime}"
+        return f"requires p >= {row.min_prime}"
+    if p > row.max_prime:
+        return "oracle caps below this prime; nothing checked"
+    return None
+
+
+def _run_task(task: tuple) -> PrimeOutcome:
+    identity, params, p = task
+    note = _null_note(identity, params, p)
+    if note is not None:
+        return PrimeOutcome(p, None, note=note)
+    row = _IDENTITIES[identity]
     result = row.evaluate(params["n"], p) if row.depths else row.evaluate(p)
-    residual, note = (result, None) if isinstance(result, PolyFp) else result
-    if residual is None:
-        return identity, params_items, p, None, None, note
-    if residual.is_zero:
-        return identity, params_items, p, True, None, note
-    return identity, params_items, p, False, residual.compact(), note
+    checks = [(None, result)] if isinstance(result, PolyFp) else result
+    for note, residual in checks:
+        if not residual.is_zero:
+            return PrimeOutcome(p, False, residual.compact(), note)
+    return PrimeOutcome(p, True)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +245,8 @@ class PrimeOutcome:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrimeOutcome":
+        if not isinstance(d["p"], int) or not isinstance(d["pass"], (bool, type(None))):
+            raise TypeError(f"bad outcome {d!r}")
         return cls(d["p"], d["pass"], d.get("residual"), d.get("note"))
 
 
@@ -299,6 +278,8 @@ class IdentityEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IdentityEntry":
+        if not isinstance(d["floor"], int):
+            raise TypeError(f"bad floor {d['floor']!r}")
         return cls(
             d["id"],
             dict(d["params"]),
@@ -326,12 +307,16 @@ class SweepReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
-        # Older reports also carry config.budget, which is ignored.
-        return cls(
-            [tuple(r) for r in d["config"]["ranges"]],
-            [IdentityEntry.from_dict(e) for e in d["identities"]],
-            dict(d.get("timing", {})),
-        )
+        """Raises ValueError on a missing key or a value of the wrong type.
+        Older reports also carry config.budget, which is ignored."""
+        try:
+            return cls(
+                [tuple(r) for r in d["config"]["ranges"]],
+                [IdentityEntry.from_dict(e) for e in d["identities"]],
+                dict(d.get("timing", {})),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"not a sweep report: {type(exc).__name__} {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -345,11 +330,8 @@ class SweepReport:
         for e in self.entries:
             params = ";".join(f"{k}={v}" for k, v in sorted(e.params.items())) or "-"
             for o in e.outcomes:
-                if o.residual is None:
-                    deg = ""
-                else:
-                    poly = PolyFp.from_compact(o.residual)
-                    deg = str(poly.degree)
+                # A kept residual is nonzero, so its degree is its comma count.
+                deg = "" if o.residual is None else str(o.residual.count(","))
                 passed = {True: "true", False: "false", None: "skip"}[o.passed]
                 lines.append(f"{e.identity},{params},{o.p},{passed},{deg}")
         return "\n".join(lines) + "\n"
@@ -401,6 +383,9 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
+    def floor(self, identity: str, params: dict) -> int:
+        return self.floors.get(identity, default_floor(identity, params))
+
 
 def require_workers(workers: int) -> None:
     """Reject a worker count above the machine's CPU count.
@@ -413,40 +398,51 @@ def require_workers(workers: int) -> None:
         raise ValueError(f"--workers {workers} exceeds the {cpus} available CPUs")
 
 
+def _jobs(config: RunConfig, jobs: list[tuple[str, dict]] | None) -> list[tuple[str, dict]]:
+    """The given jobs, or by default every selected identity at each of its
+    default depths (n = 0 stands for an identity without depths)."""
+    if jobs is None:
+        return [
+            (ident, {"n": n} if n else {})
+            for ident in config.identities
+            for n in _IDENTITIES[ident].depths or (0,)
+        ]
+    return jobs
+
+
+def checks_anything(config: RunConfig, jobs: list[tuple[str, dict]] | None = None) -> bool:
+    """Whether a sweep would evaluate some job at some prime at or above its
+    floor.  Decided from the skip gate alone, before anything is evaluated."""
+    primes = primes_in(config.lo, config.hi)
+    return any(
+        p >= config.floor(ident, params) and _null_note(ident, params, p) is None
+        for ident, params in _jobs(config, jobs)
+        for p in primes
+    )
+
+
 def run_sweep(config: RunConfig, jobs: list[tuple[str, dict]] | None = None) -> SweepReport:
     """Evaluate every selected identity at every prime of the range.
 
-    Per-prime tasks are independent; with workers > 1 they fan out to a
-    process pool.  Results are keyed and reassembled in ascending prime
-    order, so the report is identical whatever the worker count.
+    Per-(job, prime) tasks are independent; with workers > 1 they fan out to a
+    process pool, one prime's jobs per chunk, so that a worker evaluates every
+    job at a prime against the same memos.  Outcomes come back in task order,
+    so the report is identical whatever the worker count.
     """
-    if jobs is None:
-        jobs = [job for ident in config.identities for job in default_jobs(ident)]
+    jobs = _jobs(config, jobs)
     primes = primes_in(config.lo, config.hi)
-    tasks = [
-        (ident, tuple(sorted(params.items())), p)
-        for ident, params in jobs
-        for p in primes
-    ]
+    tasks = [(ident, params, p) for p in primes for ident, params in jobs]
     start = time.perf_counter()
     if config.workers <= 1 or len(tasks) <= 1:
-        raw = [_run_task(t) for t in tasks]
+        outcomes = [_run_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            raw = list(pool.map(_run_task, tasks, chunksize=4))
+            outcomes = list(pool.map(_run_task, tasks, chunksize=len(jobs)))
     elapsed = time.perf_counter() - start
-
-    by_job: dict[tuple, dict[int, PrimeOutcome]] = {}
-    for identity, params_items, p, passed, residual, note in raw:
-        by_job.setdefault((identity, params_items), {})[p] = PrimeOutcome(
-            p, passed, residual, note
-        )
-    entries = []
-    for ident, params in jobs:
-        key = (ident, tuple(sorted(params.items())))
-        outcomes = [by_job[key][p] for p in primes]
-        floor = config.floors.get(ident, default_floor(ident, params))
-        entries.append(IdentityEntry(ident, dict(params), floor, outcomes))
+    entries = [
+        IdentityEntry(ident, dict(params), config.floor(ident, params), outcomes[i :: len(jobs)])
+        for i, (ident, params) in enumerate(jobs)
+    ]
     return SweepReport(
         ranges=[(config.lo, config.hi)],
         entries=entries,
@@ -463,22 +459,18 @@ def merge_reports(reports: list[SweepReport]) -> SweepReport:
     if not reports:
         raise ValueError("nothing to merge")
     merged: dict[tuple, IdentityEntry] = {}
-    order: list[tuple] = []
     for rep in reports:
         for entry in rep.entries:
             key = (entry.identity, tuple(sorted(entry.params.items())))
-            if key not in merged:
-                merged[key] = IdentityEntry(entry.identity, dict(entry.params), entry.floor, [])
-                order.append(key)
-            target = merged[key]
+            target = merged.setdefault(
+                key, IdentityEntry(entry.identity, dict(entry.params), entry.floor, [])
+            )
             if target.floor != entry.floor:
                 raise ConflictError(
                     f"floor mismatch for {entry.identity}: {target.floor} vs {entry.floor}"
                 )
             target.outcomes.extend(entry.outcomes)
-    entries = []
-    for key in order:
-        entry = merged[key]
+    for entry in merged.values():
         seen: dict[int, PrimeOutcome] = {}
         for o in entry.outcomes:
             if o.p in seen and seen[o.p] != o:
@@ -486,18 +478,11 @@ def merge_reports(reports: list[SweepReport]) -> SweepReport:
                     f"{entry.identity} disagrees at p={o.p}: {seen[o.p]} vs {o}"
                 )
             seen[o.p] = o
-        entries.append(
-            IdentityEntry(
-                entry.identity,
-                entry.params,
-                entry.floor,
-                [seen[p] for p in sorted(seen)],
-            )
-        )
+        entry.outcomes = [seen[p] for p in sorted(seen)]
     ranges = sorted({tuple(r) for rep in reports for r in rep.ranges})
     seconds = round(sum(rep.timing.get("seconds", 0.0) for rep in reports), 3)
     return SweepReport(
         ranges=list(ranges),
-        entries=entries,
+        entries=list(merged.values()),
         timing={"merged_from": len(reports), "seconds": seconds},
     )

@@ -268,6 +268,24 @@ def test_cli_verify_nothing_checked(capsys):
     assert "kontsevich: ok (5 primes checked" in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["main-theorem", "--floor", "199", "--primes", "5..197"],
+        ["oracle-crosscheck", "--primes", "17..31"],
+    ],
+)
+def test_cli_verify_refuses_before_sweeping(monkeypatch, argv):
+    def no_sweep(config, jobs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert str(err.value.code).startswith("error: no prime in ")
+    assert str(err.value.code).endswith("nothing to verify")
+
+
 def test_cli_verify_all_matches_merged_sweeps(capsys):
     assert main(["verify", "all", "--primes", "5..31", "--format", "json"]) == 1
     report = SweepReport.from_json(capsys.readouterr().out)
@@ -326,6 +344,51 @@ def test_cli_merge_conflict(tmp_path):
     b.write_text(json.dumps(payload))
     with pytest.raises(SystemExit):
         main(["merge", str(a), str(b)])
+
+
+_ENTRY = {"id": "kontsevich", "params": {}, "floor": 5, "primes": [], "exceptional": []}
+
+
+def _one_outcome(outcome: dict, **entry) -> dict:
+    return {"config": {"ranges": [[7, 7]]}, "identities": [{**_ENTRY, "primes": [outcome], **entry}]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"identities": []},
+        [1, 2],
+        _one_outcome({"p": 7}),
+        _one_outcome({"p": 7, "pass": "false"}),
+        _one_outcome({"p": 7, "pass": True}, floor="5"),
+    ],
+)
+def test_cli_merge_malformed_report(tmp_path, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as err:
+        main(["merge", str(bad)])
+    assert str(err.value.code).startswith("error: not a sweep report: ")
+
+
+def test_cli_merge_missing_report(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["merge", str(tmp_path / "absent.json")])
+    assert str(err.value.code).startswith("error: ")
+    assert "absent.json" in str(err.value.code)
+
+
+def test_cli_out_in_missing_directory(tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "rep.json")
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "kontsevich", "--primes", "7..13", "--out", out])
+    assert str(err.value.code).startswith("error: ") and "no-such-dir" in str(err.value.code)
+    good = tmp_path / "good.json"
+    main(["verify", "kontsevich", "--primes", "7..13", "--out", str(good)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["merge", str(good), "--out", out])
+    assert str(err.value.code).startswith("error: ") and "no-such-dir" in str(err.value.code)
 
 
 # --- scripts --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ products and chain steps through the memos: each product of the depth-(n-1)
 and depth-1 polylogs is formed once, every chain extends its prefix's chain,
 and each bridge of the recurrence is one chain step on a shorter bridge.
 These counts guard that sharing, which no result would reveal if it broke.
+A full 12-identity sweep at one prime is counted too, so that a change to
+the sweep or identity layers cannot add work unseen.
 """
 
 import sys
@@ -12,7 +14,7 @@ import sys
 import pytest
 
 from fmplib import fmp, polyfp
-from fmplib.sweep import RunConfig, run_sweep
+from fmplib.sweep import IDENTITY_IDS, RunConfig, run_sweep
 
 P = 101
 SPARSE = 6  # an operand with at most this many nonzeros is not a dense product
@@ -36,8 +38,9 @@ def counts(monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    seen = {"dense": 0, "steps": 0}
+    seen = {"dense": 0, "steps": 0, "compositions": 0}
     convolve, window_extend = polyfp._convolve, fmp._window_extend
+    compose = polyfp.compose_one_minus_t
 
     def counted_convolve(a, b, p):
         if min(len(a) - a.count(0), len(b) - b.count(0)) > SPARSE:
@@ -48,8 +51,13 @@ def counts(monkeypatch):
         seen["steps"] += 1
         return window_extend(values, k, p)
 
+    def counted_compose(f):
+        seen["compositions"] += 1
+        return compose(f)
+
     _wrap_everywhere(monkeypatch, convolve, counted_convolve)
     _wrap_everywhere(monkeypatch, window_extend, counted_window_extend)
+    _wrap_everywhere(monkeypatch, compose, counted_compose)
     return seen
 
 
@@ -60,3 +68,14 @@ def test_all_ones_identities_share_products_and_chain_steps(counts):
     assert all(o.passed is True for e in report.entries for o in e.outcomes)
     assert counts["dense"] <= 9, counts
     assert counts["steps"] <= 14, counts
+
+
+def test_full_sweep_at_one_prime(counts):
+    # The bounds are the counts measured today; the exact rewrites of
+    # ROADMAP "Fewer dense products" would lower the product bound to 27.
+    report = run_sweep(RunConfig(lo=P, hi=P, identities=IDENTITY_IDS))
+    checked = [e.identity for e in report.entries if e.outcomes[0].passed is not None]
+    assert len(checked) == 24 and "oracle-crosscheck" not in checked
+    assert counts["dense"] <= 45, counts
+    assert counts["steps"] <= 25, counts
+    assert counts["compositions"] <= 26, counts
