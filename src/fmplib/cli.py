@@ -98,16 +98,23 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _emit(report: SweepReport, args) -> int:
-    """Write the report to --out (printing the text summary) or to stdout;
-    exit status 0 iff the report is clean."""
-    rendered = report.render(args.format)
+def _emit(make_report, args) -> int:
+    """Write the report that make_report() returns to --out (printing the
+    text summary) or to stdout; exit status 0 iff the report is clean.
+
+    --out is opened before the report is made, so a bad path fails before a
+    sweep.  It is opened for appending and emptied only once the report is
+    ready, so a sweep that fails leaves an existing file as it was.
+    """
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        with open(args.out, "a", encoding="utf-8") as fh:
+            report = make_report()
+            fh.truncate(0)
+            fh.write(report.render(args.format))
         print(report.to_text(), end="")
     else:
-        print(rendered, end="")
+        report = make_report()
+        print(report.render(args.format), end="")
     return 0 if report.ok else 1
 
 
@@ -134,7 +141,7 @@ def _cmd_verify(args) -> int:
             f"error: no prime in {lo}..{hi} was checked at or above the identity floor;"
             " nothing to verify"
         )
-    return _emit(run_sweep(config, jobs), args)
+    return _emit(lambda: run_sweep(config, jobs), args)
 
 
 def _cmd_merge(args) -> int:
@@ -142,7 +149,7 @@ def _cmd_merge(args) -> int:
     for path in args.reports:
         with open(path, encoding="utf-8") as fh:
             reports.append(SweepReport.from_json(fh.read()))
-    return _emit(merge_reports(reports), args)
+    return _emit(lambda: merge_reports(reports), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
 
 from .modular import Residue, inverse_table, require_prime
-from .polyfp import PolyFp, _convolve, _normalize
+from .polyfp import PolyFp, _normalize
 
 __all__ = [
     "BlockTriple",
@@ -181,49 +181,46 @@ def zeta_variant(index: Index, i: int, p: int) -> Residue:
     return chain_distribution(index, p).window_sum(i)
 
 
+@lru_cache(maxsize=None)
 def oy_fmp_general(blocks: BlockTriple, p: int) -> PolyFp:
-    """Three-block chain sum.
+    """Three-block chain sum, by recursion on the third block.
 
-    Chains for the first and second blocks are independent, so their
-    distributions convolve; the third block keeps extending the combined
-    total, every new total being a denominator subject to the p-divisibility
-    exclusion.  Empty blocks contribute factor 1 at offset 0.
+    Chains for the first and second blocks are independent, so with the third
+    block empty the sum is the product of their polylogs, and with the first
+    or second block empty the three blocks form one chain.  Each part of the
+    third block is one chain step on the combined total, every new total being
+    a denominator subject to the p-divisibility exclusion.  The shuffle
+    bridges ((1)^{n-j-1}, (1), (1)^j) share their steps through the memo.
     """
-    a = _chain_values(blocks.first, p)
-    b = _chain_values(blocks.second, p)
-    values = _convolve(a, b, p)
-    for k in blocks.third:
-        values = _window_extend(values, k, p)
-    return PolyFp(p, _normalize(values))
+    first, second, third = blocks.first, blocks.second, blocks.third
+    if not first or not second:
+        return oy_fmp(Index(first + second + third), p)
+    if not third:
+        return oy_fmp(Index(first), p) * oy_fmp(Index(second), p)
+    shorter = oy_fmp_general(BlockTriple(first, second, third[:-1]), p)
+    return PolyFp(p, _normalize(_window_extend(shorter.coeffs, third[-1], p)))
+
+
+def _oracle_inverses(p: int, depth: int) -> tuple[int, ...]:
+    """The inverse table mod p for a nested-loop oracle over p^depth tuples,
+    refused before the table is built when p is not prime or the tuples
+    exceed ORACLE_BUDGET."""
+    require_prime(p)
+    if p**depth > ORACLE_BUDGET:
+        raise OracleTooLarge(f"p^depth = {p}^{depth} exceeds {ORACLE_BUDGET}")
+    return inverse_table(p)
 
 
 def naive_reference(index: Index, p: int) -> PolyFp:
     """Literal transcription of the chain sum: nested loops over all tuples,
-    skipping any whose running denominator hits a multiple of p."""
-    require_prime(p)
-    if p**index.depth > ORACLE_BUDGET:
-        raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds {ORACLE_BUDGET}")
-    inv = inverse_table(p)
-    coeffs = [0] * (index.depth * (p - 1) + 1)
-    for tup in itertools.product(range(1, p), repeat=index.depth):
-        total = 0
-        term = 1
-        for l, k in zip(tup, index.parts):
-            total += l
-            if total % p == 0:
-                break
-            term = term * pow(inv[total % p], k, p) % p
-        else:
-            coeffs[total] = (coeffs[total] + term) % p
-    return PolyFp.of(p, coeffs)
+    skipping any whose running denominator hits a multiple of p.  One chain
+    is the three-block sum with the whole index in the third block."""
+    return naive_reference_general(BlockTriple((), (), index.parts), p)
 
 
 def naive_reference_general(blocks: BlockTriple, p: int) -> PolyFp:
     """Nested-loop oracle for the three-block sum."""
-    require_prime(p)
-    if p**blocks.total_depth > ORACLE_BUDGET:
-        raise OracleTooLarge(f"p^depth = {p}^{blocks.total_depth} exceeds {ORACLE_BUDGET}")
-    inv = inverse_table(p)
+    inv = _oracle_inverses(p, blocks.total_depth)
     a, b, c = len(blocks.first), len(blocks.second), len(blocks.third)
     coeffs = [0] * (blocks.total_depth * (p - 1) + 1)
     for ls in itertools.product(range(1, p), repeat=a):

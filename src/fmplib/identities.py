@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .fmp import Index, _window_extend, oy_fmp, zeta_variant
+from .fmp import BlockTriple, Index, oy_fmp, oy_fmp_general, zeta_variant
 from .modular import bernoulli_mod
-from .polyfp import PolyFp, _normalize, compose_one_minus_t
+from .polyfp import PolyFp, compose_one_minus_t
 
 __all__ = [
     "FactorialNotInvertible",
@@ -100,19 +100,11 @@ def shuffle_lemma_residual(n: int, p: int) -> PolyFp:
     return _bridge(n, 0, p) - rhs
 
 
-@lru_cache(maxsize=None)
 def _bridge(n: int, j: int, p: int) -> PolyFp:
-    """The three-block sum of ((1)^{n-j-1}, (1), (1)^j), for 0 <= j < n.
-
-    j = 0 is the product of the depth-(n-1) and depth-1 polylogs, and each
-    further j is one chain step on _bridge(n-1, j-1).  j = n-1 applies n-1
-    steps to the depth-1 polylog, which is the depth-n polylog itself.
-    """
-    if j == n - 1:
-        return ones_fmp(n, p)
-    if j == 0:
-        return ones_fmp(n - 1, p) * ones_fmp(1, p)
-    return PolyFp(p, _normalize(_window_extend(_bridge(n - 1, j - 1, p).coeffs, 1, p)))
+    """The three-block sum of ((1)^{n-j-1}, (1), (1)^j), for 0 <= j < n: the
+    product of the depth-(n-1) and depth-1 polylogs at j = 0, the depth-n
+    polylog at j = n-1."""
+    return oy_fmp_general(BlockTriple((1,) * (n - j - 1), (1,), (1,) * j), p)
 
 
 def recurrence_residual(n: int, k: int, p: int) -> PolyFp:

@@ -17,8 +17,8 @@ from importlib import resources
 from itertools import accumulate
 from operator import mul
 
-from .fmp import ORACLE_BUDGET, Index, OracleTooLarge, _inverse_powers
-from .modular import inverse_table, require_prime
+from .fmp import Index, _inverse_powers, _oracle_inverses
+from .modular import require_prime
 from .polyfp import PolyFp, _normalize, compose_one_minus_t
 
 __all__ = [
@@ -167,12 +167,9 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
 
 def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:
     """Literal loop over strictly increasing tuples; the oracle for ss_star."""
-    require_prime(p)
     if not 1 <= slot <= index.depth:
         raise ValueError(f"slot {slot} out of range 1..{index.depth}")
-    if p**index.depth > ORACLE_BUDGET:
-        raise OracleTooLarge(f"p^depth = {p}^{index.depth} exceeds {ORACLE_BUDGET}")
-    inv = inverse_table(p)
+    inv = _oracle_inverses(p, index.depth)
     coeffs = [0] * p
     for tup in itertools.combinations(range(1, p), index.depth):
         term = 1

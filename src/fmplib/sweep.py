@@ -80,8 +80,6 @@ def _kontsevich(p):
 def _recurrence(n, p):
     for k in range(n - 1):
         yield f"step k={k}", recurrence_residual(n, k, p)
-    # Reached only when every step is zero, so the steps telescope to zero.
-    yield "telescoping mismatch against shuffle lemma", -shuffle_lemma_residual(n, p)
 
 
 _REPEAT_PAIRS = tuple(
@@ -245,7 +243,10 @@ class PrimeOutcome:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrimeOutcome":
-        if not isinstance(d["p"], int) or not isinstance(d["pass"], (bool, type(None))):
+        fields = (d["pass"], bool), (d.get("residual"), str), (d.get("note"), str)
+        if not isinstance(d["p"], int) or any(
+            v is not None and not isinstance(v, t) for v, t in fields
+        ):
             raise TypeError(f"bad outcome {d!r}")
         return cls(d["p"], d["pass"], d.get("residual"), d.get("note"))
 

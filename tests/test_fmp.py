@@ -24,6 +24,7 @@ from fmplib.fmp import (
 )
 from fmplib.modular import Residue
 from fmplib.polyfp import PolyFp
+from fmplib.sweep import _block_triples
 
 
 @st.composite
@@ -134,11 +135,10 @@ def test_naive_reference_p3_exhaustive():
 
 
 def test_oracle_budget_guard(monkeypatch):
-    # 17^6 tuples exceed the budget; each oracle refuses before it builds its
-    # inverse table, so none of them starts to loop.
+    # 17^6 tuples exceed the budget; the oracles' one guard refuses before it
+    # builds the inverse table, so none of them starts to loop.
     assert 17**6 > ORACLE_BUDGET
     monkeypatch.setattr(fmp, "inverse_table", None)
-    monkeypatch.setattr(ss, "inverse_table", None)
     with pytest.raises(OracleTooLarge):
         naive_reference(Index.ones(6), 17)
     with pytest.raises(OracleTooLarge):
@@ -207,8 +207,10 @@ def test_general_matches_naive():
 
 
 def test_general_empty_first_blocks():
-    blocks = BlockTriple.of((), (), (2, 1))
-    assert oy_fmp_general(blocks, 7) == oy_fmp(Index.of(2, 1), 7)
+    # With the first or second block empty the three blocks form one chain.
+    for blocks in _block_triples(4):
+        if not blocks.first or not blocks.second:
+            assert oy_fmp_general(blocks, 7) == naive_reference_general(blocks, 7), blocks
 
 
 # --- DP vs oracle, small scale (full grid runs in the acceptance suite) -------

@@ -361,6 +361,8 @@ def _one_outcome(outcome: dict, **entry) -> dict:
         _one_outcome({"p": 7}),
         _one_outcome({"p": 7, "pass": "false"}),
         _one_outcome({"p": 7, "pass": True}, floor="5"),
+        _one_outcome({"p": 7, "pass": False, "residual": 5}),
+        _one_outcome({"p": 7, "pass": None, "note": ["requires p > n"]}),
     ],
 )
 def test_cli_merge_malformed_report(tmp_path, payload):
@@ -378,17 +380,27 @@ def test_cli_merge_missing_report(tmp_path):
     assert "absent.json" in str(err.value.code)
 
 
-def test_cli_out_in_missing_directory(tmp_path, capsys):
+def test_cli_out_in_missing_directory(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "no-such-dir" / "rep.json")
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "kontsevich", "--primes", "7..13", "--out", out])
-    assert str(err.value.code).startswith("error: ") and "no-such-dir" in str(err.value.code)
     good = tmp_path / "good.json"
     main(["verify", "kontsevich", "--primes", "7..13", "--out", str(good)])
     capsys.readouterr()
     with pytest.raises(SystemExit) as err:
         main(["merge", str(good), "--out", out])
     assert str(err.value.code).startswith("error: ") and "no-such-dir" in str(err.value.code)
+
+    def no_sweep(config, jobs):
+        raise AssertionError("the sweep ran")
+
+    # --out fails before the sweep, and a sweep that fails keeps the old file.
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "kontsevich", "--primes", "7..13", "--out", out])
+    assert str(err.value.code).startswith("error: ") and "no-such-dir" in str(err.value.code)
+    before = good.read_text()
+    with pytest.raises(AssertionError):
+        main(["verify", "kontsevich", "--primes", "7..13", "--out", str(good)])
+    assert good.read_text() == before
 
 
 # --- scripts --------------------------------------------------------------------------
