@@ -124,9 +124,10 @@ def _inv_factorial(n: int, p: int) -> int:
 
 
 def _correction_sum(n: int, p: int) -> PolyFp:
-    """Sum over k = 1..n of (k-1)! (f_k + g_k) * (depth-1 polylog)^(n-k)."""
+    """Sum over k = 2..n of (k-1)! (f_k + g_k) * (depth-1 polylog)^(n-k); the
+    k = 1 term is zero, because f_1 and g_1 are empty sums."""
     total = PolyFp.zero(p)
-    for k in range(1, n + 1):
+    for k in range(2, n + 1):
         weight = math.factorial(k - 1) % p
         total = total + (f_poly(k, p) + g_poly(k, p)) * _depth1_power(n - k, p) * weight
     return total
@@ -139,10 +140,22 @@ def curly_L(n: int, p: int) -> PolyFp:
     return ones_fmp(n, p) - _correction_sum(n, p) * inv_fact
 
 
+@lru_cache(maxsize=None)
 def main_theorem_residual(n: int, p: int) -> PolyFp:
     """Depth-n all-ones polylog minus (1/n!) [ (depth-1 polylog)^n + correction ],
-    that is curly_L minus (1/n!) (depth-1 polylog)^n."""
-    return curly_L(n, p) - _depth1_power(n, p) * _inv_factorial(n, p)
+    that is curly_L minus (1/n!) (depth-1 polylog)^n.
+
+    Computed by the paper's induction step, an exact identity of polynomials:
+    n M_n = M_{n-1} * (depth-1 polylog) - S_n, with M_1 = 0, where M_n is this
+    residual and S_n the shuffle lemma's.  It follows from the definitions
+    alone, since (n-1)! S_n cancels the product of the depth-(n-1) and depth-1
+    polylogs, so no power of the depth-1 polylog is formed.
+    """
+    _inv_factorial(n, p)  # the 1/n! guard: p > n
+    if n <= 1:
+        return PolyFp.zero(p)
+    step = main_theorem_residual(n - 1, p) * ones_fmp(1, p) - shuffle_lemma_residual(n, p)
+    return step * pow(n, -1, p)
 
 
 def functional_eq_residual(n: int, p: int) -> PolyFp:

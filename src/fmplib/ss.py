@@ -201,24 +201,41 @@ def corollary_terms(name: str) -> dict:
     return json.loads(payload)
 
 
-def _eval_terms(terms: list[dict], p: int) -> PolyFp:
+def _residual_in_blocks(lhs: list[dict], rhs: list[dict], p: int) -> PolyFp:
+    """Sum of the lhs terms minus sum of the rhs terms.
+
+    A term is c(T) times the strict-chain polylog of (index, slot) at t or at
+    1-t, with T = t^p.  That polylog has degree below p, and so has its
+    composition with 1-t, so the terms' T^j parts fill disjoint blocks of
+    size p.  Composition is linear, so block j is the combination of the
+    t-terms' polylogs by their T^j coefficients, plus the composition of the
+    same combination of the 1-t-terms' polylogs: one composition per block,
+    and no polynomial products.  Each (index, slot) is evaluated once.
+    """
+    polys: dict[tuple, PolyFp] = {}
+    terms = []  # (polylog, argument, signed coefficients)
+    for side, sign in ((lhs, 1), (rhs, -1)):
+        for term in side:
+            if term["arg"] not in ("t", "1-t"):
+                raise ValueError(f"unknown argument {term['arg']!r}")
+            key = (tuple(term["index"]), term["slot"])
+            if key not in polys:
+                polys[key] = ss_star(Index(key[0]), key[1], p)
+            terms.append((polys[key], term["arg"], [sign * c for c in term["coeff"]]))
     total = PolyFp.zero(p)
-    for term in terms:
-        poly = ss_star(Index(tuple(term["index"])), term["slot"], p)
-        if term["arg"] == "1-t":
-            poly = compose_one_minus_t(poly)
-        elif term["arg"] != "t":
-            raise ValueError(f"unknown argument {term['arg']!r}")
-        spread = [0] * ((len(term["coeff"]) - 1) * p + 1)
-        for j, c in enumerate(term["coeff"]):
-            spread[j * p] = c % p
-        total = total + PolyFp.of(p, spread) * poly
+    for j in range(max(len(coeff) for _, _, coeff in terms)):
+        part = {"t": PolyFp.zero(p), "1-t": PolyFp.zero(p)}
+        for poly, arg, coeff in terms:
+            if j < len(coeff):
+                part[arg] = part[arg] + poly * coeff[j]
+        block = part["t"] + compose_one_minus_t(part["1-t"])
+        total = total + block.shifted(j * p)
     return total
 
 
 def _corollary_residual(name: str, p: int) -> PolyFp:
     data = corollary_terms(name)
-    return _eval_terms(data["lhs"], p) - _eval_terms(data["rhs"], p)
+    return _residual_in_blocks(data["lhs"], data["rhs"], p)
 
 
 def corollary_depth3_residual(p: int) -> PolyFp:

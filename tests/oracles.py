@@ -6,9 +6,11 @@ per-coefficient loop that the fast path replaced, kept here as it was.
 
 import math
 
+from fmplib import identities
 from fmplib.fmp import Index
 from fmplib.modular import inverse_table, require_prime
-from fmplib.polyfp import PolyFp
+from fmplib.polyfp import PolyFp, compose_one_minus_t
+from fmplib.ss import ss_star
 
 
 def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
@@ -136,3 +138,28 @@ def ss_star_loop(index: Index, slot: int, p: int) -> PolyFp:
         tails = new
 
     return PolyFp.of(p, [heads[v] * tails[v] % p for v in range(p)])
+
+
+def main_theorem_direct(n: int, p: int) -> PolyFp:
+    """The main-theorem residual by its definition, curly_L minus
+    (1/n!) (depth-1 polylog)^n, forming every power of the depth-1 polylog."""
+    inv_fact = identities._inv_factorial(n, p)
+    return identities.curly_L(n, p) - identities._depth1_power(n, p) * inv_fact
+
+
+def eval_terms(terms: list[dict], p: int) -> PolyFp:
+    """One side of a corollary term list, term by term: each strict-chain
+    polylog composed with 1-t on its own and multiplied by its coefficient
+    polynomial in T = t^p."""
+    total = PolyFp.zero(p)
+    for term in terms:
+        poly = ss_star(Index(tuple(term["index"])), term["slot"], p)
+        if term["arg"] == "1-t":
+            poly = compose_one_minus_t(poly)
+        elif term["arg"] != "t":
+            raise ValueError(f"unknown argument {term['arg']!r}")
+        spread = [0] * ((len(term["coeff"]) - 1) * p + 1)
+        for j, c in enumerate(term["coeff"]):
+            spread[j * p] = c % p
+        total = total + PolyFp.of(p, spread) * poly
+    return total

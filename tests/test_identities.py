@@ -5,7 +5,9 @@ import itertools
 import math
 
 import pytest
+from oracles import main_theorem_direct
 
+from fmplib import identities
 from fmplib.fmp import (
     BlockTriple,
     Index,
@@ -193,6 +195,38 @@ def test_main_theorem_factorial_guard():
         main_theorem_residual(5, 5)
     with pytest.raises(FactorialNotInvertible):
         main_theorem_residual(7, 7)
+
+
+def _clear_identity_memos():
+    for value in vars(identities).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_main_theorem_recursion_matches_direct_formula(p):
+    for n in range(1, 6):
+        assert main_theorem_residual(n, p) == main_theorem_direct(n, p), n
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_main_theorem_recursion_with_perturbed_f3(p, monkeypatch):
+    # On correct code every M_{n-1} is zero, so the recursion's product
+    # M_{n-1} * (depth-1 polylog) is never formed.  A wrong f_3 makes
+    # M_3..M_5 nonzero, and the recursion must still give the definition.
+    original = identities.f_poly
+    bump = PolyFp.monomial(p, 1)
+    monkeypatch.setattr(
+        identities, "f_poly", lambda n, q: original(n, q) + bump if n == 3 else original(n, q)
+    )
+    _clear_identity_memos()
+    try:
+        nonzero = [n for n in range(1, 6) if not main_theorem_direct(n, p).is_zero]
+        assert nonzero == [3, 4, 5]
+        for n in range(1, 6):
+            assert main_theorem_residual(n, p) == main_theorem_direct(n, p), n
+    finally:
+        _clear_identity_memos()
 
 
 def test_curly_l_small():

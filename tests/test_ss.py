@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ss_star_loop
+from oracles import eval_terms, ss_star_loop
 
 from fmplib.fmp import Index, all_indices, oy_fmp
 from fmplib.polyfp import PolyFp
@@ -13,6 +13,7 @@ from fmplib.ss import (
     AdjacentDistinctSurjection,
     ENUMERATION_CAP,
     EnumerationCapExceeded,
+    _residual_in_blocks,
     corollary_depth3_residual,
     corollary_depth4_residual,
     corollary_terms,
@@ -238,3 +239,49 @@ def test_corollary_depth4_exceptional_at_5():
     # p = 5 is the one genuine exceptional prime below the floor of 7
     assert corollary_depth3_residual(5).is_zero
     assert not corollary_depth4_residual(5).is_zero
+
+
+def _term_by_term(lhs, rhs, p):
+    return eval_terms(lhs, p) - eval_terms(rhs, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+@pytest.mark.parametrize("name", ["corollary_d3", "corollary_d4"])
+def test_blocks_match_term_by_term(name, p):
+    data = corollary_terms(name)
+    assert _residual_in_blocks(data["lhs"], data["rhs"], p) == _term_by_term(
+        data["lhs"], data["rhs"], p
+    )
+
+
+def _changed(terms, at, j, delta):
+    out = [dict(t) for t in terms]
+    coeff = list(out[at]["coeff"])
+    coeff[j] += delta
+    out[at]["coeff"] = coeff
+    return out
+
+
+@pytest.mark.parametrize("p", [11, 101])
+@pytest.mark.parametrize("name", ["corollary_d3", "corollary_d4"])
+def test_blocks_match_term_by_term_where_nonzero(name, p):
+    data = corollary_terms(name)
+    lhs = _changed(data["lhs"], 0, 0, 1)
+    rhs = _changed(data["rhs"], -1, 1, 2)
+    expected = _term_by_term(lhs, rhs, p)
+    assert not expected.is_zero
+    assert _residual_in_blocks(lhs, rhs, p) == expected
+    # either argument on either side: swap the arguments of every term
+    swap = {"t": "1-t", "1-t": "t"}
+    lhs = [dict(t, arg=swap[t["arg"]]) for t in lhs]
+    rhs = [dict(t, arg=swap[t["arg"]]) for t in rhs]
+    assert _residual_in_blocks(lhs, rhs, p) == _term_by_term(lhs, rhs, p)
+
+
+def test_unknown_argument_raises():
+    data = corollary_terms("corollary_d3")
+    rhs = [dict(data["rhs"][0], arg="t^2")] + data["rhs"][1:]
+    with pytest.raises(ValueError, match="unknown argument"):
+        _residual_in_blocks(data["lhs"], rhs, 7)
+    with pytest.raises(ValueError, match="unknown argument"):
+        eval_terms(rhs, 7)

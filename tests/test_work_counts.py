@@ -4,16 +4,18 @@ The shuffle lemma, the recurrence and the main theorem share their dense
 products and chain steps through the memos: each product of the depth-(n-1)
 and depth-1 polylogs is formed once, every chain extends its prefix's chain,
 and each bridge of the recurrence is one chain step on a shorter bridge.
-These counts guard that sharing, which no result would reveal if it broke.
-A full 12-identity sweep at one prime is counted too, so that a change to
-the sweep or identity layers cannot add work unseen.
+The main theorem follows from the shuffle lemma by the induction step, so it
+forms no power of the depth-1 polylog.  These counts guard that sharing,
+which no result would reveal if it broke.  A full 12-identity sweep at one
+prime is counted too, so that a change to the sweep or identity layers
+cannot add work unseen.
 """
 
 import sys
 
 import pytest
 
-from fmplib import fmp, polyfp
+from fmplib import fmp, polyfp, ss
 from fmplib.sweep import IDENTITY_IDS, RunConfig, run_sweep
 
 P = 101
@@ -38,9 +40,9 @@ def counts(monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    seen = {"dense": 0, "steps": 0, "compositions": 0}
+    seen = {"dense": 0, "steps": 0, "compositions": 0, "ss_star": 0}
     convolve, window_extend = polyfp._convolve, fmp._window_extend
-    compose = polyfp.compose_one_minus_t
+    compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
 
     def counted_convolve(a, b, p):
         if min(len(a) - a.count(0), len(b) - b.count(0)) > SPARSE:
@@ -55,9 +57,14 @@ def counts(monkeypatch):
         seen["compositions"] += 1
         return compose(f)
 
+    def counted_ss_star(index, slot, p):
+        seen["ss_star"] += 1
+        return ss_star(index, slot, p)
+
     _wrap_everywhere(monkeypatch, convolve, counted_convolve)
     _wrap_everywhere(monkeypatch, window_extend, counted_window_extend)
     _wrap_everywhere(monkeypatch, compose, counted_compose)
+    _wrap_everywhere(monkeypatch, ss_star, counted_ss_star)
     return seen
 
 
@@ -66,16 +73,25 @@ def test_all_ones_identities_share_products_and_chain_steps(counts):
     report = run_sweep(RunConfig(lo=P, hi=P, identities=ids))
     assert report.ok
     assert all(o.passed is True for e in report.entries for o in e.outcomes)
-    assert counts["dense"] <= 9, counts
+    assert counts["dense"] <= 4, counts
     assert counts["steps"] <= 14, counts
 
 
+def test_main_theorem_forms_only_the_shuffle_products(counts):
+    report = run_sweep(RunConfig(lo=P, hi=P, identities=("main-theorem",)))
+    assert all(o.passed is True for e in report.entries for o in e.outcomes)
+    assert counts["dense"] <= 4, counts
+
+
 def test_full_sweep_at_one_prime(counts):
-    # The bounds are the counts measured today; the exact rewrites of
-    # ROADMAP "Fewer dense products" would lower the product bound to 27.
+    # The bounds are the counts measured with the main theorem taken from the
+    # shuffle lemma and the corollaries evaluated in blocks of T = t^p.  The
+    # 4 powers of the depth-1 polylog that closed-forms forms, and one
+    # product per term of functional-eq's correction sums, are left.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=IDENTITY_IDS))
     checked = [e.identity for e in report.entries if e.outcomes[0].passed is not None]
     assert len(checked) == 24 and "oracle-crosscheck" not in checked
-    assert counts["dense"] <= 45, counts
+    assert counts["dense"] <= 31, counts
     assert counts["steps"] <= 25, counts
-    assert counts["compositions"] <= 26, counts
+    assert counts["compositions"] <= 13, counts
+    assert counts["ss_star"] <= 70, counts
