@@ -44,13 +44,15 @@ def parse_index(text: str) -> Index:
         raise argparse.ArgumentTypeError(f"bad index {text!r}: {exc}") from None
 
 
+def _split_range(text: str) -> tuple[int, int]:
+    """LO..HI, or a single value N read as N..N; ValueError otherwise."""
+    lo, dots, hi = text.partition("..")
+    return int(lo), int(hi if dots else lo)
+
+
 def parse_prime_range(text: str) -> tuple[int, int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(text)
+        lo, hi = _split_range(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad prime range {text!r}; expected LO..HI")
     if lo > hi:
@@ -60,13 +62,10 @@ def parse_prime_range(text: str) -> tuple[int, int]:
 
 def parse_n_values(text: str) -> tuple[int, ...]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = tuple(range(int(lo), int(hi) + 1))
-        else:
-            values = (int(text),)
+        lo, hi = _split_range(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad n specification {text!r}")
+    values = tuple(range(lo, hi + 1))
     if not values or any(n < 1 for n in values):
         raise argparse.ArgumentTypeError(f"n must be positive: {text!r}")
     return values

@@ -36,8 +36,9 @@ class FactorialNotInvertible(ValueError):
 
 
 def _require_p_gt_n(n: int, p: int):
+    """The guard of every depth-n identity: p > n, that is p does not divide n!."""
     if p <= n:
-        raise ValueError(f"requires p > n, got p={p}, n={n}")
+        raise FactorialNotInvertible(f"requires p > n, got p={p}, n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -117,27 +118,22 @@ def recurrence_residual(n: int, k: int, p: int) -> PolyFp:
     return _bridge(n, k, p) - rhs
 
 
-def _inv_factorial(n: int, p: int) -> int:
-    if p <= n:
-        raise FactorialNotInvertible(f"{n}! is not invertible mod {p}")
-    return pow(math.factorial(n), -1, p)
-
-
 def _correction_sum(n: int, p: int) -> PolyFp:
-    """Sum over k = 2..n of (k-1)! (f_k + g_k) * (depth-1 polylog)^(n-k); the
-    k = 1 term is zero, because f_1 and g_1 are empty sums."""
+    """Sum over k = 2..n of (k-1)! (f_k + g_k) * (depth-1 polylog)^(n-k), by
+    Horner in the depth-1 polylog; the k = 1 term is zero, because f_1 and
+    g_1 are empty sums."""
     total = PolyFp.zero(p)
     for k in range(2, n + 1):
         weight = math.factorial(k - 1) % p
-        total = total + (f_poly(k, p) + g_poly(k, p)) * _depth1_power(n - k, p) * weight
+        total = total * ones_fmp(1, p) + (f_poly(k, p) + g_poly(k, p)) * weight
     return total
 
 
 def curly_L(n: int, p: int) -> PolyFp:
     """Depth-n polylog minus (1/n!) * correction; equals (1/n!) (depth-1)^n
     whenever the main identity holds at p."""
-    inv_fact = _inv_factorial(n, p)
-    return ones_fmp(n, p) - _correction_sum(n, p) * inv_fact
+    _require_p_gt_n(n, p)
+    return ones_fmp(n, p) - _correction_sum(n, p) * pow(math.factorial(n), -1, p)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +147,7 @@ def main_theorem_residual(n: int, p: int) -> PolyFp:
     alone, since (n-1)! S_n cancels the product of the depth-(n-1) and depth-1
     polylogs, so no power of the depth-1 polylog is formed.
     """
-    _inv_factorial(n, p)  # the 1/n! guard: p > n
+    _require_p_gt_n(n, p)
     if n <= 1:
         return PolyFp.zero(p)
     step = main_theorem_residual(n - 1, p) * ones_fmp(1, p) - shuffle_lemma_residual(n, p)

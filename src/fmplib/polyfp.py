@@ -24,7 +24,7 @@ def _normalize(coeffs: Sequence[int]) -> tuple[int, ...]:
 
 #: An operand with at most this many nonzero coefficients is multiplied by
 #: shift-and-add.  The identity sweeps produce many such operands: window
-#: polynomials and corollary coefficients in T = t^p, and t^p factors.
+#: polynomials and t^p factors.
 _SPARSE_NONZEROS = 6
 
 

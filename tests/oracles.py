@@ -143,8 +143,19 @@ def ss_star_loop(index: Index, slot: int, p: int) -> PolyFp:
 def main_theorem_direct(n: int, p: int) -> PolyFp:
     """The main-theorem residual by its definition, curly_L minus
     (1/n!) (depth-1 polylog)^n, forming every power of the depth-1 polylog."""
-    inv_fact = identities._inv_factorial(n, p)
+    inv_fact = pow(math.factorial(n), -1, p)
     return identities.curly_L(n, p) - identities._depth1_power(n, p) * inv_fact
+
+
+def correction_sum_powers(n: int, p: int) -> PolyFp:
+    """The correction sum term by term: (k-1)! (f_k + g_k) times the memoized
+    power (depth-1 polylog)^(n-k), summed over k = 2..n."""
+    total = PolyFp.zero(p)
+    for k in range(2, n + 1):
+        weight = math.factorial(k - 1) % p
+        fg = identities.f_poly(k, p) + identities.g_poly(k, p)
+        total = total + fg * identities._depth1_power(n - k, p) * weight
+    return total
 
 
 def eval_terms(terms: list[dict], p: int) -> PolyFp:

@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from oracles import main_theorem_direct
+from oracles import correction_sum_powers, main_theorem_direct
 
 from fmplib import identities
 from fmplib.fmp import (
@@ -227,6 +227,13 @@ def test_main_theorem_recursion_with_perturbed_f3(p, monkeypatch):
             assert main_theorem_residual(n, p) == main_theorem_direct(n, p), n
     finally:
         _clear_identity_memos()
+
+
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_correction_sum_horner_matches_powers(p):
+    for n in range(1, 6):
+        assert identities._correction_sum(n, p) == correction_sum_powers(n, p), n
+    assert not identities._correction_sum(5, p).is_zero
 
 
 def test_curly_l_small():

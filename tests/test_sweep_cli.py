@@ -1,5 +1,6 @@
 """Sweep driver, report plumbing, and the command-line interface."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -7,9 +8,10 @@ import pathlib
 
 import pytest
 
-from fmplib import cli
+from fmplib import cli, sweep
 from fmplib.cli import main, parse_index, parse_n_values, parse_prime_range
-from fmplib.fmp import Index
+from fmplib.fmp import BlockTriple, Index
+from fmplib.polyfp import PolyFp
 from fmplib.sweep import (
     IDENTITY_IDS,
     ConflictError,
@@ -86,6 +88,48 @@ def test_sweep_crosscheck_null_where_nothing_checked():
     assert all(o.note.endswith("nothing checked") for o in entry.outcomes[2:])
     assert entry.ok
     assert "2 primes checked" in report.to_text()
+
+
+def _one_chain(blocks: BlockTriple) -> BlockTriple:
+    """The triple as the crosscheck compares it: one with exactly one empty
+    outer block is the chain of its joined index."""
+    if bool(blocks.first) != bool(blocks.second):
+        return BlockTriple((), (), blocks.first + blocks.second + blocks.third)
+    return blocks
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_crosscheck_compares_every_triple_once(p, monkeypatch):
+    fast, loops = [], []
+
+    def recorder(seen):
+        return lambda blocks, q: seen.append(blocks) or PolyFp.zero(q)
+
+    monkeypatch.setattr(sweep, "oy_fmp_general", recorder(fast))
+    monkeypatch.setattr(sweep, "naive_reference_general", recorder(loops))
+    for _ in sweep._oracle_crosscheck(p):
+        pass
+    assert fast == loops
+    compared = set(fast)
+    for blocks in sweep._block_triples(4):
+        if blocks not in compared:
+            chain = BlockTriple((), (), blocks.first + blocks.second + blocks.third)
+            assert chain in compared, blocks
+    assert len({_one_chain(b) for b in fast}) == len(fast), "a chain is compared twice"
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_zeta_vanishing_checks_each_zeta_once(p, monkeypatch):
+    seen = []
+    zeta_variant = sweep.zeta_variant
+
+    def recorded(index, i, q):
+        seen.append((index, i))
+        return zeta_variant(index, i, q)
+
+    monkeypatch.setattr(sweep, "zeta_variant", recorded)
+    notes = [note for note, _ in sweep._zeta_vanishing(p)]
+    assert len(notes) == len(set(notes)) == len(seen) == len(set(seen)) == 21
 
 
 def test_entry_ok_fails_only_on_false_at_or_above_floor():
@@ -189,8 +233,6 @@ def test_parse_index_forms():
     assert parse_index("1,2,1") == Index.of(1, 2, 1)
     assert parse_index("1^4") == Index.ones(4)
     assert parse_index("1^3,2") == Index.of(1, 1, 1, 2)
-    import argparse
-
     with pytest.raises(argparse.ArgumentTypeError):
         parse_index("1,x")
     with pytest.raises(argparse.ArgumentTypeError):
@@ -202,6 +244,18 @@ def test_parse_ranges():
     assert parse_prime_range("13") == (13, 13)
     assert parse_n_values("3") == (3,)
     assert parse_n_values("1..5") == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("text", ["5..", "..5", "a..b", "5..7..9", "", "9..7"])
+def test_parse_prime_range_rejects(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_prime_range(text)
+
+
+@pytest.mark.parametrize("text", ["5..", "..5", "a..b", "1..x", "", "0", "3..1", "0..2"])
+def test_parse_n_values_rejects(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_n_values(text)
 
 
 def test_cli_compute_oy(capsys):

@@ -4,11 +4,12 @@ The shuffle lemma, the recurrence and the main theorem share their dense
 products and chain steps through the memos: each product of the depth-(n-1)
 and depth-1 polylogs is formed once, every chain extends its prefix's chain,
 and each bridge of the recurrence is one chain step on a shorter bridge.
-The main theorem follows from the shuffle lemma by the induction step, so it
-forms no power of the depth-1 polylog.  These counts guard that sharing,
-which no result would reveal if it broke.  A full 12-identity sweep at one
-prime is counted too, so that a change to the sweep or identity layers
-cannot add work unseen.
+The main theorem follows from the shuffle lemma by the induction step, and
+the correction sums are evaluated by Horner, so neither forms a power of the
+depth-1 polylog.  The oracle crosscheck compares each chain once.  These
+counts guard that sharing, which no result would reveal if it broke.  A full
+12-identity sweep at one prime is counted too, so that a change to the sweep
+or identity layers cannot add work unseen.
 """
 
 import sys
@@ -19,7 +20,6 @@ from fmplib import fmp, polyfp, ss
 from fmplib.sweep import IDENTITY_IDS, RunConfig, run_sweep
 
 P = 101
-SPARSE = 6  # an operand with at most this many nonzeros is not a dense product
 
 
 def _fmplib_modules():
@@ -40,12 +40,14 @@ def counts(monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    seen = {"dense": 0, "steps": 0, "compositions": 0, "ss_star": 0}
+    seen = {"dense": 0, "steps": 0, "compositions": 0, "ss_star": 0, "oracles": 0}
     convolve, window_extend = polyfp._convolve, fmp._window_extend
     compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
+    oracle = fmp.naive_reference_general
 
     def counted_convolve(a, b, p):
-        if min(len(a) - a.count(0), len(b) - b.count(0)) > SPARSE:
+        # An operand with few nonzeros is shift-and-add, not a dense product.
+        if min(len(a) - a.count(0), len(b) - b.count(0)) > polyfp._SPARSE_NONZEROS:
             seen["dense"] += 1
         return convolve(a, b, p)
 
@@ -61,10 +63,15 @@ def counts(monkeypatch):
         seen["ss_star"] += 1
         return ss_star(index, slot, p)
 
+    def counted_oracle(blocks, p):
+        seen["oracles"] += 1
+        return oracle(blocks, p)
+
     _wrap_everywhere(monkeypatch, convolve, counted_convolve)
     _wrap_everywhere(monkeypatch, window_extend, counted_window_extend)
     _wrap_everywhere(monkeypatch, compose, counted_compose)
     _wrap_everywhere(monkeypatch, ss_star, counted_ss_star)
+    _wrap_everywhere(monkeypatch, oracle, counted_oracle)
     return seen
 
 
@@ -83,11 +90,27 @@ def test_main_theorem_forms_only_the_shuffle_products(counts):
     assert counts["dense"] <= 4, counts
 
 
+def test_functional_eq_forms_no_power_of_depth1(counts):
+    # The correction sums are Horner in the depth-1 polylog, so no power of it
+    # is formed.
+    report = run_sweep(RunConfig(lo=P, hi=P, identities=("functional-eq",)))
+    assert all(o.passed is True for e in report.entries for o in e.outcomes)
+    assert counts["dense"] <= 10, counts
+
+
+def test_crosscheck_runs_each_loop_oracle_once(counts):
+    # 30 chains plus the 154 three-block triples that are not one chain.
+    report = run_sweep(RunConfig(lo=7, hi=7, identities=("oracle-crosscheck",)))
+    assert report.entries[0].outcomes[0].passed is True
+    assert counts["oracles"] <= 184, counts
+
+
 def test_full_sweep_at_one_prime(counts):
     # The bounds are the counts measured with the main theorem taken from the
-    # shuffle lemma and the corollaries evaluated in blocks of T = t^p.  The
-    # 4 powers of the depth-1 polylog that closed-forms forms, and one
-    # product per term of functional-eq's correction sums, are left.
+    # shuffle lemma, the corollaries evaluated in blocks of T = t^p and the
+    # correction sums by Horner.  The 4 powers of the depth-1 polylog that
+    # closed-forms forms, and the Horner steps of functional-eq's correction
+    # sums, are left.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=IDENTITY_IDS))
     checked = [e.identity for e in report.entries if e.outcomes[0].passed is not None]
     assert len(checked) == 24 and "oracle-crosscheck" not in checked
