@@ -6,6 +6,7 @@ and safe to share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,18 +69,23 @@ def primes_in(lo: int, hi: int) -> list[int]:
     """All primes p with max(lo, 5) <= p <= hi, ascending.
 
     The floor of 5 is global: below it the chain sums are empty or degenerate.
+    Only the window [max(lo, 5), hi] is sieved, by the primes up to isqrt(hi),
+    so memory grows with the width of the range and the root of hi, not hi.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     lo = max(lo, 5)
     if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, int(hi**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(range(q * q, hi + 1, q)))
-    return [n for n in range(lo, hi + 1) if sieve[n]]
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    window = bytearray([1]) * (hi - lo + 1)
+    for q in range(2, root + 1):
+        if base[q]:
+            base[q * q :: q] = bytearray(len(range(q * q, root + 1, q)))
+            start = max(q * q, -(-lo // q) * q)
+            window[start - lo :: q] = bytearray(len(range(start, hi + 1, q)))
+    return [lo + i for i, flag in enumerate(window) if flag]
 
 
 @lru_cache(maxsize=None)

@@ -1,19 +1,16 @@
 """Strictly-increasing chain polylogs, adjacent-distinct surjections, and the
 conversion rebuilding the chain-sum polylog from slot-indexed pieces.
 
-The two t <-> 1-t corollaries at depths 3 and 4 are transcribed as term lists
-in checked-in JSON data files (coefficient as a polynomial in the formal
-symbol T = t^p, index, indeterminate slot, argument side) so each of the
-twenty-plus terms can be audited independently of the evaluation code.
+The two t <-> 1-t corollaries at depths 3 and 4 come from the conversion of
+the all-ones index: read at t it is the corollary's left side, and composed
+with 1-t its right side, so the residual is F(t) - F(1-t).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import accumulate
 from operator import mul
 
@@ -27,7 +24,6 @@ __all__ = [
     "EnumerationCapExceeded",
     "corollary_depth3_residual",
     "corollary_depth4_residual",
-    "corollary_terms",
     "enumerate_phi",
     "grouped_index",
     "oy_from_ss",
@@ -183,66 +179,40 @@ def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:
 def oy_from_ss(index: Index, p: int) -> PolyFp:
     """Rebuild the chain-sum polylog as sum over i of t^{(i-1)p} times the
     slot-indexed strict-chain polylogs of the grouped indices; must agree with
-    oy_fmp exactly, prime by prime."""
+    oy_fmp exactly, prime by prime.  Each distinct (grouped index, slot) is
+    evaluated once."""
     groups = enumerate_phi(index.depth)
+    polys: dict[tuple[Index, int], PolyFp] = {}
     total = PolyFp.zero(p)
     for i in sorted(groups):
         inner = PolyFp.zero(p)
         for phi in groups[i]:
-            inner = inner + ss_star(grouped_index(phi, index), phi.values[-1], p)
+            key = (grouped_index(phi, index), phi.values[-1])
+            if key not in polys:
+                polys[key] = ss_star(*key, p)
+            inner = inner + polys[key]
         total = total + inner.shifted((i - 1) * p)
     return total
 
 
-@lru_cache(maxsize=None)
-def corollary_terms(name: str) -> dict:
-    """Load one of the checked-in corollary term lists (corollary_d3 / _d4)."""
-    payload = resources.files("fmplib").joinpath(f"data/{name}.json").read_text()
-    return json.loads(payload)
+def _corollary_residual(n: int, p: int) -> PolyFp:
+    """F(t) - F(1-t) for F the depth-n all-ones chain-sum polylog, rebuilt
+    from strict-chain polylogs by oy_from_ss.
 
-
-def _residual_in_blocks(lhs: list[dict], rhs: list[dict], p: int) -> PolyFp:
-    """Sum of the lhs terms minus sum of the rhs terms.
-
-    A term is c(T) times the strict-chain polylog of (index, slot) at t or at
-    1-t, with T = t^p.  That polylog has degree below p, and so has its
-    composition with 1-t, so the terms' T^j parts fill disjoint blocks of
-    size p.  Composition is linear, so block j is the combination of the
-    t-terms' polylogs by their T^j coefficients, plus the composition of the
-    same combination of the 1-t-terms' polylogs: one composition per block,
-    and no polynomial products.  Each (index, slot) is evaluated once.
+    Group i of the conversion is the T^{i-1} part of the corollary's left
+    side, with T = t^p.  Composing with 1-t is a ring homomorphism and
+    (1-t)^p = 1 - T, so F(1-t) is exactly the right side: every strict-chain
+    polylog at 1-t with coefficient (1-T)^{i-1}.
     """
-    polys: dict[tuple, PolyFp] = {}
-    terms = []  # (polylog, argument, signed coefficients)
-    for side, sign in ((lhs, 1), (rhs, -1)):
-        for term in side:
-            if term["arg"] not in ("t", "1-t"):
-                raise ValueError(f"unknown argument {term['arg']!r}")
-            key = (tuple(term["index"]), term["slot"])
-            if key not in polys:
-                polys[key] = ss_star(Index(key[0]), key[1], p)
-            terms.append((polys[key], term["arg"], [sign * c for c in term["coeff"]]))
-    total = PolyFp.zero(p)
-    for j in range(max(len(coeff) for _, _, coeff in terms)):
-        part = {"t": PolyFp.zero(p), "1-t": PolyFp.zero(p)}
-        for poly, arg, coeff in terms:
-            if j < len(coeff):
-                part[arg] = part[arg] + poly * coeff[j]
-        block = part["t"] + compose_one_minus_t(part["1-t"])
-        total = total + block.shifted(j * p)
-    return total
-
-
-def _corollary_residual(name: str, p: int) -> PolyFp:
-    data = corollary_terms(name)
-    return _residual_in_blocks(data["lhs"], data["rhs"], p)
+    f = oy_from_ss(Index.ones(n), p)
+    return f - compose_one_minus_t(f)
 
 
 def corollary_depth3_residual(p: int) -> PolyFp:
     """Left minus right of the depth-3 strict-chain functional equation."""
-    return _corollary_residual("corollary_d3", p)
+    return _corollary_residual(3, p)
 
 
 def corollary_depth4_residual(p: int) -> PolyFp:
     """Left minus right of the depth-4 strict-chain functional equation."""
-    return _corollary_residual("corollary_d4", p)
+    return _corollary_residual(4, p)

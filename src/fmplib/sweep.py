@@ -151,19 +151,23 @@ class _Identity:
     evaluate is called as evaluate(n, p) when depths is nonempty, else as
     evaluate(p).
     floor(n) is the default prime from which a failure fails the sweep (n is
-    0 for identities without depths).  Primes p <= n, below min_prime or
-    above max_prime are not evaluated and get pass null with a note.
+    0 for identities without depths).  Depths below min_n, primes p <= n,
+    below min_prime or above max_prime are not evaluated and get pass null
+    with a note.
     """
 
     evaluate: Callable
     depths: tuple[int, ...] = ()
     floor: Callable[[int], int] = lambda n: 5
+    min_n: int = 0
     min_prime: int = 5
     max_prime: float = float("inf")
 
 
 # Floors: n+2 where the identity divides by n!, n+1 where it needs p > n,
-# 7 where B_{p-5} enters or p = 5 is a known exception (corollary-d4).
+# 7 where B_{p-5} enters or p = 5 is a known exception: corollary-d4 is the
+# depth-4 all-ones polylog's t <-> 1-t symmetry, which fails at n = p - 1.
+# The main theorem's residual at n = 1 is zero by definition (M_1 = 0).
 _IDENTITIES = {
     "kontsevich": _Identity(_kontsevich),
     "shuffle-lemma": _Identity(
@@ -171,7 +175,7 @@ _IDENTITIES = {
     ),
     "recurrence": _Identity(_recurrence, (2, 3, 4), lambda n: max(5, n + 1)),
     "main-theorem": _Identity(
-        main_theorem_residual, (1, 2, 3, 4, 5), lambda n: max(5, n + 2)
+        main_theorem_residual, (1, 2, 3, 4, 5), lambda n: max(5, n + 2), min_n=2
     ),
     "functional-eq": _Identity(
         functional_eq_residual, (1, 2, 3, 4), lambda n: max(5, n + 2)
@@ -198,6 +202,8 @@ def _null_note(identity: str, params: dict, p: int) -> str | None:
     """Why nothing is checked for this job at p, or None when it is evaluated."""
     row = _IDENTITIES[identity]
     n = params.get("n", 0)
+    if n < row.min_n:
+        return f"requires n >= {row.min_n}"
     if p <= n:
         return f"requires p > n = {n}"
     if p < row.min_prime:

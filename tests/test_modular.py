@@ -1,6 +1,7 @@
 """Inverses and residues mod p, prime enumeration, Bernoulli numbers mod p."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -115,8 +116,22 @@ def test_primes_in_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
-    expected = [n for n in range(5, 10_001) if trial(n)]
-    assert primes_in(5, 10_000) == expected
+    # Whole ranges, and windows whose low end is not 5.
+    for lo, hi in ((5, 10_000), (1000, 1100), (1, 4), (4, 11), (25, 29), (121, 127)):
+        expected = [n for n in range(max(lo, 5), hi + 1) if trial(n)]
+        assert primes_in(lo, hi) == expected
+
+
+def test_primes_in_memory_follows_the_window():
+    lo, hi = 10**9, 10**9 + 1000
+    tracemalloc.start()
+    try:
+        got = primes_in(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert peak < 1_000_000, peak
 
 
 def test_is_prime_spot():

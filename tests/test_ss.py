@@ -1,22 +1,25 @@
 """Strict-chain polylogs, surjection enumeration, conversion, corollaries."""
 
 import itertools
+import json
+import math
+import pathlib
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import eval_terms, ss_star_loop
 
+from fmplib import ss
 from fmplib.fmp import Index, all_indices, oy_fmp
 from fmplib.polyfp import PolyFp
 from fmplib.ss import (
     AdjacentDistinctSurjection,
     ENUMERATION_CAP,
     EnumerationCapExceeded,
-    _residual_in_blocks,
     corollary_depth3_residual,
     corollary_depth4_residual,
-    corollary_terms,
     enumerate_phi,
     grouped_index,
     oy_from_ss,
@@ -204,7 +207,25 @@ def test_conversion_cap():
         oy_from_ss(Index.ones(ENUMERATION_CAP + 1), 7)
 
 
-# --- the two transcribed corollaries ---------------------------------------------------
+# --- the two strict-chain corollaries ----------------------------------------------------
+#
+# tests/data/corollary_d*.json transcribe the corollaries' term lists: one record
+# per term, with coefficient a polynomial in the formal symbol T = t^p
+# (ascending), index, indeterminate slot and argument side.  They are the
+# audited oracle for the conversion-based residuals.
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+RESIDUALS = {
+    "corollary_d3": corollary_depth3_residual,
+    "corollary_d4": corollary_depth4_residual,
+}
+# The depth-3 left side is transcribed with the slots of (2,1) and (1,2)
+# swapped against the conversion; see test_d3_slot_pair_identity.
+D3_LHS_SWAP = {((2, 1), 2): ((2, 1), 1), ((1, 2), 1): ((1, 2), 2)}
+
+
+def corollary_terms(name):
+    return json.loads((DATA / f"{name}.json").read_text())
 
 
 def test_term_lists_shape():
@@ -225,6 +246,71 @@ def test_term_lists_shape():
         assert all(t["arg"] == "1-t" for t in data["rhs"])
 
 
+def _by_key(terms, rename=None):
+    """(index, slot) -> coefficient list in T, trailing zeros dropped."""
+    out = {}
+    for term in terms:
+        key = (tuple(term["index"]), term["slot"])
+        key = (rename or {}).get(key, key)
+        coeff = out.setdefault(key, [])
+        coeff.extend([0] * (len(term["coeff"]) - len(coeff)))
+        for j, c in enumerate(term["coeff"]):
+            coeff[j] += c
+    return {k: _trim(c) for k, c in out.items()}
+
+
+def _trim(coeff):
+    while coeff and coeff[-1] == 0:
+        coeff = coeff[:-1]
+    return coeff
+
+
+def _conversion_terms(n):
+    """The term lists the conversion of 1^n gives: each surjection phi adds
+    T^(beta-1) at t and (1-T)^(beta-1) at 1-t to (grouped index, last value)."""
+    lhs, rhs = {}, {}
+    for beta, phis in enumerate_phi(n).items():
+        for phi in phis:
+            key = (grouped_index(phi, Index.ones(n)).parts, phi.values[-1])
+            left = lhs.setdefault(key, [0] * n)
+            right = rhs.setdefault(key, [0] * n)
+            left[beta - 1] += 1
+            for j in range(beta):
+                right[j] += math.comb(beta - 1, j) * (-1) ** j
+    return (
+        {k: _trim(c) for k, c in lhs.items()},
+        {k: _trim(c) for k, c in rhs.items()},
+    )
+
+
+def test_term_lists_are_the_conversion():
+    lhs, rhs = _conversion_terms(4)
+    d4 = corollary_terms("corollary_d4")
+    assert _by_key(d4["lhs"]) == lhs
+    assert _by_key(d4["rhs"]) == rhs
+    lhs, rhs = _conversion_terms(3)
+    d3 = corollary_terms("corollary_d3")
+    assert _by_key(d3["rhs"]) == rhs
+    assert _by_key(d3["lhs"]) != lhs
+    assert _by_key(d3["lhs"], D3_LHS_SWAP) == lhs
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_d3_slot_pair_identity(p):
+    """ss(21;2) + ss(12;1) = ss(21;1) + ss(12;2) at every p >= 5.
+
+    In the difference the coefficient of t^c is c^-2 (c H_2 - H_1), where
+    H_k is the sum of n^-k over 0 < n < p.  By Wolstenholme's theorem both
+    harmonic sums vanish mod p for p >= 5, so the transcribed depth-3 left
+    side, which swaps these slots, equals the conversion's.
+    """
+    a, b = Index.of(2, 1), Index.of(1, 2)
+    assert ss_star(a, 2, p) + ss_star(b, 1, p) == ss_star(a, 1, p) + ss_star(b, 2, p)
+    # the swap is not trivial: each swapped term differs from the one it replaces
+    assert ss_star(a, 2, p) != ss_star(a, 1, p)
+    assert ss_star(b, 1, p) != ss_star(b, 2, p)
+
+
 @pytest.mark.parametrize("p", [7, 11, 31])
 def test_corollary_depth3(p):
     assert corollary_depth3_residual(p).is_zero
@@ -236,52 +322,50 @@ def test_corollary_depth4(p):
 
 
 def test_corollary_depth4_exceptional_at_5():
-    # p = 5 is the one genuine exceptional prime below the floor of 7
+    # p = 5 is the one genuine exceptional prime below the floor of 7: the
+    # depth-4 all-ones polylog is not t <-> 1-t symmetric at n = p - 1.
     assert corollary_depth3_residual(5).is_zero
     assert not corollary_depth4_residual(5).is_zero
 
 
-def _term_by_term(lhs, rhs, p):
-    return eval_terms(lhs, p) - eval_terms(rhs, p)
+def _term_by_term(name, p):
+    data = corollary_terms(name)
+    return eval_terms(data["lhs"], p) - eval_terms(data["rhs"], p)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
 @pytest.mark.parametrize("name", ["corollary_d3", "corollary_d4"])
 def test_blocks_match_term_by_term(name, p):
-    data = corollary_terms(name)
-    assert _residual_in_blocks(data["lhs"], data["rhs"], p) == _term_by_term(
-        data["lhs"], data["rhs"], p
-    )
+    expected = _term_by_term(name, p)
+    assert RESIDUALS[name](p) == expected
+    assert expected.is_zero == ((name, p) != ("corollary_d4", 5))
 
 
-def _changed(terms, at, j, delta):
-    out = [dict(t) for t in terms]
-    coeff = list(out[at]["coeff"])
-    coeff[j] += delta
-    out[at]["coeff"] = coeff
-    return out
+# One key per corollary that the depth-3 slot swap leaves alone.
+PERTURBED = {"corollary_d3": ((1, 1, 1), 3), "corollary_d4": ((1, 1, 1, 1), 4)}
 
 
 @pytest.mark.parametrize("p", [11, 101])
 @pytest.mark.parametrize("name", ["corollary_d3", "corollary_d4"])
-def test_blocks_match_term_by_term_where_nonzero(name, p):
-    data = corollary_terms(name)
-    lhs = _changed(data["lhs"], 0, 0, 1)
-    rhs = _changed(data["rhs"], -1, 1, 2)
-    expected = _term_by_term(lhs, rhs, p)
+def test_blocks_match_term_by_term_where_nonzero(name, p, monkeypatch):
+    # A strict-chain polylog off by t at one key: both evaluations see it.
+    original = ss.ss_star
+
+    def perturbed(index, slot, p):
+        poly = original(index, slot, p)
+        if (index.parts, slot) == PERTURBED[name]:
+            poly = poly + PolyFp.of(p, [0, 1])
+        return poly
+
+    monkeypatch.setattr(ss, "ss_star", perturbed)
+    monkeypatch.setattr(oracles, "ss_star", perturbed)
+    expected = _term_by_term(name, p)
     assert not expected.is_zero
-    assert _residual_in_blocks(lhs, rhs, p) == expected
-    # either argument on either side: swap the arguments of every term
-    swap = {"t": "1-t", "1-t": "t"}
-    lhs = [dict(t, arg=swap[t["arg"]]) for t in lhs]
-    rhs = [dict(t, arg=swap[t["arg"]]) for t in rhs]
-    assert _residual_in_blocks(lhs, rhs, p) == _term_by_term(lhs, rhs, p)
+    assert RESIDUALS[name](p) == expected
 
 
 def test_unknown_argument_raises():
     data = corollary_terms("corollary_d3")
     rhs = [dict(data["rhs"][0], arg="t^2")] + data["rhs"][1:]
-    with pytest.raises(ValueError, match="unknown argument"):
-        _residual_in_blocks(data["lhs"], rhs, 7)
     with pytest.raises(ValueError, match="unknown argument"):
         eval_terms(rhs, 7)

@@ -76,6 +76,20 @@ def test_sweep_gate_notes():
     assert entry.ok  # floor is 6, the skipped prime lies below it
 
 
+def test_sweep_main_theorem_n1_checks_nothing():
+    # M_1 = 0 by definition, so the n = 1 job is null at every prime; the
+    # deeper jobs are evaluated.
+    report = run_sweep(RunConfig(lo=5, hi=31, identities=("main-theorem",)))
+    by_n = {e.params["n"]: e for e in report.entries}
+    assert sorted(by_n) == [1, 2, 3, 4, 5]
+    assert [o.p for o in by_n[1].outcomes] == [5, 7, 11, 13, 17, 19, 23, 29, 31]
+    assert all(o.passed is None for o in by_n[1].outcomes)
+    assert all(o.note == "requires n >= 2" for o in by_n[1].outcomes)
+    assert all(o.passed is True for o in by_n[2].outcomes)
+    assert report.ok
+    assert "main-theorem n=1: ok (0 primes checked" in report.to_text()
+
+
 def test_sweep_crosscheck_null_where_nothing_checked():
     report = run_sweep(RunConfig(lo=11, hi=19, identities=("oracle-crosscheck",)))
     entry = report.entries[0]
@@ -326,6 +340,7 @@ def test_cli_verify_nothing_checked(capsys):
     "argv",
     [
         ["main-theorem", "--floor", "199", "--primes", "5..197"],
+        ["main-theorem", "--n", "1", "--primes", "5..31"],
         ["oracle-crosscheck", "--primes", "17..31"],
     ],
 )

@@ -75,18 +75,28 @@ def counts(monkeypatch):
     return seen
 
 
+def _all_checked_pass(report):
+    """Every outcome passes, but main-theorem n = 1, where nothing is checked."""
+    for e in report.entries:
+        for o in e.outcomes:
+            if (e.identity, e.params) == ("main-theorem", {"n": 1}):
+                assert o.passed is None and o.note, o
+            else:
+                assert o.passed is True, (e.identity, e.params, o)
+
+
 def test_all_ones_identities_share_products_and_chain_steps(counts):
     ids = ("shuffle-lemma", "recurrence", "main-theorem")
     report = run_sweep(RunConfig(lo=P, hi=P, identities=ids))
     assert report.ok
-    assert all(o.passed is True for e in report.entries for o in e.outcomes)
+    _all_checked_pass(report)
     assert counts["dense"] <= 4, counts
     assert counts["steps"] <= 14, counts
 
 
 def test_main_theorem_forms_only_the_shuffle_products(counts):
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("main-theorem",)))
-    assert all(o.passed is True for e in report.entries for o in e.outcomes)
+    _all_checked_pass(report)
     assert counts["dense"] <= 4, counts
 
 
@@ -107,14 +117,20 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
 
 def test_full_sweep_at_one_prime(counts):
     # The bounds are the counts measured with the main theorem taken from the
-    # shuffle lemma, the corollaries evaluated in blocks of T = t^p and the
-    # correction sums by Horner.  The 4 powers of the depth-1 polylog that
-    # closed-forms forms, and the Horner steps of functional-eq's correction
-    # sums, are left.
+    # shuffle lemma, each corollary as one composition of the conversion of
+    # the all-ones index (each distinct strict-chain polylog evaluated once)
+    # and the correction sums by Horner.  The 4 powers of the depth-1 polylog
+    # that closed-forms forms, and the Horner steps of functional-eq's
+    # correction sums, are left.  Neither main-theorem n = 1 nor
+    # oracle-crosscheck checks anything at this prime.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=IDENTITY_IDS))
-    checked = [e.identity for e in report.entries if e.outcomes[0].passed is not None]
-    assert len(checked) == 24 and "oracle-crosscheck" not in checked
+    checked = [
+        (e.identity, e.params) for e in report.entries if e.outcomes[0].passed is not None
+    ]
+    assert len(checked) == 23
+    assert ("main-theorem", {"n": 1}) not in checked
+    assert ("oracle-crosscheck", {}) not in checked
     assert counts["dense"] <= 31, counts
     assert counts["steps"] <= 25, counts
-    assert counts["compositions"] <= 13, counts
-    assert counts["ss_star"] <= 70, counts
+    assert counts["compositions"] <= 8, counts
+    assert counts["ss_star"] <= 62, counts
