@@ -19,7 +19,6 @@ from .fmp import Index, oy_fmp, zeta_variant
 from .modular import bernoulli_mod, is_prime
 from .ss import ss_star
 from .sweep import (
-    _IDENTITIES,
     IDENTITY_IDS,
     RunConfig,
     SweepReport,
@@ -27,6 +26,7 @@ from .sweep import (
     merge_reports,
     require_workers,
     run_sweep,
+    skip_reason,
 )
 
 
@@ -119,28 +119,20 @@ def _emit(make_report, args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = args.primes
-    every = args.identity == "all"
-    for flag, given, allowed in (
-        ("--n", args.n, not every and _IDENTITIES[args.identity].depths),
-        ("--floor", args.floor, not every),
-    ):
-        if given is not None and not allowed:
-            raise SystemExit(f"error: identity {args.identity} takes no {flag} parameter")
-    require_workers(args.workers)
-    jobs = None if args.n is None else [(args.identity, {"n": n}) for n in args.n]
     config = RunConfig(
         lo=lo,
         hi=hi,
-        identities=IDENTITY_IDS if every else (args.identity,),
+        identities=IDENTITY_IDS if args.identity == "all" else (args.identity,),
+        depths=args.n or (),
         floors={} if args.floor is None else {args.identity: args.floor},
         workers=args.workers,
     )
-    if not checks_anything(config, jobs):
-        raise SystemExit(
-            f"error: no prime in {lo}..{hi} was checked at or above the identity floor;"
-            " nothing to verify"
+    require_workers(config.workers)
+    if not checks_anything(config):
+        raise ValueError(
+            f"no prime in {lo}..{hi} was checked {skip_reason(config)}; nothing to verify"
         )
-    return _emit(lambda: run_sweep(config, jobs), args)
+    return _emit(lambda: run_sweep(config), args)
 
 
 def _cmd_merge(args) -> int:

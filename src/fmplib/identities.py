@@ -54,10 +54,10 @@ def _depth1_power(e: int, p: int) -> PolyFp:
     return _depth1_power(e - 1, p) * ones_fmp(1, p)
 
 
-def _window_poly(parts: tuple[int, ...], i_max: int, p: int) -> PolyFp:
-    """Sum over i = 1..i_max of (window slice i) * t^{i*p}."""
-    coeffs = [0] * (i_max * p + 1)
-    for i in range(1, i_max + 1):
+def _window_poly(parts: tuple[int, ...], p: int) -> PolyFp:
+    """Sum over i = 1..len(parts) of (window slice i) * t^{i*p}."""
+    coeffs = [0] * (len(parts) * p + 1)
+    for i in range(1, len(parts) + 1):
         coeffs[i * p] = zeta_variant(Index(parts), i, p).value
     return PolyFp.of(p, coeffs)
 
@@ -65,7 +65,7 @@ def _window_poly(parts: tuple[int, ...], i_max: int, p: int) -> PolyFp:
 def _f_term(n: int, k: int, p: int) -> PolyFp:
     """The k-th summand of f_n: window slices of ({1}^{n-k-2}, 2) against the
     depth-k all-ones polylog."""
-    return _window_poly((1,) * (n - k - 2) + (2,), n - k - 1, p) * ones_fmp(k, p)
+    return _window_poly((1,) * (n - k - 2) + (2,), p) * ones_fmp(k, p)
 
 
 def _g_term(n: int, k: int, p: int) -> PolyFp:
@@ -74,7 +74,7 @@ def _g_term(n: int, k: int, p: int) -> PolyFp:
     m = n - k - 2
     if m < 1:
         return PolyFp.zero(p)
-    return _window_poly((1,) * m, m, p) * oy_fmp(Index((2,) + (1,) * k), p)
+    return _window_poly((1,) * m, p) * oy_fmp(Index((2,) + (1,) * k), p)
 
 
 @lru_cache(maxsize=None)

@@ -93,8 +93,7 @@ def inverse_table(p: int) -> tuple[int, ...]:
     """inv[i] = i^{-1} mod p for 1 <= i < p; index 0 is unused."""
     require_prime(p)
     inv = [0] * p
-    if p > 1:
-        inv[1 % p] = 1 % p
+    inv[1] = 1
     for i in range(2, p):
         inv[i] = (p - (p // i) * inv[p % i]) % p
     return tuple(inv)

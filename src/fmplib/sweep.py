@@ -59,6 +59,7 @@ __all__ = [
     "merge_reports",
     "require_workers",
     "run_sweep",
+    "skip_reason",
 ]
 
 
@@ -126,7 +127,8 @@ def _block_triples(max_total_depth: int) -> list[BlockTriple]:
 
 
 def _oracle_crosscheck(p):
-    for idx in all_indices(5, 4):
+    chains = all_indices(5, 4)
+    for idx in chains:
         yield f"window DP vs loops at {idx}", oy_fmp(idx, p) - naive_reference(idx, p)
     for idx in all_indices(4, 3):
         for slot in range(1, idx.depth + 1):
@@ -134,8 +136,10 @@ def _oracle_crosscheck(p):
             yield f"strict-chain DP vs loops at {idx} slot {slot}", diff
     if p <= 7:
         for blocks in _block_triples(4):
-            if bool(blocks.first) != bool(blocks.second):
-                continue  # one chain, compared as ((), (), first + second + third)
+            if not (blocks.first and blocks.second):
+                # One chain: compared above, or here as ((), (), chain).
+                if blocks.first or blocks.second or Index(blocks.third) in chains:
+                    continue
             diff = oy_fmp_general(blocks, p) - naive_reference_general(blocks, p)
             yield f"three-block DP vs loops at {blocks}", diff
 
@@ -213,8 +217,7 @@ def _null_note(identity: str, params: dict, p: int) -> str | None:
     return None
 
 
-def _run_task(task: tuple) -> PrimeOutcome:
-    identity, params, p = task
+def _run_job(identity: str, params: dict, p: int) -> PrimeOutcome:
     note = _null_note(identity, params, p)
     if note is not None:
         return PrimeOutcome(p, None, note=note)
@@ -225,6 +228,11 @@ def _run_task(task: tuple) -> PrimeOutcome:
         if not residual.is_zero:
             return PrimeOutcome(p, False, residual.compact(), note)
     return PrimeOutcome(p, True)
+
+
+def _run_prime(jobs: list[tuple[str, dict]], p: int) -> list[PrimeOutcome]:
+    """One task of a sweep: every job at one prime, on one process's memos."""
+    return [_run_job(ident, params, p) for ident, params in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +380,14 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A sweep request: prime range, identity selection, floors, worker
-    count."""
+    """A whole sweep request: prime range, identities, depths (replacing
+    their default depths), floors of selected identities, worker count.  A
+    request that cannot run as asked is refused here, before any work."""
 
     lo: int
     hi: int
     identities: tuple[str, ...]
+    depths: tuple[int, ...] = ()
     floors: dict = field(default_factory=dict)
     workers: int = 1
 
@@ -387,7 +397,13 @@ class RunConfig:
         for ident in self.identities:
             if ident not in _IDENTITIES:
                 raise ValueError(f"unknown identity {ident!r}")
+            if self.depths and not _IDENTITIES[ident].depths:
+                raise ValueError(f"identity {ident} takes no depth n")
+        if any(n < 1 for n in self.depths):
+            raise ValueError(f"depths must be >= 1, got {self.depths}")
         for ident, floor in self.floors.items():
+            if ident not in self.identities:
+                raise ValueError(f"a floor for {ident!r}, which the request does not select")
             if floor < 5:
                 raise ValueError(f"floor for {ident} must be >= 5, got {floor}")
         if self.workers < 1:
@@ -408,49 +424,57 @@ def require_workers(workers: int) -> None:
         raise ValueError(f"--workers {workers} exceeds the {cpus} available CPUs")
 
 
-def _jobs(config: RunConfig, jobs: list[tuple[str, dict]] | None) -> list[tuple[str, dict]]:
-    """The given jobs, or by default every selected identity at each of its
+def _jobs(config: RunConfig) -> list[tuple[str, dict]]:
+    """Every selected identity at each requested depth, or at each of its
     default depths (n = 0 stands for an identity without depths)."""
-    if jobs is None:
-        return [
-            (ident, {"n": n} if n else {})
-            for ident in config.identities
-            for n in _IDENTITIES[ident].depths or (0,)
-        ]
-    return jobs
+    return [
+        (ident, {"n": n} if n else {})
+        for ident in config.identities
+        for n in config.depths or _IDENTITIES[ident].depths or (0,)
+    ]
 
 
-def checks_anything(config: RunConfig, jobs: list[tuple[str, dict]] | None = None) -> bool:
+def _notes_at_floor(config: RunConfig):
+    """The skip gate's note for each (job, prime) pair at or above the job's
+    floor, None where the pair is evaluated; nothing is evaluated."""
+    primes = primes_in(config.lo, config.hi)
+    for ident, params in _jobs(config):
+        floor = config.floor(ident, params)
+        yield from (_null_note(ident, params, p) for p in primes if p >= floor)
+
+
+def checks_anything(config: RunConfig) -> bool:
     """Whether a sweep would evaluate some job at some prime at or above its
     floor.  Decided from the skip gate alone, before anything is evaluated."""
-    primes = primes_in(config.lo, config.hi)
-    return any(
-        p >= config.floor(ident, params) and _null_note(ident, params, p) is None
-        for ident, params in _jobs(config, jobs)
-        for p in primes
-    )
+    return any(note is None for note in _notes_at_floor(config))
 
 
-def run_sweep(config: RunConfig, jobs: list[tuple[str, dict]] | None = None) -> SweepReport:
-    """Evaluate every selected identity at every prime of the range.
+def skip_reason(config: RunConfig) -> str:
+    """For a request that checks nothing, why: the skip gate's notes at or
+    above the floors, or the floors when no prime of the range reaches them."""
+    notes = "; ".join(dict.fromkeys(_notes_at_floor(config)))
+    return f"({notes})" if notes else "at or above the identity floor"
 
-    Per-(job, prime) tasks are independent; with workers > 1 they fan out to a
-    process pool, one prime's jobs per chunk, so that a worker evaluates every
-    job at a prime against the same memos.  Outcomes come back in task order,
-    so the report is identical whatever the worker count.
+
+def run_sweep(config: RunConfig) -> SweepReport:
+    """Evaluate every job of the request at every prime of the range.
+
+    The task is the prime: it evaluates every job at that prime, so the jobs
+    share one process's memos.  With workers > 1 and more than one prime the
+    tasks fan out to a process pool; outcomes come back in prime order, so
+    the report is identical whatever the worker count.
     """
-    jobs = _jobs(config, jobs)
+    jobs = _jobs(config)
     primes = primes_in(config.lo, config.hi)
-    tasks = [(ident, params, p) for p in primes for ident, params in jobs]
     start = time.perf_counter()
-    if config.workers <= 1 or len(tasks) <= 1:
-        outcomes = [_run_task(t) for t in tasks]
+    if config.workers <= 1 or len(primes) <= 1:
+        rows = [_run_prime(jobs, p) for p in primes]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks, chunksize=len(jobs)))
+            rows = list(pool.map(_run_prime, itertools.repeat(jobs), primes))
     elapsed = time.perf_counter() - start
     entries = [
-        IdentityEntry(ident, dict(params), config.floor(ident, params), outcomes[i :: len(jobs)])
+        IdentityEntry(ident, dict(params), config.floor(ident, params), [row[i] for row in rows])
         for i, (ident, params) in enumerate(jobs)
     ]
     return SweepReport(

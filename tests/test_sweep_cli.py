@@ -1,6 +1,7 @@
 """Sweep driver, report plumbing, and the command-line interface."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -43,6 +44,12 @@ def test_runconfig_validation():
         RunConfig(lo=5, hi=7, identities=("kontsevich",), floors={"kontsevich": 3})
     with pytest.raises(ValueError):
         RunConfig(lo=5, hi=7, identities=("kontsevich",), workers=0)
+    with pytest.raises(ValueError, match="identity kontsevich takes no depth n"):
+        RunConfig(lo=5, hi=7, identities=("main-theorem", "kontsevich"), depths=(3,))
+    with pytest.raises(ValueError, match=r"depths must be >= 1, got \(0, 1\)"):
+        RunConfig(lo=5, hi=7, identities=("shuffle-lemma",), depths=(0, 1))
+    with pytest.raises(ValueError, match="a floor for 'main-theorem', which the request"):
+        RunConfig(lo=5, hi=7, identities=("kontsevich",), floors={"main-theorem": 11})
 
 
 def test_default_floors():
@@ -65,14 +72,12 @@ def test_sweep_kontsevich_clean():
 
 
 def test_sweep_gate_notes():
-    report = run_sweep(
-        RunConfig(lo=5, hi=13, identities=("shuffle-lemma",)),
-        jobs=[("shuffle-lemma", {"n": 5})],
-    )
-    entry = report.entries[0]
+    report = run_sweep(RunConfig(lo=5, hi=13, identities=("shuffle-lemma",), depths=(5,)))
+    [entry] = report.entries
+    assert entry.params == {"n": 5}
     skipped = [o for o in entry.outcomes if o.passed is None]
     assert [o.p for o in skipped] == [5]
-    assert "requires p > n" in skipped[0].note
+    assert skipped[0].note == "requires p > n = 5"
     assert entry.ok  # floor is 6, the skipped prime lies below it
 
 
@@ -114,13 +119,24 @@ def _one_chain(blocks: BlockTriple) -> BlockTriple:
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_crosscheck_compares_every_triple_once(p, monkeypatch):
+    # Both loops are recorded: a chain compared by oy_fmp/naive_reference is
+    # the triple ((), (), chain).
     fast, loops = [], []
 
     def recorder(seen):
-        return lambda blocks, q: seen.append(blocks) or PolyFp.zero(q)
+        def record(arg, q):
+            seen.append(arg if isinstance(arg, BlockTriple) else BlockTriple((), (), arg.parts))
+            return PolyFp.zero(q)
 
-    monkeypatch.setattr(sweep, "oy_fmp_general", recorder(fast))
-    monkeypatch.setattr(sweep, "naive_reference_general", recorder(loops))
+        return record
+
+    for name, seen in (
+        ("oy_fmp", fast),
+        ("oy_fmp_general", fast),
+        ("naive_reference", loops),
+        ("naive_reference_general", loops),
+    ):
+        monkeypatch.setattr(sweep, name, recorder(seen))
     for _ in sweep._oracle_crosscheck(p):
         pass
     assert fast == loops
@@ -167,6 +183,44 @@ def test_sweep_deterministic_across_workers():
     r2 = run_sweep(RunConfig(workers=3, **base))
     assert _stripped(r1) == _stripped(r2)
     assert r1.timing["workers"] == 1 and r2.timing["workers"] == 3
+
+
+def test_sweep_one_prime_starts_no_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    report = run_sweep(RunConfig(lo=101, hi=101, identities=("main-theorem",), workers=2))
+    assert [e.params["n"] for e in report.entries] == [1, 2, 3, 4, 5]
+    assert report.ok
+
+
+def test_sweep_task_is_the_prime(monkeypatch):
+    tasks = []
+
+    class InlinePool:
+        """Runs the pool's tasks in this process and records them."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            args = list(zip(*iterables))
+            tasks.extend(args)
+            return [fn(*a) for a in args]
+
+    base = dict(lo=7, hi=31, identities=("kontsevich", "main-theorem"))
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    report = run_sweep(RunConfig(workers=2, **base))
+    assert [task[-1] for task in tasks] == [7, 11, 13, 17, 19, 23, 29, 31]
+    monkeypatch.undo()
+    assert _stripped(report) == _stripped(run_sweep(RunConfig(**base)))
 
 
 # --- merge ------------------------------------------------------------------------
@@ -336,23 +390,32 @@ def test_cli_verify_nothing_checked(capsys):
     assert "kontsevich: ok (5 primes checked" in text
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["main-theorem", "--floor", "199", "--primes", "5..197"],
-        ["main-theorem", "--n", "1", "--primes", "5..31"],
-        ["oracle-crosscheck", "--primes", "17..31"],
-    ],
-)
-def test_cli_verify_refuses_before_sweeping(monkeypatch, argv):
-    def no_sweep(config, jobs):
-        raise AssertionError("the sweep ran")
+def _no_sweep(config):
+    raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+
+# The reason is the skip gate's note at the primes at or above the floor, or
+# the floor itself when no prime reaches it.
+_REFUSALS = {
+    "main-theorem --floor 199 --primes 5..197": (
+        "no prime in 5..197 was checked at or above the identity floor"
+    ),
+    "main-theorem --n 1 --primes 5..31": "no prime in 5..31 was checked (requires n >= 2)",
+    "oracle-crosscheck --primes 17..31": (
+        "no prime in 17..31 was checked (oracle caps below this prime; nothing checked)"
+    ),
+    "recurrence --n 13..14 --floor 5 --primes 5..13": (
+        "no prime in 5..13 was checked (requires p > n = 13; requires p > n = 14)"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", [command.split() for command in _REFUSALS])
+def test_cli_verify_refuses_before_sweeping(monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_sweep", _no_sweep)
     with pytest.raises(SystemExit) as err:
         main(["verify", *argv])
-    assert str(err.value.code).startswith("error: no prime in ")
-    assert str(err.value.code).endswith("nothing to verify")
+    assert err.value.code == f"error: {_REFUSALS[' '.join(argv)]}; nothing to verify"
 
 
 def test_cli_verify_all_matches_merged_sweeps(capsys):
@@ -370,26 +433,29 @@ def test_cli_verify_workers_bounded_by_cpus(monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     seen = []
 
-    def fake_run_sweep(config, jobs):
+    def fake_run_sweep(config):
         seen.append(config.workers)
-        return run_sweep(RunConfig(lo=config.lo, hi=config.hi, identities=config.identities), jobs)
+        return run_sweep(dataclasses.replace(config, workers=1))
 
     monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
     with pytest.raises(SystemExit) as err:
         main(["verify", "kontsevich", "--primes", "7..13", "--workers", "3"])
-    assert "--workers 3 exceeds the 2 available CPUs" in str(err.value.code)
+    assert err.value.code == "error: --workers 3 exceeds the 2 available CPUs"
     assert seen == []
     assert main(["verify", "kontsevich", "--primes", "7..13", "--workers", "2"]) == 0
     assert seen == [2]
 
 
-def test_cli_verify_rejects_n_for_unparameterized():
-    with pytest.raises(SystemExit):
-        main(["verify", "kontsevich", "--n", "3", "--primes", "7..13"])
-    for flag in (["--n", "3"], ["--floor", "11"]):
+def test_cli_verify_rejects_n_for_unparameterized(monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+    for argv, message in (
+        (["kontsevich", "--n", "3"], "identity kontsevich takes no depth n"),
+        (["all", "--n", "3"], "identity kontsevich takes no depth n"),
+        (["all", "--floor", "11"], "a floor for 'all', which the request does not select"),
+    ):
         with pytest.raises(SystemExit) as err:
-            main(["verify", "all", "--primes", "7..13", *flag])
-        assert err.value.code == f"error: identity all takes no {flag[0]} parameter"
+            main(["verify", *argv, "--primes", "7..13"])
+        assert err.value.code == f"error: {message}"
 
 
 def test_cli_merge_files(tmp_path, capsys):
@@ -454,18 +520,16 @@ def test_cli_out_in_missing_directory(tmp_path, capsys, monkeypatch):
     good = tmp_path / "good.json"
     main(["verify", "kontsevich", "--primes", "7..13", "--out", str(good)])
     capsys.readouterr()
+    missing = f"error: [Errno 2] No such file or directory: {out!r}"
     with pytest.raises(SystemExit) as err:
         main(["merge", str(good), "--out", out])
-    assert str(err.value.code).startswith("error: ") and "no-such-dir" in str(err.value.code)
-
-    def no_sweep(config, jobs):
-        raise AssertionError("the sweep ran")
+    assert err.value.code == missing
 
     # --out fails before the sweep, and a sweep that fails keeps the old file.
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "run_sweep", _no_sweep)
     with pytest.raises(SystemExit) as err:
         main(["verify", "kontsevich", "--primes", "7..13", "--out", out])
-    assert str(err.value.code).startswith("error: ") and "no-such-dir" in str(err.value.code)
+    assert err.value.code == missing
     before = good.read_text()
     with pytest.raises(AssertionError):
         main(["verify", "kontsevich", "--primes", "7..13", "--out", str(good)])
