@@ -106,10 +106,13 @@ class BlockTriple:
         return len(self.first) + len(self.second) + len(self.third)
 
 
+@lru_cache(maxsize=4)
 def _inverse_powers(k: int, p: int) -> Sequence[int]:
-    """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0."""
+    """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0.  A few recent
+    tables are kept: one prime's chain steps and strict-chain polylogs ask for
+    the same few exponents again and again."""
     inv = inverse_table(p)
-    return inv if k == 1 else [pow(iv, k, p) for iv in inv]
+    return inv if k == 1 else tuple([pow(iv, k, p) for iv in inv])
 
 
 def _window_extend(values: Sequence[int], k: int, p: int) -> list[int]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 
-from .fmp import BlockTriple, Index, oy_fmp, oy_fmp_general, zeta_variant
+from .fmp import BlockTriple, Index, _chain_values, oy_fmp, oy_fmp_general, zeta_variant
 from .modular import bernoulli_mod
 from .polyfp import PolyFp, compose_one_minus_t
 
@@ -49,56 +50,56 @@ def ones_fmp(k: int, p: int) -> PolyFp:
 
 @lru_cache(maxsize=None)
 def _depth1_power(e: int, p: int) -> PolyFp:
-    if e == 0:
-        return PolyFp.one(p)
+    if e <= 1:
+        return ones_fmp(e, p)
     return _depth1_power(e - 1, p) * ones_fmp(1, p)
 
 
-def _window_poly(parts: tuple[int, ...], p: int) -> PolyFp:
-    """Sum over i = 1..len(parts) of (window slice i) * t^{i*p}."""
-    coeffs = [0] * (len(parts) * p + 1)
-    for i in range(1, len(parts) + 1):
-        coeffs[i * p] = zeta_variant(Index(parts), i, p).value
-    return PolyFp.of(p, coeffs)
+def _window_terms(parts: tuple[int, ...], poly: PolyFp, p: int) -> list:
+    """Shift-and-add terms (window slice i, i*p, poly) for i = 1..len(parts):
+    the sum over i of (window slice i) * t^{i*p}, times poly.  Window i sums
+    the chain values of parts over (i-1)p < S < ip, all read in one pass."""
+    values = _chain_values(parts, p)
+    return [(sum(values[lo + 1 : lo + p]) % p, lo + p, poly) for lo in range(0, len(parts) * p, p)]
 
 
-def _f_term(n: int, k: int, p: int) -> PolyFp:
+def _f_terms(n: int, k: int, p: int) -> list:
     """The k-th summand of f_n: window slices of ({1}^{n-k-2}, 2) against the
     depth-k all-ones polylog."""
-    return _window_poly((1,) * (n - k - 2) + (2,), p) * ones_fmp(k, p)
+    return _window_terms((1,) * (n - k - 2) + (2,), ones_fmp(k, p), p)
 
 
-def _g_term(n: int, k: int, p: int) -> PolyFp:
+def _g_terms(n: int, k: int, p: int) -> list:
     """The k-th summand of g_n: window slices of {1}^m, m = n-k-2, against
-    the polylog of (2, {1}^k); zero when m < 1."""
+    the polylog of (2, {1}^k); no terms when m < 1."""
     m = n - k - 2
     if m < 1:
-        return PolyFp.zero(p)
-    return _window_poly((1,) * m, p) * oy_fmp(Index((2,) + (1,) * k), p)
+        return []
+    return _window_terms((1,) * m, oy_fmp(Index((2,) + (1,) * k), p), p)
 
 
 @lru_cache(maxsize=None)
 def f_poly(n: int, p: int) -> PolyFp:
-    """First error-term polynomial, the sum of _f_term over k = 0..n-2.
+    """First error-term polynomial, the sum of the _f_terms over k = 0..n-2.
     Empty sum for n < 2."""
     _require_p_gt_n(n, p)
-    return sum((_f_term(n, k, p) for k in range(n - 1)), PolyFp.zero(p))
+    return PolyFp.sum_of(p, chain.from_iterable(_f_terms(n, k, p) for k in range(n - 1)))
 
 
 @lru_cache(maxsize=None)
 def g_poly(n: int, p: int) -> PolyFp:
-    """Second error-term polynomial, the sum of _g_term over k = 0..n-2.
+    """Second error-term polynomial, the sum of the _g_terms over k = 0..n-2.
     Empty sum for n < 3."""
     _require_p_gt_n(n, p)
-    return sum((_g_term(n, k, p) for k in range(n - 1)), PolyFp.zero(p))
+    return PolyFp.sum_of(p, chain.from_iterable(_g_terms(n, k, p) for k in range(n - 1)))
 
 
 def shuffle_lemma_residual(n: int, p: int) -> PolyFp:
     """Product of the depth-(n-1) and depth-1 all-ones polylogs, minus
     (n * depth-n polylog - f_n - g_n)."""
     _require_p_gt_n(n, p)
-    rhs = ones_fmp(n, p) * n - f_poly(n, p) - g_poly(n, p)
-    return _bridge(n, 0, p) - rhs
+    terms = [(1, 0, _bridge(n, 0, p)), (-n, 0, ones_fmp(n, p))]
+    return PolyFp.sum_of(p, terms + [(1, 0, f_poly(n, p)), (1, 0, g_poly(n, p))])
 
 
 def _bridge(n: int, j: int, p: int) -> PolyFp:
@@ -110,12 +111,14 @@ def _bridge(n: int, j: int, p: int) -> PolyFp:
 
 def recurrence_residual(n: int, k: int, p: int) -> PolyFp:
     """One step of the interpolation between the product form (k=0) and the
-    depth-n polylog (k=n-1); summing over k telescopes to the shuffle lemma."""
+    depth-n polylog (k=n-1); summing over k telescopes to the shuffle lemma.
+    The residual is bridge k minus (bridge k+1 + depth-n polylog - the k-th
+    summands of f_n and g_n)."""
     _require_p_gt_n(n, p)
     if not 0 <= k <= n - 2:
         raise ValueError(f"need 0 <= k <= n-2, got k={k}, n={n}")
-    rhs = _bridge(n, k + 1, p) + ones_fmp(n, p) - _f_term(n, k, p) - _g_term(n, k, p)
-    return _bridge(n, k, p) - rhs
+    terms = [(1, 0, _bridge(n, k, p)), (-1, 0, _bridge(n, k + 1, p)), (-1, 0, ones_fmp(n, p))]
+    return PolyFp.sum_of(p, terms + _f_terms(n, k, p) + _g_terms(n, k, p))
 
 
 def _correction_sum(n: int, p: int) -> PolyFp:
@@ -124,8 +127,9 @@ def _correction_sum(n: int, p: int) -> PolyFp:
     g_1 are empty sums."""
     total = PolyFp.zero(p)
     for k in range(2, n + 1):
-        weight = math.factorial(k - 1) % p
-        total = total * ones_fmp(1, p) + (f_poly(k, p) + g_poly(k, p)) * weight
+        w = math.factorial(k - 1) % p
+        step = [(1, 0, total * ones_fmp(1, p)), (w, 0, f_poly(k, p)), (w, 0, g_poly(k, p))]
+        total = PolyFp.sum_of(p, step)
     return total
 
 
@@ -133,7 +137,8 @@ def curly_L(n: int, p: int) -> PolyFp:
     """Depth-n polylog minus (1/n!) * correction; equals (1/n!) (depth-1)^n
     whenever the main identity holds at p."""
     _require_p_gt_n(n, p)
-    return ones_fmp(n, p) - _correction_sum(n, p) * pow(math.factorial(n), -1, p)
+    inv_fact = pow(math.factorial(n), -1, p)
+    return PolyFp.sum_of(p, [(1, 0, ones_fmp(n, p)), (-inv_fact, 0, _correction_sum(n, p))])
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +155,9 @@ def main_theorem_residual(n: int, p: int) -> PolyFp:
     _require_p_gt_n(n, p)
     if n <= 1:
         return PolyFp.zero(p)
-    step = main_theorem_residual(n - 1, p) * ones_fmp(1, p) - shuffle_lemma_residual(n, p)
-    return step * pow(n, -1, p)
+    inv_n = pow(n, -1, p)
+    product = main_theorem_residual(n - 1, p) * ones_fmp(1, p)
+    return PolyFp.sum_of(p, [(inv_n, 0, product), (-inv_n, 0, shuffle_lemma_residual(n, p))])
 
 
 def functional_eq_residual(n: int, p: int) -> PolyFp:
@@ -170,8 +176,9 @@ def obstruction_n5_closed_form(b: int, p: int) -> PolyFp:
     """The advertised depth-5 difference (b/5) t^p (1 - t^p)(2 t^p - 1), where
     b is B_{p-5} mod p.  The measured difference is zero (see
     depth5_symmetry_difference), so this form is right only where b = 0."""
-    tp = PolyFp.monomial(p, p)
-    return tp * (PolyFp.one(p) - tp) * (tp * 2 - PolyFp.one(p)) * (b * pow(5, -1, p))
+    c, one = b * pow(5, -1, p), PolyFp.one(p)
+    # T (1 - T)(2T - 1) = -T + 3T^2 - 2T^3 with T = t^p
+    return PolyFp.sum_of(p, [(-c, p, one), (3 * c, 2 * p, one), (-2 * c, 3 * p, one)])
 
 
 def obstruction_n5_residual(p: int) -> PolyFp:
@@ -191,19 +198,26 @@ def closed_form_residuals(p: int) -> list[tuple[str, PolyFp]]:
     for the factorization f_4 = f_3 * (depth-1 polylog)."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
-    one = PolyFp.one(p)
-    tp = PolyFp.monomial(p, p)
     z12 = zeta_variant(Index.of(1, 2), 1, p).value
-    tail = tp * (one - tp) * z12  # t^p (1-t)^p times the depth-2 zeta value
     l1 = lambda e: _depth1_power(e, p)
+    inv = lambda c: pow(c, -1, p)
 
-    n3 = ones_fmp(3, p) - (l1(3) * pow(6, -1, p) + tail * pow(3, -1, p))
-    n4 = ones_fmp(4, p) - (l1(4) * pow(24, -1, p) + tail * l1(1) * pow(3, -1, p))
+    def minus_tail_third(g):
+        # -(1/3) t^p (1-t)^p z12 g = -(z12/3) (T - T^2) g with T = t^p
+        c = z12 * inv(3)
+        return [(-c, p, g), (c, 2 * p, g)]
+
+    n3 = PolyFp.sum_of(p, [(1, 0, ones_fmp(3, p)), (-inv(6), 0, l1(3))] + minus_tail_third(l1(0)))
+    n4 = PolyFp.sum_of(p, [(1, 0, ones_fmp(4, p)), (-inv(24), 0, l1(4))] + minus_tail_third(l1(1)))
     f4 = f_poly(4, p) - f_poly(3, p) * l1(1)
-    n5 = ones_fmp(5, p) - (
-        l1(5) * pow(120, -1, p)
-        + f_poly(3, p) * l1(2) * pow(15, -1, p)
-        + f_poly(5, p) * pow(5, -1, p)
+    n5 = PolyFp.sum_of(
+        p,
+        [
+            (1, 0, ones_fmp(5, p)),
+            (-inv(120), 0, l1(5)),
+            (-inv(15), 0, f_poly(3, p) * l1(2)),
+            (-inv(5), 0, f_poly(5, p)),
+        ],
     )
     return [
         ("closed-form {'n': 3}", n3),

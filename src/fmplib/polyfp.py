@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, islice, zip_longest
+from operator import add, sub
 
 from .modular import PrimeMismatch, require_prime
 
@@ -16,10 +17,39 @@ __all__ = [
 
 def _normalize(coeffs: Sequence[int]) -> tuple[int, ...]:
     """coeffs without trailing zeros, in one copy."""
+    if not any(coeffs):
+        return ()
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs if n == len(coeffs) else islice(coeffs, n))
+
+
+def _shift_add(
+    terms: Iterable[tuple[int, int, Sequence[int]]], p: int, size: int = 0
+) -> list[int]:
+    """The sum of c * t^shift * f over the (c, shift, f) terms, each f a
+    coefficient sequence, as a list of at least size coefficients.
+
+    Every term is added into one list of plain ints, and the sum is reduced
+    mod p once at the end, so a sum of many polynomials costs one pass per
+    term and one reduction.  Weights may be any ints, negative too.
+    """
+    out = [0] * size
+    for c, shift, f in terms:
+        if not c or not f:
+            continue
+        end = shift + len(f)
+        if end > len(out):
+            out.extend([0] * (end - len(out)))
+        old = out[shift:end]
+        if c == 1:
+            out[shift:end] = map(add, old, f)
+        elif c == -1:
+            out[shift:end] = map(sub, old, f)
+        else:
+            out[shift:end] = [x + c * y for x, y in zip(old, f)]
+    return [x % p for x in out]
 
 
 #: An operand with at most this many nonzero coefficients is multiplied by
@@ -32,25 +62,19 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     """Exact convolution of reduced coefficient vectors.
 
     When one operand has at most _SPARSE_NONZEROS nonzero coefficients, the
-    other is scaled and added in at each of their offsets.  Otherwise
+    other is added in at each of their offsets by _shift_add.  Otherwise
     Kronecker substitution: pack each vector into one big integer with enough
     room per chunk that product coefficients cannot collide, multiply, unpack.
     Exact for every p (no floating point, no fixed-width overflow), and far
     faster than a Python-level schoolbook loop at the degrees the identity
     sweeps reach (~10^3).
     """
-    if not a or not b:
-        return []
     n = len(a) + len(b) - 1
     nonzeros_a, nonzeros_b = len(a) - a.count(0), len(b) - b.count(0)
     if min(nonzeros_a, nonzeros_b) <= _SPARSE_NONZEROS:
         if nonzeros_a > nonzeros_b:
             a, b = b, a
-        out = [0] * n
-        for i in compress(range(len(a)), a):
-            c, j = a[i], i + len(b)
-            out[i:j] = [x + c * y for x, y in zip(out[i:j], b)]
-        return [x % p for x in out]
+        return _shift_add(((a[i], i, b) for i in compress(range(len(a)), a)), p, n)
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
     abig = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
@@ -79,6 +103,19 @@ class PolyFp:
     def of(cls, p: int, coeffs: Iterable[int]) -> "PolyFp":
         require_prime(p)
         return cls(p, _normalize([int(c) % p for c in coeffs]))
+
+    @classmethod
+    def sum_of(cls, p: int, terms: Iterable[tuple[int, int, "PolyFp"]]) -> "PolyFp":
+        """The sum of c * t^shift * f over (c, shift, f) terms, reduced once;
+        see _shift_add."""
+
+        def coefficients():
+            for c, shift, f in terms:
+                if f.p != p:
+                    raise PrimeMismatch(f"mod {p} vs mod {f.p}")
+                yield c, shift, f.coeffs
+
+        return cls(p, _normalize(_shift_add(coefficients(), p)))
 
     @classmethod
     def zero(cls, p: int) -> "PolyFp":
@@ -114,6 +151,8 @@ class PolyFp:
     def __sub__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
         p = self.p
+        if self.coeffs == other.coeffs:
+            return PolyFp(p, ())
         out = [(a - b) % p for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         return PolyFp(p, _normalize(out))
 
@@ -129,6 +168,8 @@ class PolyFp:
             return PolyFp(p, tuple([a * c % p for a in self.coeffs]))
         if isinstance(other, PolyFp):
             self._check(other)
+            if not self.coeffs or not other.coeffs:
+                return PolyFp(self.p, ())
             return PolyFp(self.p, _normalize(_convolve(self.coeffs, other.coeffs, self.p)))
         return NotImplemented
 

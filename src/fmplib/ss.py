@@ -9,6 +9,7 @@ with 1-t its right side, so the residual is F(t) - F(1-t).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -179,20 +180,19 @@ def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:
 def oy_from_ss(index: Index, p: int) -> PolyFp:
     """Rebuild the chain-sum polylog as sum over i of t^{(i-1)p} times the
     slot-indexed strict-chain polylogs of the grouped indices; must agree with
-    oy_fmp exactly, prime by prime.  Each distinct (grouped index, slot) is
-    evaluated once."""
-    groups = enumerate_phi(index.depth)
-    polys: dict[tuple[Index, int], PolyFp] = {}
-    total = PolyFp.zero(p)
-    for i in sorted(groups):
-        inner = PolyFp.zero(p)
-        for phi in groups[i]:
-            key = (grouped_index(phi, index), phi.values[-1])
-            if key not in polys:
-                polys[key] = ss_star(*key, p)
-            inner = inner + polys[key]
-        total = total + inner.shifted((i - 1) * p)
-    return total
+    oy_fmp exactly, prime by prime.  Each distinct (group, grouped index,
+    slot) is one term weighted by its count of surjections, and each distinct
+    (grouped index, slot) is evaluated once."""
+    counts = Counter(
+        (i, grouped_index(phi, index), phi.values[-1])
+        for i, phis in enumerate_phi(index.depth).items()
+        for phi in phis
+    )
+    keys = dict.fromkeys((grouped, slot) for _, grouped, slot in counts)
+    polys = {key: ss_star(*key, p) for key in keys}
+    return PolyFp.sum_of(
+        p, [(c, (i - 1) * p, polys[grouped, slot]) for (i, grouped, slot), c in counts.items()]
+    )
 
 
 def _corollary_residual(n: int, p: int) -> PolyFp:

@@ -7,10 +7,10 @@ per-coefficient loop that the fast path replaced, kept here as it was.
 import math
 
 from fmplib import identities
-from fmplib.fmp import Index
+from fmplib.fmp import Index, oy_fmp, zeta_variant
 from fmplib.modular import inverse_table, require_prime
 from fmplib.polyfp import PolyFp, compose_one_minus_t
-from fmplib.ss import ss_star
+from fmplib.ss import enumerate_phi, grouped_index, ss_star
 
 
 def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
@@ -155,6 +155,66 @@ def correction_sum_powers(n: int, p: int) -> PolyFp:
         weight = math.factorial(k - 1) % p
         fg = identities.f_poly(k, p) + identities.g_poly(k, p)
         total = total + fg * identities._depth1_power(n - k, p) * weight
+    return total
+
+
+def window_poly(parts: tuple[int, ...], p: int) -> PolyFp:
+    """Sum over i = 1..len(parts) of (window slice i) * t^{i*p}, one
+    zeta_variant per slice."""
+    coeffs = [0] * (len(parts) * p + 1)
+    for i in range(1, len(parts) + 1):
+        coeffs[i * p] = zeta_variant(Index(parts), i, p).value
+    return PolyFp.of(p, coeffs)
+
+
+def f_term(n: int, k: int, p: int) -> PolyFp:
+    """The k-th summand of f_n as a product: window polynomial of
+    ({1}^{n-k-2}, 2) times the depth-k all-ones polylog."""
+    return window_poly((1,) * (n - k - 2) + (2,), p) * identities.ones_fmp(k, p)
+
+
+def g_term(n: int, k: int, p: int) -> PolyFp:
+    """The k-th summand of g_n as a product: window polynomial of {1}^m,
+    m = n-k-2, times the polylog of (2, {1}^k); zero when m < 1."""
+    m = n - k - 2
+    if m < 1:
+        return PolyFp.zero(p)
+    return window_poly((1,) * m, p) * oy_fmp(Index((2,) + (1,) * k), p)
+
+
+def f_poly_sum(n: int, p: int) -> PolyFp:
+    """f_n as a chain of reduced additions of its summands."""
+    return sum((f_term(n, k, p) for k in range(n - 1)), PolyFp.zero(p))
+
+
+def g_poly_sum(n: int, p: int) -> PolyFp:
+    """g_n as a chain of reduced additions of its summands."""
+    return sum((g_term(n, k, p) for k in range(n - 1)), PolyFp.zero(p))
+
+
+def shuffle_lemma_sum(n: int, p: int) -> PolyFp:
+    """The shuffle-lemma residual from f_poly_sum and g_poly_sum."""
+    rhs = identities.ones_fmp(n, p) * n - f_poly_sum(n, p) - g_poly_sum(n, p)
+    return identities._bridge(n, 0, p) - rhs
+
+
+def recurrence_sum(n: int, k: int, p: int) -> PolyFp:
+    """The recurrence residual from f_term and g_term."""
+    bridge = identities._bridge
+    rhs = bridge(n, k + 1, p) + identities.ones_fmp(n, p) - f_term(n, k, p) - g_term(n, k, p)
+    return bridge(n, k, p) - rhs
+
+
+def oy_from_ss_loop(index: Index, p: int) -> PolyFp:
+    """The conversion surjection by surjection: each strict-chain polylog
+    added once per surjection, each group shifted by t^{(i-1)p}."""
+    groups = enumerate_phi(index.depth)
+    total = PolyFp.zero(p)
+    for i in sorted(groups):
+        inner = PolyFp.zero(p)
+        for phi in groups[i]:
+            inner = inner + ss_star(grouped_index(phi, index), phi.values[-1], p)
+        total = total + inner.shifted((i - 1) * p)
     return total
 
 

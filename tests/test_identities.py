@@ -5,9 +5,16 @@ import itertools
 import math
 
 import pytest
-from oracles import correction_sum_powers, main_theorem_direct
+from oracles import (
+    correction_sum_powers,
+    f_poly_sum,
+    g_poly_sum,
+    main_theorem_direct,
+    recurrence_sum,
+    shuffle_lemma_sum,
+)
 
-from fmplib import identities
+from fmplib import fmp, identities
 from fmplib.fmp import (
     BlockTriple,
     Index,
@@ -78,6 +85,51 @@ def test_f3_closed_form(p):
 @pytest.mark.parametrize("p", [7, 11])
 def test_f4_factorizes(p):
     assert f_poly(4, p) == f_poly(3, p) * ones_fmp(1, p)
+
+
+def _assert_error_terms_match_sums_of_products(p, depths):
+    for n in depths:
+        assert f_poly(n, p) == f_poly_sum(n, p), n
+        assert g_poly(n, p) == g_poly_sum(n, p), n
+        assert shuffle_lemma_residual(n, p) == shuffle_lemma_sum(n, p), n
+        for k in range(n - 1):
+            assert recurrence_residual(n, k, p) == recurrence_sum(n, k, p), (n, k)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101, 1009])
+def test_error_terms_match_sums_of_products(p):
+    depths = range(1, min(p, 6))
+    _assert_error_terms_match_sums_of_products(p, depths)
+    # g_n vanishes for n <= 5; the perturbed test below makes it nonzero.
+    assert not f_poly(4, p).is_zero
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_error_terms_match_sums_of_products_where_nonzero(p, monkeypatch):
+    # Window 2 of (1,2) and of (1,1) off by one, seen by the one-pass slices
+    # and by zeta_variant alike: the k = n-3 summand of f_n and the k = n-4
+    # summand of g_n change, so g_4, g_5 and the shuffle and recurrence
+    # residuals are nonzero and must still agree.
+    original = fmp._chain_values
+
+    def perturbed(parts, q):
+        values = original(parts, q)
+        if parts in ((1, 2), (1, 1)):
+            values = values[: q + 1] + ((values[q + 1] + 1) % q,) + values[q + 2 :]
+        return values
+
+    monkeypatch.setattr(fmp, "_chain_values", perturbed)
+    monkeypatch.setattr(identities, "_chain_values", perturbed)
+    _clear_identity_memos()
+    try:
+        _assert_error_terms_match_sums_of_products(p, range(3, 6))
+        assert not g_poly(4, p).is_zero and not g_poly(5, p).is_zero
+        for n in range(3, 6):
+            assert not shuffle_lemma_residual(n, p).is_zero, n
+            assert not recurrence_residual(n, n - 3, p).is_zero, n
+    finally:
+        original.cache_clear()
+        _clear_identity_memos()
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (2, 11), (3, 7), (3, 13), (5, 7), (5, 11)])

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import compose_binomial, compose_horner, schoolbook_mul
 
@@ -13,6 +13,7 @@ from fmplib.polyfp import (
     _SPARSE_NONZEROS,
     PolyFp,
     _convolve,
+    _shift_add,
     compose_one_minus_t,
 )
 
@@ -99,6 +100,8 @@ def test_prime_mismatch():
         PolyFp.one(5) * PolyFp.one(7)
     with pytest.raises(PrimeMismatch):
         PolyFp.one(5) + PolyFp.one(7)
+    with pytest.raises(PrimeMismatch):
+        PolyFp.sum_of(5, [(1, 0, PolyFp.one(5)), (1, 0, PolyFp.one(7))])
 
 
 @given(poly_pairs())
@@ -139,6 +142,37 @@ def test_sparse_mul_zero_operand():
     # an unnormalized all-zero vector has no nonzeros, so it takes the sparse path
     assert _convolve((0, 0, 0), f.coeffs, p) == [0] * (len(f.coeffs) + 2)
     assert _convolve(f.coeffs, (0, 0, 0), p) == [0] * (len(f.coeffs) + 2)
+
+
+_coefficient_lists = st.one_of(
+    st.just([]),
+    st.lists(st.just(0), min_size=1, max_size=5),
+    st.lists(st.integers(-500, 500), max_size=12),
+)
+
+
+@st.composite
+def shift_add_terms(draw):
+    """(c, shift, coefficients) terms with weights of either sign or zero,
+    zero and unreduced coefficient lists, and shifts that overlap."""
+    p = draw(st.sampled_from(PRIMES))
+    weights = st.one_of(st.just(0), st.just(1), st.just(-1), st.integers(-3 * p, 3 * p))
+    terms = st.tuples(weights, st.integers(0, 15), _coefficient_lists)
+    return p, draw(st.lists(terms, max_size=8))
+
+
+@example((7, []))
+@given(shift_add_terms())
+def test_sum_of_matches_schoolbook_products(data):
+    p, terms = data
+    polys = [(c, shift, PolyFp.of(p, coeffs)) for c, shift, coeffs in terms]
+    expected = PolyFp.zero(p)
+    for c, shift, f in polys:
+        expected = expected + schoolbook_mul(PolyFp.monomial(p, shift, c), f)
+    assert PolyFp.sum_of(p, polys) == expected
+    # the raw accumulator takes unreduced lists with trailing zeros, and pads
+    raw = _shift_add(terms, p, size=20)
+    assert len(raw) >= 20 and PolyFp.of(p, raw) == expected
 
 
 @given(poly_pairs(count=3))

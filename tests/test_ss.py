@@ -9,7 +9,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eval_terms, ss_star_loop
+from oracles import eval_terms, oy_from_ss_loop, ss_star_loop
 
 from fmplib import ss
 from fmplib.fmp import Index, all_indices, oy_fmp
@@ -199,6 +199,35 @@ def test_conversion_depth3():
 def test_conversion_family(p):
     for idx in all_indices(4, 3):
         assert oy_from_ss(idx, p) == oy_fmp(idx, p), str(idx)
+
+
+CONVERSION_INDICES = [Index.ones(n) for n in range(1, 5)] + [Index.of(1, 2, 1), Index.of(3, 1, 2)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101, 1009])
+def test_conversion_matches_the_surjection_loop(p):
+    for idx in CONVERSION_INDICES:
+        assert oy_from_ss(idx, p) == oy_from_ss_loop(idx, p), str(idx)
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_conversion_matches_the_surjection_loop_where_nonzero(p, monkeypatch):
+    # A strict-chain polylog off by t that two surjections of [4] share: the
+    # conversion no longer equals the chain-sum polylog, and the weighted
+    # terms must still equal the surjection loop.
+    original = ss.ss_star
+
+    def perturbed(index, slot, q):
+        poly = original(index, slot, q)
+        if (index.parts, slot) == ((2, 1, 1), 1):
+            poly = poly + PolyFp.of(q, [0, 1])
+        return poly
+
+    monkeypatch.setattr(ss, "ss_star", perturbed)
+    monkeypatch.setattr(oracles, "ss_star", perturbed)
+    idx = Index.ones(4)
+    assert oy_from_ss(idx, p) != oy_fmp(idx, p)
+    assert oy_from_ss(idx, p) == oy_from_ss_loop(idx, p)
 
 
 def test_conversion_cap():

@@ -320,7 +320,7 @@ def test_parse_prime_range_rejects(text):
         parse_prime_range(text)
 
 
-@pytest.mark.parametrize("text", ["5..", "..5", "a..b", "1..x", "", "0", "3..1", "0..2"])
+@pytest.mark.parametrize("text", ["5..", "..5", "a..b", "1..x", "", "3..1"])
 def test_parse_n_values_rejects(text):
     with pytest.raises(argparse.ArgumentTypeError):
         parse_n_values(text)
@@ -416,6 +416,18 @@ def test_cli_verify_refuses_before_sweeping(monkeypatch, argv):
     with pytest.raises(SystemExit) as err:
         main(["verify", *argv])
     assert err.value.code == f"error: {_REFUSALS[' '.join(argv)]}; nothing to verify"
+
+
+# A depth below 1 is refused by RunConfig, the one place that checks it.
+_DEPTH_REFUSALS = {"0": "(0,)", "0..2": "(0, 1, 2)"}
+
+
+@pytest.mark.parametrize("text", list(_DEPTH_REFUSALS))
+def test_cli_verify_refuses_depth_below_one(monkeypatch, text):
+    monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "main-theorem", "--n", text, "--primes", "5..31"])
+    assert err.value.code == f"error: depths must be >= 1, got {_DEPTH_REFUSALS[text]}"
 
 
 def test_cli_verify_all_matches_merged_sweeps(capsys):

@@ -40,13 +40,14 @@ def counts(monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    seen = {"dense": 0, "steps": 0, "compositions": 0, "ss_star": 0, "oracles": 0}
+    seen = {"products": 0, "dense": 0, "steps": 0, "compositions": 0, "ss_star": 0, "oracles": 0}
     convolve, window_extend = polyfp._convolve, fmp._window_extend
     compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
     oracle = fmp.naive_reference_general
 
     def counted_convolve(a, b, p):
         # An operand with few nonzeros is shift-and-add, not a dense product.
+        seen["products"] += 1
         if min(len(a) - a.count(0), len(b) - b.count(0)) > polyfp._SPARSE_NONZEROS:
             seen["dense"] += 1
         return convolve(a, b, p)
@@ -90,7 +91,9 @@ def test_all_ones_identities_share_products_and_chain_steps(counts):
     report = run_sweep(RunConfig(lo=P, hi=P, identities=ids))
     assert report.ok
     _all_checked_pass(report)
-    assert counts["dense"] <= 4, counts
+    # f_n, g_n and the residuals are sums of shifted terms: the only products
+    # are the four dense bridges.
+    assert counts["products"] == counts["dense"] <= 4, counts
     assert counts["steps"] <= 14, counts
 
 
@@ -132,6 +135,13 @@ def test_full_sweep_at_one_prime(counts):
     assert len(checked) == 23
     assert ("main-theorem", {"n": 1}) not in checked
     assert ("oracle-crosscheck", {}) not in checked
+    # Every product is dense but the three of f_3, which has two nonzero
+    # coefficients, with a power of the depth-1 polylog: f_3 * L_1 in the
+    # correction sum of functional-eq n = 4 and in the f_4 factorization, and
+    # f_3 * L_1^2 in the depth-5 closed form.  The error terms, the residuals,
+    # the conversion and the advertised closed forms are sums of shifted
+    # terms and form no product.
+    assert counts["products"] <= 34, counts
     assert counts["dense"] <= 31, counts
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 8, counts
