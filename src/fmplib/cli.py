@@ -22,7 +22,6 @@ from .sweep import (
     IDENTITY_IDS,
     RunConfig,
     SweepReport,
-    checks_anything,
     merge_reports,
     require_workers,
     run_sweep,
@@ -128,10 +127,9 @@ def _cmd_verify(args) -> int:
         workers=args.workers,
     )
     require_workers(config.workers)
-    if not checks_anything(config):
-        raise ValueError(
-            f"no prime in {lo}..{hi} was checked {skip_reason(config)}; nothing to verify"
-        )
+    reason = skip_reason(config)
+    if reason is not None:
+        raise ValueError(f"no prime in {lo}..{hi} was checked {reason}; nothing to verify")
     return _emit(lambda: run_sweep(config), args)
 
 

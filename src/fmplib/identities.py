@@ -19,11 +19,11 @@ from .polyfp import PolyFp, compose_one_minus_t
 __all__ = [
     "FactorialNotInvertible",
     "closed_form_residuals",
-    "curly_L",
     "depth5_symmetry_difference",
     "f_poly",
     "functional_eq_residual",
     "g_poly",
+    "kontsevich_residual",
     "main_theorem_residual",
     "obstruction_n5_closed_form",
     "obstruction_n5_residual",
@@ -121,30 +121,11 @@ def recurrence_residual(n: int, k: int, p: int) -> PolyFp:
     return PolyFp.sum_of(p, terms + _f_terms(n, k, p) + _g_terms(n, k, p))
 
 
-def _correction_sum(n: int, p: int) -> PolyFp:
-    """Sum over k = 2..n of (k-1)! (f_k + g_k) * (depth-1 polylog)^(n-k), by
-    Horner in the depth-1 polylog; the k = 1 term is zero, because f_1 and
-    g_1 are empty sums."""
-    total = PolyFp.zero(p)
-    for k in range(2, n + 1):
-        w = math.factorial(k - 1) % p
-        step = [(1, 0, total * ones_fmp(1, p)), (w, 0, f_poly(k, p)), (w, 0, g_poly(k, p))]
-        total = PolyFp.sum_of(p, step)
-    return total
-
-
-def curly_L(n: int, p: int) -> PolyFp:
-    """Depth-n polylog minus (1/n!) * correction; equals (1/n!) (depth-1)^n
-    whenever the main identity holds at p."""
-    _require_p_gt_n(n, p)
-    inv_fact = pow(math.factorial(n), -1, p)
-    return PolyFp.sum_of(p, [(1, 0, ones_fmp(n, p)), (-inv_fact, 0, _correction_sum(n, p))])
-
-
 @lru_cache(maxsize=None)
 def main_theorem_residual(n: int, p: int) -> PolyFp:
-    """Depth-n all-ones polylog minus (1/n!) [ (depth-1 polylog)^n + correction ],
-    that is curly_L minus (1/n!) (depth-1 polylog)^n.
+    """Depth-n all-ones polylog minus (1/n!) [ (depth-1 polylog)^n + C_n ], where
+    the correction C_n is the sum over k = 2..n of (k-1)! (f_k + g_k) times
+    (depth-1 polylog)^(n-k).
 
     Computed by the paper's induction step, an exact identity of polynomials:
     n M_n = M_{n-1} * (depth-1 polylog) - S_n, with M_1 = 0, where M_n is this
@@ -160,10 +141,33 @@ def main_theorem_residual(n: int, p: int) -> PolyFp:
     return PolyFp.sum_of(p, [(inv_n, 0, product), (-inv_n, 0, shuffle_lemma_residual(n, p))])
 
 
-def functional_eq_residual(n: int, p: int) -> PolyFp:
-    """The symmetrized combination evaluated at t minus at 1-t."""
-    l = curly_L(n, p)
+@lru_cache(maxsize=None)
+def kontsevich_residual(p: int) -> PolyFp:
+    """K = l(t) - l(1-t) for the depth-1 polylog l."""
+    l = ones_fmp(1, p)
     return l - compose_one_minus_t(l)
+
+
+def functional_eq_residual(n: int, p: int) -> PolyFp:
+    """L_n(t) - L_n(1-t) for L_n = depth-n polylog - C_n/n! = l^n/n! + M_n,
+    with l the depth-1 polylog and M_n the main theorem's residual.
+
+    Composition with 1-t is a ring homomorphism taking l to E = l - K, so
+    exactly the residual is (l^n - E^n)/n! + M_n - M_n(1-t).  The difference
+    of powers is P_n, with P_1 = U_1 = K, U_j = E U_{j-1} and
+    P_j = l P_{j-1} + U_j.  Where K = 0 every product has a zero operand, and
+    where M_n = 0 the composition returns at once, so neither costs work.
+    """
+    _require_p_gt_n(n, p)
+    l, kont = ones_fmp(1, p), kontsevich_residual(p)
+    e = l - kont
+    powers = unit = kont
+    for _ in range(n - 1):
+        unit = e * unit
+        powers = l * powers + unit
+    m = main_theorem_residual(n, p)
+    inv_fact = pow(math.factorial(n), -1, p)
+    return PolyFp.sum_of(p, [(inv_fact, 0, powers), (1, 0, m), (-1, 0, compose_one_minus_t(m))])
 
 
 def depth5_symmetry_difference(p: int) -> PolyFp:

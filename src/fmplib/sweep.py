@@ -31,14 +31,14 @@ from .fmp import (
 from .identities import (
     closed_form_residuals,
     functional_eq_residual,
+    kontsevich_residual,
     main_theorem_residual,
     obstruction_n5_residual,
-    ones_fmp,
     recurrence_residual,
     shuffle_lemma_residual,
 )
 from .modular import bernoulli_mod, primes_in
-from .polyfp import PolyFp, compose_one_minus_t
+from .polyfp import PolyFp
 from .ss import (
     corollary_depth3_residual,
     corollary_depth4_residual,
@@ -54,7 +54,6 @@ __all__ = [
     "PrimeOutcome",
     "RunConfig",
     "SweepReport",
-    "checks_anything",
     "default_floor",
     "merge_reports",
     "require_workers",
@@ -71,11 +70,6 @@ class ConflictError(ValueError):
 # per-prime evaluators: a residual polynomial, or an iterable of (note,
 # residual) checks; zero residuals mean pass, and the first nonzero check
 # fails the prime with its note
-
-
-def _kontsevich(p):
-    f = ones_fmp(1, p)
-    return f - compose_one_minus_t(f)
 
 
 def _recurrence(n, p):
@@ -173,7 +167,7 @@ class _Identity:
 # depth-4 all-ones polylog's t <-> 1-t symmetry, which fails at n = p - 1.
 # The main theorem's residual at n = 1 is zero by definition (M_1 = 0).
 _IDENTITIES = {
-    "kontsevich": _Identity(_kontsevich),
+    "kontsevich": _Identity(kontsevich_residual),
     "shuffle-lemma": _Identity(
         shuffle_lemma_residual, (1, 2, 3, 4, 5), lambda n: max(5, n + 1)
     ),
@@ -434,26 +428,23 @@ def _jobs(config: RunConfig) -> list[tuple[str, dict]]:
     ]
 
 
-def _notes_at_floor(config: RunConfig):
-    """The skip gate's note for each (job, prime) pair at or above the job's
-    floor, None where the pair is evaluated; nothing is evaluated."""
+def skip_reason(config: RunConfig) -> str | None:
+    """None when a sweep would evaluate some job at some prime at or above its
+    floor; otherwise why nothing is checked: the skip gate's notes at or
+    above the floors, or the floors when no prime of the range reaches them.
+    Decided from the skip gate alone, before anything is evaluated, and
+    stopped at the first evaluated (job, prime) pair."""
     primes = primes_in(config.lo, config.hi)
+    notes: dict[str, None] = {}
     for ident, params in _jobs(config):
         floor = config.floor(ident, params)
-        yield from (_null_note(ident, params, p) for p in primes if p >= floor)
-
-
-def checks_anything(config: RunConfig) -> bool:
-    """Whether a sweep would evaluate some job at some prime at or above its
-    floor.  Decided from the skip gate alone, before anything is evaluated."""
-    return any(note is None for note in _notes_at_floor(config))
-
-
-def skip_reason(config: RunConfig) -> str:
-    """For a request that checks nothing, why: the skip gate's notes at or
-    above the floors, or the floors when no prime of the range reaches them."""
-    notes = "; ".join(dict.fromkeys(_notes_at_floor(config)))
-    return f"({notes})" if notes else "at or above the identity floor"
+        for p in primes:
+            if p >= floor:
+                note = _null_note(ident, params, p)
+                if note is None:
+                    return None
+                notes[note] = None
+    return f"({'; '.join(notes)})" if notes else "at or above the identity floor"
 
 
 def run_sweep(config: RunConfig) -> SweepReport:

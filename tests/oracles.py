@@ -140,13 +140,6 @@ def ss_star_loop(index: Index, slot: int, p: int) -> PolyFp:
     return PolyFp.of(p, [heads[v] * tails[v] % p for v in range(p)])
 
 
-def main_theorem_direct(n: int, p: int) -> PolyFp:
-    """The main-theorem residual by its definition, curly_L minus
-    (1/n!) (depth-1 polylog)^n, forming every power of the depth-1 polylog."""
-    inv_fact = pow(math.factorial(n), -1, p)
-    return identities.curly_L(n, p) - identities._depth1_power(n, p) * inv_fact
-
-
 def correction_sum_powers(n: int, p: int) -> PolyFp:
     """The correction sum term by term: (k-1)! (f_k + g_k) times the memoized
     power (depth-1 polylog)^(n-k), summed over k = 2..n."""
@@ -156,6 +149,27 @@ def correction_sum_powers(n: int, p: int) -> PolyFp:
         fg = identities.f_poly(k, p) + identities.g_poly(k, p)
         total = total + fg * identities._depth1_power(n - k, p) * weight
     return total
+
+
+def curly_L(n: int, p: int) -> PolyFp:
+    """Depth-n polylog minus (1/n!) * correction sum; equals (1/n!) times
+    (depth-1 polylog)^n whenever the main theorem holds at p."""
+    inv_fact = pow(math.factorial(n), -1, p)
+    return identities.ones_fmp(n, p) - correction_sum_powers(n, p) * inv_fact
+
+
+def main_theorem_direct(n: int, p: int) -> PolyFp:
+    """The main-theorem residual by its definition, curly_L minus
+    (1/n!) (depth-1 polylog)^n, forming every power of the depth-1 polylog."""
+    inv_fact = pow(math.factorial(n), -1, p)
+    return curly_L(n, p) - identities._depth1_power(n, p) * inv_fact
+
+
+def functional_eq_direct(n: int, p: int) -> PolyFp:
+    """The functional-equation residual by its definition, curly_L at t minus
+    curly_L at 1-t, composing the whole of curly_L."""
+    l = curly_L(n, p)
+    return l - compose_one_minus_t(l)
 
 
 def window_poly(parts: tuple[int, ...], p: int) -> PolyFp:

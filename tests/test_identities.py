@@ -6,8 +6,9 @@ import math
 
 import pytest
 from oracles import (
-    correction_sum_powers,
+    curly_L,
     f_poly_sum,
+    functional_eq_direct,
     g_poly_sum,
     main_theorem_direct,
     recurrence_sum,
@@ -26,10 +27,10 @@ from fmplib.identities import (
     FactorialNotInvertible,
     _bridge,
     closed_form_residuals,
-    curly_L,
     f_poly,
     functional_eq_residual,
     g_poly,
+    kontsevich_residual,
     main_theorem_residual,
     obstruction_n5_residual,
     ones_fmp,
@@ -104,32 +105,36 @@ def test_error_terms_match_sums_of_products(p):
     assert not f_poly(4, p).is_zero
 
 
-@pytest.mark.parametrize("p", [11, 101])
-def test_error_terms_match_sums_of_products_where_nonzero(p, monkeypatch):
-    # Window 2 of (1,2) and of (1,1) off by one, seen by the one-pass slices
-    # and by zeta_variant alike: the k = n-3 summand of f_n and the k = n-4
-    # summand of g_n change, so g_4, g_5 and the shuffle and recurrence
-    # residuals are nonzero and must still agree.
+def _bump_chain_values(monkeypatch, indices, position):
+    """Add 1 to the chain value at S = position(p) of each index in indices.
+    Every polylog, window slice and bridge reads fmp._chain_values, and each
+    chain extends its prefix's, so the perturbed objects stay consistent with
+    one another.  Use with fresh_memos, so that no memo keeps them."""
     original = fmp._chain_values
 
     def perturbed(parts, q):
         values = original(parts, q)
-        if parts in ((1, 2), (1, 1)):
-            values = values[: q + 1] + ((values[q + 1] + 1) % q,) + values[q + 2 :]
+        if parts in indices:
+            s = position(q)
+            values = values[:s] + ((values[s] + 1) % q,) + values[s + 1 :]
         return values
 
     monkeypatch.setattr(fmp, "_chain_values", perturbed)
     monkeypatch.setattr(identities, "_chain_values", perturbed)
-    _clear_identity_memos()
-    try:
-        _assert_error_terms_match_sums_of_products(p, range(3, 6))
-        assert not g_poly(4, p).is_zero and not g_poly(5, p).is_zero
-        for n in range(3, 6):
-            assert not shuffle_lemma_residual(n, p).is_zero, n
-            assert not recurrence_residual(n, n - 3, p).is_zero, n
-    finally:
-        original.cache_clear()
-        _clear_identity_memos()
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_error_terms_match_sums_of_products_where_nonzero(p, monkeypatch, fresh_memos):
+    # Window 2 of (1,2) and of (1,1) off by one, seen by the one-pass slices
+    # and by zeta_variant alike: the k = n-3 summand of f_n and the k = n-4
+    # summand of g_n change, so g_4, g_5 and the shuffle and recurrence
+    # residuals are nonzero and must still agree.
+    _bump_chain_values(monkeypatch, ((1, 2), (1, 1)), lambda q: q + 1)
+    _assert_error_terms_match_sums_of_products(p, range(3, 6))
+    assert not g_poly(4, p).is_zero and not g_poly(5, p).is_zero
+    for n in range(3, 6):
+        assert not shuffle_lemma_residual(n, p).is_zero, n
+        assert not recurrence_residual(n, n - 3, p).is_zero, n
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (2, 11), (3, 7), (3, 13), (5, 7), (5, 11)])
@@ -249,12 +254,6 @@ def test_main_theorem_factorial_guard():
         main_theorem_residual(7, 7)
 
 
-def _clear_identity_memos():
-    for value in vars(identities).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 @pytest.mark.parametrize("p", [7, 11, 101])
 def test_main_theorem_recursion_matches_direct_formula(p):
     for n in range(1, 6):
@@ -262,7 +261,7 @@ def test_main_theorem_recursion_matches_direct_formula(p):
 
 
 @pytest.mark.parametrize("p", [11, 101])
-def test_main_theorem_recursion_with_perturbed_f3(p, monkeypatch):
+def test_main_theorem_recursion_with_perturbed_f3(p, monkeypatch, fresh_memos):
     # On correct code every M_{n-1} is zero, so the recursion's product
     # M_{n-1} * (depth-1 polylog) is never formed.  A wrong f_3 makes
     # M_3..M_5 nonzero, and the recursion must still give the definition.
@@ -271,24 +270,15 @@ def test_main_theorem_recursion_with_perturbed_f3(p, monkeypatch):
     monkeypatch.setattr(
         identities, "f_poly", lambda n, q: original(n, q) + bump if n == 3 else original(n, q)
     )
-    _clear_identity_memos()
-    try:
-        nonzero = [n for n in range(1, 6) if not main_theorem_direct(n, p).is_zero]
-        assert nonzero == [3, 4, 5]
-        for n in range(1, 6):
-            assert main_theorem_residual(n, p) == main_theorem_direct(n, p), n
-    finally:
-        _clear_identity_memos()
-
-
-@pytest.mark.parametrize("p", [7, 11, 101])
-def test_correction_sum_horner_matches_powers(p):
+    nonzero = [n for n in range(1, 6) if not main_theorem_direct(n, p).is_zero]
+    assert nonzero == [3, 4, 5]
     for n in range(1, 6):
-        assert identities._correction_sum(n, p) == correction_sum_powers(n, p), n
-    assert not identities._correction_sum(5, p).is_zero
+        assert main_theorem_residual(n, p) == main_theorem_direct(n, p), n
 
 
 def test_curly_l_small():
+    # The oracle's curly_L, from which the direct forms of the main theorem
+    # and the functional equation are built.
     assert curly_L(1, 5) == ones_fmp(1, 5)
     p = 7
     half = pow(2, p - 2, p)
@@ -301,6 +291,39 @@ def test_curly_l_small():
 @pytest.mark.parametrize("n,p", [(1, 5), (2, 7), (3, 7), (4, 11), (5, 11)])
 def test_functional_equation(n, p):
     assert functional_eq_residual(n, p).is_zero
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_functional_eq_matches_direct_form(p):
+    for n in range(1, min(6, p - 1) + 1):
+        assert functional_eq_residual(n, p) == functional_eq_direct(n, p), n
+
+
+# Consistent perturbations of the chain values: (index, S as a function of p,
+# smallest depth with a nonzero residual).  The first changes the depth-1
+# polylog and so every deeper one, which makes K and M_2, M_3, ... nonzero;
+# the second changes window 2 of (1,2), so f_3 and M_n for n >= 3, and
+# leaves K zero.
+_CHAIN_BUMPS = {
+    "(1) at S=2": ((1,), lambda q: 2, 1),
+    "(1,2) at S=p+1": ((1, 2), lambda q: q + 1, 3),
+}
+
+
+@pytest.mark.parametrize("bump", list(_CHAIN_BUMPS))
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_functional_eq_matches_direct_form_perturbed(p, bump, monkeypatch, fresh_memos):
+    parts, position, first = _CHAIN_BUMPS[bump]
+    _bump_chain_values(monkeypatch, (parts,), position)
+    depths = range(1, min(6, p - 1) + 1)
+    for n in depths:
+        assert functional_eq_residual(n, p) == functional_eq_direct(n, p), n
+    nonzero = [n for n in depths if not functional_eq_residual(n, p).is_zero]
+    assert nonzero == list(range(first, depths[-1] + 1))
+    assert [n for n in depths if not main_theorem_residual(n, p).is_zero] == [
+        n for n in nonzero if n > 1
+    ]
+    assert kontsevich_residual(p).is_zero == (parts != (1,))
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (2, 7), (3, 11), (4, 11)])

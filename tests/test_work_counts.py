@@ -4,9 +4,11 @@ The shuffle lemma, the recurrence and the main theorem share their dense
 products and chain steps through the memos: each product of the depth-(n-1)
 and depth-1 polylogs is formed once, every chain extends its prefix's chain,
 and each bridge of the recurrence is one chain step on a shorter bridge.
-The main theorem follows from the shuffle lemma by the induction step, and
-the correction sums are evaluated by Horner, so neither forms a power of the
-depth-1 polylog.  The oracle crosscheck compares each chain once.  These
+The main theorem follows from the shuffle lemma by the induction step, so it
+forms no power of the depth-1 polylog, and the functional equation follows
+from the main theorem and the Kontsevich residual, so it forms no power and
+composes no polylog of depth above 1.  The oracle crosscheck compares each
+chain once.  These
 counts guard that sharing, which no result would reveal if it broke.  A full
 12-identity sweep at one prime is counted too, so that a change to the sweep
 or identity layers cannot add work unseen.
@@ -35,11 +37,7 @@ def _wrap_everywhere(monkeypatch, original, wrapper):
 
 
 @pytest.fixture
-def counts(monkeypatch):
-    for module in _fmplib_modules():
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+def counts(fresh_memos, monkeypatch):
     seen = {"products": 0, "dense": 0, "steps": 0, "compositions": 0, "ss_star": 0, "oracles": 0}
     convolve, window_extend = polyfp._convolve, fmp._window_extend
     compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
@@ -104,11 +102,12 @@ def test_main_theorem_forms_only_the_shuffle_products(counts):
 
 
 def test_functional_eq_forms_no_power_of_depth1(counts):
-    # The correction sums are Horner in the depth-1 polylog, so no power of it
-    # is formed.
+    # One composition of the depth-1 polylog (the Kontsevich residual K) and
+    # the three shuffle bridges of M_2..M_4.  K and every M_n are zero, so the
+    # difference of powers multiplies by zero and M_n(1-t) composes zero.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("functional-eq",)))
     assert all(o.passed is True for e in report.entries for o in e.outcomes)
-    assert counts["dense"] <= 10, counts
+    assert counts["products"] == counts["dense"] <= 4, counts
 
 
 def test_crosscheck_runs_each_loop_oracle_once(counts):
@@ -122,11 +121,12 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
 
 def test_full_sweep_at_one_prime(counts):
     # The bounds are the counts measured with the main theorem taken from the
-    # shuffle lemma, each corollary as one composition of the conversion of
-    # the all-ones index (each distinct strict-chain polylog evaluated once)
-    # and the correction sums by Horner.  The 4 powers of the depth-1 polylog
-    # that closed-forms forms, and the Horner steps of functional-eq's
-    # correction sums, are left.  Neither main-theorem n = 1 nor
+    # shuffle lemma, the functional equation from the main theorem and the
+    # Kontsevich residual, and each corollary as one composition of the
+    # conversion of the all-ones index (each distinct strict-chain polylog
+    # evaluated once).  The 4 powers of the depth-1 polylog that closed-forms
+    # forms are left.  Four of the 8 compositions are functional-eq's M_n(1-t)
+    # of the zero polynomial.  Neither main-theorem n = 1 nor
     # oracle-crosscheck checks anything at this prime.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=IDENTITY_IDS))
     checked = [
@@ -135,14 +135,13 @@ def test_full_sweep_at_one_prime(counts):
     assert len(checked) == 23
     assert ("main-theorem", {"n": 1}) not in checked
     assert ("oracle-crosscheck", {}) not in checked
-    # Every product is dense but the three of f_3, which has two nonzero
-    # coefficients, with a power of the depth-1 polylog: f_3 * L_1 in the
-    # correction sum of functional-eq n = 4 and in the f_4 factorization, and
-    # f_3 * L_1^2 in the depth-5 closed form.  The error terms, the residuals,
-    # the conversion and the advertised closed forms are sums of shifted
-    # terms and form no product.
-    assert counts["products"] <= 34, counts
-    assert counts["dense"] <= 31, counts
+    # Every product is dense but the two of f_3, which has two nonzero
+    # coefficients, with a power of the depth-1 polylog: f_3 * L_1 in the f_4
+    # factorization and f_3 * L_1^2 in the depth-5 closed form.  The error
+    # terms, the residuals, the conversion and the advertised closed forms
+    # are sums of shifted terms and form no product.
+    assert counts["products"] <= 23, counts
+    assert counts["dense"] <= 21, counts
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 8, counts
     assert counts["ss_star"] <= 62, counts
