@@ -23,7 +23,6 @@ from .sweep import (
     RunConfig,
     SweepReport,
     merge_reports,
-    require_workers,
     run_sweep,
     skip_reason,
 )
@@ -35,6 +34,8 @@ def parse_index(text: str) -> Index:
         for atom in text.split(","):
             if "^" in atom:
                 base, _, count = atom.partition("^")
+                if int(count) < 1:
+                    raise ValueError(f"repeat count must be >= 1, got {count}")
                 parts.extend([int(base)] * int(count))
             else:
                 parts.append(int(atom))
@@ -126,7 +127,6 @@ def _cmd_verify(args) -> int:
         floors={} if args.floor is None else {args.identity: args.floor},
         workers=args.workers,
     )
-    require_workers(config.workers)
     reason = skip_reason(config)
     if reason is not None:
         raise ValueError(f"no prime in {lo}..{hi} was checked {reason}; nothing to verify")

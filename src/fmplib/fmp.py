@@ -24,7 +24,6 @@ from .polyfp import PolyFp, _normalize
 
 __all__ = [
     "BlockTriple",
-    "ChainDistribution",
     "Index",
     "ORACLE_BUDGET",
     "OracleTooLarge",
@@ -34,6 +33,7 @@ __all__ = [
     "naive_reference_general",
     "oy_fmp",
     "oy_fmp_general",
+    "window_slices",
     "zeta_variant",
 ]
 
@@ -137,51 +137,40 @@ def _window_extend(values: Sequence[int], k: int, p: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _chain_values(parts: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Chain values of parts, one step on those of parts[:-1]; the empty
-    chain has total 0 with value 1."""
+    chain has total 0 with value 1.  Every value at a multiple of p is zero,
+    checked once per memo entry: a nonzero one means a faulty chain step."""
     if not parts:
         require_prime(p)
         return (1,)
-    return tuple(_window_extend(_chain_values(parts[:-1], p), parts[-1], p))
+    values = tuple(_window_extend(_chain_values(parts[:-1], p), parts[-1], p))
+    if any(values[::p]):
+        raise ValueError(f"nonzero chain value at a multiple of {p} for {parts}")
+    return values
 
 
-@dataclass(frozen=True)
-class ChainDistribution:
-    """values[S] = sum' over chains with final partial sum S, for one index
-    and one prime.  Entries at multiples of p are identically zero."""
-
-    p: int
-    index: Index
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        for s in range(0, len(self.values), self.p):
-            if self.values[s] != 0:
-                raise ValueError(f"nonzero value at excluded S={s}")
-
-    def window_sum(self, i: int) -> Residue:
-        """Sum of values over (i-1)p < S < ip."""
-        if not 1 <= i <= self.index.depth:
-            raise ValueError(f"window {i} out of range 1..{self.index.depth}")
-        lo, hi = (i - 1) * self.p, i * self.p
-        return Residue(sum(self.values[lo + 1 : hi]) % self.p, self.p)
-
-    def to_poly(self) -> PolyFp:
-        return PolyFp(self.p, _normalize(self.values))
+def chain_distribution(index: Index, p: int) -> tuple[int, ...]:
+    """values[S] = sum' over chains with final partial sum S, by the
+    sliding-window DP; entries at multiples of p are zero."""
+    return _chain_values(index.parts, p)
 
 
-def chain_distribution(index: Index, p: int) -> ChainDistribution:
-    """Distribution of final partial sums, by the sliding-window DP."""
-    return ChainDistribution(p, index, _chain_values(index.parts, p))
+def window_slices(index: Index, p: int) -> list[int]:
+    """Every window slice of the chain sum, read in one pass: slice i, for
+    i = 1..depth, sums the chain values over (i-1)p < S < ip."""
+    values = chain_distribution(index, p)
+    return [sum(values[lo + 1 : lo + p]) % p for lo in range(0, index.depth * p, p)]
 
 
 def oy_fmp(index: Index, p: int) -> PolyFp:
     """The chain-sum polylog: sum of values[S] * t^S, degree <= depth*(p-1)."""
-    return chain_distribution(index, p).to_poly()
+    return PolyFp(p, _normalize(chain_distribution(index, p)))
 
 
 def zeta_variant(index: Index, i: int, p: int) -> Residue:
     """Window slice i of the chain sum: restrict to (i-1)p < L_r < ip."""
-    return chain_distribution(index, p).window_sum(i)
+    if not 1 <= i <= index.depth:
+        raise ValueError(f"window {i} out of range 1..{index.depth}")
+    return Residue(window_slices(index, p)[i - 1], p)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 from itertools import chain
 
-from .fmp import BlockTriple, Index, _chain_values, oy_fmp, oy_fmp_general, zeta_variant
+from .fmp import BlockTriple, Index, oy_fmp, oy_fmp_general, window_slices, zeta_variant
 from .modular import bernoulli_mod
 from .polyfp import PolyFp, compose_one_minus_t
 
@@ -57,10 +57,9 @@ def _depth1_power(e: int, p: int) -> PolyFp:
 
 def _window_terms(parts: tuple[int, ...], poly: PolyFp, p: int) -> list:
     """Shift-and-add terms (window slice i, i*p, poly) for i = 1..len(parts):
-    the sum over i of (window slice i) * t^{i*p}, times poly.  Window i sums
-    the chain values of parts over (i-1)p < S < ip, all read in one pass."""
-    values = _chain_values(parts, p)
-    return [(sum(values[lo + 1 : lo + p]) % p, lo + p, poly) for lo in range(0, len(parts) * p, p)]
+    the sum over i of (window slice i) * t^{i*p}, times poly."""
+    slices = window_slices(Index(parts), p)
+    return [(z, i * p, poly) for i, z in enumerate(slices, 1)]
 
 
 def _f_terms(n: int, k: int, p: int) -> list:

@@ -53,8 +53,10 @@ def _shift_add(
 
 
 #: An operand with at most this many nonzero coefficients is multiplied by
-#: shift-and-add.  The identity sweeps produce many such operands: window
-#: polynomials and t^p factors.
+#: shift-and-add.  Measured (`fmp verify all`, Python 3.11, Xeon VM): at
+#: p = 1051 two products take this branch, both f_3 * £_1^e in closed-forms,
+#: 0.5 ms each against 1.9 ms by Kronecker; over 5..199, 240 products do,
+#: 114 in oracle-crosscheck and 90 in closed-forms.
 _SPARSE_NONZEROS = 6
 
 
@@ -138,36 +140,23 @@ class PolyFp:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _check(self, other: "PolyFp"):
-        if self.p != other.p:
-            raise PrimeMismatch(f"mod {self.p} vs mod {other.p}")
-
     def __add__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        p = self.p
-        out = [(a + b) % p for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        return PolyFp(p, _normalize(out))
+        return PolyFp.sum_of(self.p, [(1, 0, self), (1, 0, other)])
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        p = self.p
-        if self.coeffs == other.coeffs:
-            return PolyFp(p, ())
-        out = [(a - b) % p for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        return PolyFp(p, _normalize(out))
+        if self.p == other.p and self.coeffs == other.coeffs:
+            return PolyFp(self.p, ())
+        return PolyFp.sum_of(self.p, [(1, 0, self), (-1, 0, other)])
 
     def __neg__(self) -> "PolyFp":
-        return PolyFp(self.p, tuple(-c % self.p for c in self.coeffs))
+        return PolyFp.sum_of(self.p, [(-1, 0, self)])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            p = self.p
-            c = other % p
-            if c == 0:
-                return PolyFp.zero(p)
-            return PolyFp(p, tuple([a * c % p for a in self.coeffs]))
+            return PolyFp.sum_of(self.p, [(other, 0, self)])
         if isinstance(other, PolyFp):
-            self._check(other)
+            if self.p != other.p:
+                raise PrimeMismatch(f"mod {self.p} vs mod {other.p}")
             if not self.coeffs or not other.coeffs:
                 return PolyFp(self.p, ())
             return PolyFp(self.p, _normalize(_convolve(self.coeffs, other.coeffs, self.p)))

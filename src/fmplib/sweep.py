@@ -56,7 +56,6 @@ __all__ = [
     "SweepReport",
     "default_floor",
     "merge_reports",
-    "require_workers",
     "run_sweep",
     "skip_reason",
 ]
@@ -402,20 +401,14 @@ class RunConfig:
                 raise ValueError(f"floor for {ident} must be >= 5, got {floor}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # A process pool forks every worker at its first task, however few
+        # the tasks, so a count above the CPUs is refused before any pool.
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise ValueError(f"--workers {self.workers} exceeds the {cpus} available CPUs")
 
     def floor(self, identity: str, params: dict) -> int:
         return self.floors.get(identity, default_floor(identity, params))
-
-
-def require_workers(workers: int) -> None:
-    """Reject a worker count above the machine's CPU count.
-
-    A process pool starts every worker up front, however few the tasks, so
-    the entry points check a user's --workers here before any pool starts.
-    """
-    cpus = os.cpu_count() or 1
-    if workers > cpus:
-        raise ValueError(f"--workers {workers} exceeds the {cpus} available CPUs")
 
 
 def _jobs(config: RunConfig) -> list[tuple[str, dict]]:

@@ -20,6 +20,7 @@ from fmplib.fmp import (
     naive_reference_general,
     oy_fmp,
     oy_fmp_general,
+    window_slices,
     zeta_variant,
 )
 from fmplib.modular import Residue
@@ -67,28 +68,43 @@ def test_all_indices_family():
 
 
 def test_chain_distribution_depth1():
-    dist = chain_distribution(Index.of(1), 5)
-    assert dist.values == (0, 1, 3, 2, 4)
+    assert chain_distribution(Index.of(1), 5) == (0, 1, 3, 2, 4)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_chain_distribution_single_tuple(p):
     # only the chain l1 = l2 = 1 ends at total 2
-    dist = chain_distribution(Index.of(1, 1), p)
-    assert dist.values[2] * 2 % p == 1
+    values = chain_distribution(Index.of(1, 1), p)
+    assert values[2] * 2 % p == 1
 
 
 def test_chain_distribution_matches_naive():
-    dist = chain_distribution(Index.of(1, 2), 7)
-    assert dist.to_poly() == naive_reference(Index.of(1, 2), 7)
+    values = chain_distribution(Index.of(1, 2), 7)
+    assert PolyFp.of(7, values) == naive_reference(Index.of(1, 2), 7)
 
 
 @given(small_indices(), st.sampled_from([5, 7, 11]))
 @settings(max_examples=20)
 def test_excluded_positions_are_zero(idx, p):
-    dist = chain_distribution(idx, p)
-    assert all(dist.values[s] == 0 for s in range(0, len(dist.values), p))
-    assert len(dist.values) == idx.depth * (p - 1) + 1
+    values = chain_distribution(idx, p)
+    assert all(values[s] == 0 for s in range(0, len(values), p))
+    assert len(values) == idx.depth * (p - 1) + 1
+
+
+def test_nonzero_value_at_multiple_of_p_is_refused(monkeypatch, fresh_memos):
+    # A faulty chain step that leaves a value at S = p is caught where the
+    # chain values are memoized, before any polylog or slice reads them.
+    original = fmp._window_extend
+
+    def faulty(values, k, p):
+        out = original(values, k, p)
+        if len(out) > p:  # the second step on; the first ends below p
+            out[p] = 1
+        return out
+
+    monkeypatch.setattr(fmp, "_window_extend", faulty)
+    with pytest.raises(ValueError, match="nonzero chain value at a multiple of 7"):
+        oy_fmp(Index.of(1, 1), 7)
 
 
 @st.composite
@@ -171,11 +187,11 @@ def test_zeta_reflection_general(idx, p):
 @given(small_indices(max_weight=6), st.sampled_from([5, 7, 11, 13, 17]))
 @settings(max_examples=25)
 def test_zeta_window_partition(idx, p):
-    dist = chain_distribution(idx, p)
     total = sum(
         zeta_variant(idx, i, p).value for i in range(1, idx.depth + 1)
     ) % p
-    assert total == sum(dist.values) % p
+    assert total == sum(chain_distribution(idx, p)) % p
+    assert window_slices(idx, p) == [zeta_variant(idx, i, p).value for i in range(1, idx.depth + 1)]
 
 
 def test_zeta_window_out_of_range():

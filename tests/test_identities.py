@@ -120,7 +120,6 @@ def _bump_chain_values(monkeypatch, indices, position):
         return values
 
     monkeypatch.setattr(fmp, "_chain_values", perturbed)
-    monkeypatch.setattr(identities, "_chain_values", perturbed)
 
 
 @pytest.mark.parametrize("p", [11, 101])
@@ -347,8 +346,10 @@ def test_obstruction_vanishes_at_irregular_prime():
 
 
 def test_obstruction_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires p >= 7, got 5"):
         obstruction_n5_residual(5)
+    with pytest.raises(ValueError, match="requires p >= 7, got 5"):
+        closed_form_residuals(5)
 
 
 # --- worked closed forms ----------------------------------------------------------

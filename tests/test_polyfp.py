@@ -101,6 +101,9 @@ def test_prime_mismatch():
     with pytest.raises(PrimeMismatch):
         PolyFp.one(5) + PolyFp.one(7)
     with pytest.raises(PrimeMismatch):
+        # equal coefficient tuples at two primes are not a zero difference
+        PolyFp.one(5) - PolyFp.one(7)
+    with pytest.raises(PrimeMismatch):
         PolyFp.sum_of(5, [(1, 0, PolyFp.one(5)), (1, 0, PolyFp.one(7))])
 
 

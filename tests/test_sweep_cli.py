@@ -35,7 +35,7 @@ def _stripped(report: SweepReport) -> str:
 # --- config -------------------------------------------------------------------
 
 
-def test_runconfig_validation():
+def test_runconfig_validation(monkeypatch):
     with pytest.raises(ValueError):
         RunConfig(lo=31, hi=7, identities=("kontsevich",))
     with pytest.raises(ValueError):
@@ -50,6 +50,15 @@ def test_runconfig_validation():
         RunConfig(lo=5, hi=7, identities=("shuffle-lemma",), depths=(0, 1))
     with pytest.raises(ValueError, match="a floor for 'main-theorem', which the request"):
         RunConfig(lo=5, hi=7, identities=("kontsevich",), floors={"main-theorem": 11})
+    # Every caller of run_sweep is bounded, not only the CLI; a pool would
+    # start all its workers, so the bound is tested on the config alone.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="--workers 3 exceeds the 2 available CPUs"):
+        RunConfig(lo=5, hi=7, identities=("kontsevich",), workers=3)
+    assert RunConfig(lo=5, hi=7, identities=("kontsevich",), workers=2).workers == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    with pytest.raises(ValueError, match="--workers 2 exceeds the 1 available CPUs"):
+        RunConfig(lo=5, hi=7, identities=("kontsevich",), workers=2)
 
 
 def test_default_floors():
@@ -177,7 +186,9 @@ def test_sweep_obstruction_reports_exceptional():
     assert failing.residual is not None and failing.residual.startswith("[7;")
 
 
-def test_sweep_deterministic_across_workers():
+def test_sweep_deterministic_across_workers(monkeypatch):
+    # More workers than primes per worker; allowed as if there were 3 CPUs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     base = dict(lo=7, hi=31, identities=("kontsevich", "main-theorem"))
     r1 = run_sweep(RunConfig(workers=1, **base))
     r2 = run_sweep(RunConfig(workers=3, **base))
@@ -303,8 +314,9 @@ def test_parse_index_forms():
     assert parse_index("1^3,2") == Index.of(1, 1, 1, 2)
     with pytest.raises(argparse.ArgumentTypeError):
         parse_index("1,x")
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_index("0,1")
+    for text in ("0,1", "2,1^-3", "1^0,2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_index(text)
 
 
 def test_parse_ranges():
