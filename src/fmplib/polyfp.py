@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, islice, zip_longest
@@ -60,6 +62,33 @@ def _shift_add(
 _SPARSE_NONZEROS = 6
 
 
+def _pack(v: Sequence[int], width: int) -> int:
+    """The integer whose width-byte little-endian chunks are the entries of
+    v, each below 2^(8*width) <= 2^64.  The entries are staged as 8-byte
+    words and copied into the chunks by one strided slice per byte."""
+    words = array("Q", v)
+    if sys.byteorder == "big":
+        words.byteswap()
+    staged = words.tobytes()
+    chunks = bytearray(width * len(v))
+    for j in range(width):
+        chunks[j::width] = staged[j::8]
+    return int.from_bytes(chunks, "little")
+
+
+def _unpack(x: int, width: int, n: int) -> array:
+    """The first n width-byte chunks of x, width <= 8, as 8-byte words:
+    _pack in reverse."""
+    chunks = x.to_bytes(width * n, "little")
+    staged = bytearray(8 * n)
+    for j in range(width):
+        staged[j::8] = chunks[j::width]
+    words = array("Q", staged)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     """Exact convolution of reduced coefficient vectors.
 
@@ -69,7 +98,11 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     room per chunk that product coefficients cannot collide, multiply, unpack.
     Exact for every p (no floating point, no fixed-width overflow), and far
     faster than a Python-level schoolbook loop at the degrees the identity
-    sweeps reach (~10^3).
+    sweeps reach (~10^3).  Up to 8 bytes per chunk (p up to about 2^21 at
+    operand lengths about p), the conversion runs as C-level strided byte
+    copies between the chunks and 8-byte words (_pack, _unpack), and the
+    chunks keep their width, so the bignum product is no larger; wider
+    chunks are converted one coefficient at a time.
     """
     n = len(a) + len(b) - 1
     nonzeros_a, nonzeros_b = len(a) - a.count(0), len(b) - b.count(0)
@@ -79,9 +112,11 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
         return _shift_add(((a[i], i, b) for i in compress(range(len(a)), a)), p, n)
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
+    if width <= 8:
+        return [x % p for x in _unpack(_pack(a, width) * _pack(b, width), width, n)]
     abig = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
     bbig = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    raw = (abig * bbig).to_bytes(width * (len(a) + len(b)), "little")
+    raw = (abig * bbig).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
 
 

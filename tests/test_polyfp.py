@@ -1,6 +1,7 @@
 """Dense polynomial ring over Z/pZ."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import compose_binomial, compose_horner, schoolbook_mul
 
 from fmplib.identities import ones_fmp
-from fmplib.modular import PrimeMismatch
+from fmplib.modular import PrimeMismatch, is_prime
 from fmplib.polyfp import (
     _SPARSE_NONZEROS,
     PolyFp,
@@ -111,6 +112,39 @@ def test_prime_mismatch():
 def test_kronecker_mul_matches_schoolbook(data):
     _, f, g = data
     assert f * g == schoolbook_mul(f, g)
+
+
+def _kronecker_cases():
+    """(p, shorter length, width) with packed width 1 to 8 bytes on both
+    sides of each 2^(8w) boundary: for each w, the largest prime p whose
+    bound (p-1)^2 * 8 fits in w bytes, at the shorter length where the bound
+    still fits and at the one where it first crosses into w + 1 bytes.  Then
+    9 bytes at p = 2^31 - 1, length 8, which is converted coefficient by
+    coefficient."""
+    cases = []
+    for w in range(1, 9):
+        p = math.isqrt((2 ** (8 * w) - 1) // 8) + 1
+        while not is_prime(p) or (p - 1) ** 2 * 8 >= 2 ** (8 * w):
+            p -= 1
+        cross = -(-(2 ** (8 * w)) // (p - 1) ** 2)
+        cases += [(p, cross - 1, w), (p, cross, w + 1)]
+    cases.append((2**31 - 1, 8, 9))
+    return cases
+
+
+@pytest.mark.parametrize("p,length,width", _kronecker_cases())
+def test_kronecker_mul_exact_at_every_width(p, length, width):
+    # The bound is the largest product coefficient, reached when every
+    # coefficient is p - 1; the longer operand is 3 longer.
+    assert ((p - 1) ** 2 * length).bit_length() in range(8 * width - 7, 8 * width + 1)
+    rng = random.Random(p * length)
+    dense = [rng.randrange(1, p) for _ in range(length)]
+    mixed = [rng.randrange(p) for _ in range(length + 3)]
+    for a, b in (([p - 1] * length, [p - 1] * (length + 3)), (dense, mixed)):
+        f, g = PolyFp.of(p, a), PolyFp.of(p, b)
+        expected = list(schoolbook_mul(f, g).coeffs)
+        assert _convolve(f.coeffs, g.coeffs, p) == expected
+        assert _convolve(g.coeffs, f.coeffs, p) == expected
 
 
 @st.composite

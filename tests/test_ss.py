@@ -168,6 +168,22 @@ def test_ss_star_degree_below_p(idx, p):
         assert ss_star(idx, slot, p).degree < p
 
 
+def test_ss_star_exact_across_primes_and_evictions(fresh_memos):
+    # Every slot of every index of weight <= 5 and depth <= 4, with the four
+    # primes interleaved key by key, in forward and then reverse order: the
+    # bounded head and tail memos evict and recompute, and no vector may be
+    # read at the wrong prime or after eviction.
+    primes = (5, 7, 11, 13)
+    keys = [(idx, slot) for idx in all_indices(5, 4) for slot in range(1, idx.depth + 1)]
+    expected = {(key, p): ss_star_reference(*key, p) for key in keys for p in primes}
+    for key in keys + keys[::-1]:
+        for p in primes:
+            assert ss_star(*key, p) == expected[key, p], (key, p)
+    for memo in (ss._heads, ss._tails):
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize < info.misses, info
+
+
 def test_ss_star_slot_range():
     with pytest.raises(ValueError):
         ss_star(Index.of(1, 2), 3, 7)

@@ -8,12 +8,14 @@ The main theorem follows from the shuffle lemma by the induction step, so it
 forms no power of the depth-1 polylog, and the functional equation follows
 from the main theorem and the Kontsevich residual, so it forms no power and
 composes no polylog of depth above 1.  The oracle crosscheck compares each
-chain once.  These
+chain once.  The strict-chain polylogs of prop42 and the corollaries share
+their prefix- and suffix-sum passes through the head and tail memos.  These
 counts guard that sharing, which no result would reveal if it broke.  A full
 12-identity sweep at one prime is counted too, so that a change to the sweep
 or identity layers cannot add work unseen.
 """
 
+import functools
 import sys
 
 import pytest
@@ -38,7 +40,15 @@ def _wrap_everywhere(monkeypatch, original, wrapper):
 
 @pytest.fixture
 def counts(fresh_memos, monkeypatch):
-    seen = {"products": 0, "dense": 0, "steps": 0, "compositions": 0, "ss_star": 0, "oracles": 0}
+    seen = {
+        "products": 0,
+        "dense": 0,
+        "steps": 0,
+        "compositions": 0,
+        "ss_star": 0,
+        "passes": 0,
+        "oracles": 0,
+    }
     convolve, window_extend = polyfp._convolve, fmp._window_extend
     compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
     oracle = fmp.naive_reference_general
@@ -66,11 +76,25 @@ def counts(fresh_memos, monkeypatch):
         seen["oracles"] += 1
         return oracle(blocks, p)
 
+    def counted_passes(memo):
+        # A fresh memo of the same size around a counting step, so a pass is
+        # counted once per miss; the empty prefix or suffix is no pass.
+        step = memo.__wrapped__
+
+        def counted_step(parts, p):
+            seen["passes"] += bool(parts)
+            return step(parts, p)
+
+        return functools.lru_cache(**memo.cache_parameters())(counted_step)
+
     _wrap_everywhere(monkeypatch, convolve, counted_convolve)
     _wrap_everywhere(monkeypatch, window_extend, counted_window_extend)
     _wrap_everywhere(monkeypatch, compose, counted_compose)
     _wrap_everywhere(monkeypatch, ss_star, counted_ss_star)
     _wrap_everywhere(monkeypatch, oracle, counted_oracle)
+    # The steps recurse through the module's names, so the patch counts them.
+    monkeypatch.setattr(ss, "_heads", counted_passes(ss._heads))
+    monkeypatch.setattr(ss, "_tails", counted_passes(ss._tails))
     return seen
 
 
@@ -119,6 +143,16 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
     assert counts["oracles"] <= 166, counts
 
 
+def test_prop42_shares_strict_chain_passes(counts):
+    # 42 strict-chain polylogs over the 14 indices' conversions, built from 14
+    # head and 6 tail passes, each shared by every slot and index that has
+    # its prefix or suffix.
+    report = run_sweep(RunConfig(lo=P, hi=P, identities=("prop42",)))
+    _all_checked_pass(report)
+    assert counts["ss_star"] <= 42, counts
+    assert counts["passes"] <= 20, counts
+
+
 def test_full_sweep_at_one_prime(counts):
     # The bounds are the counts measured with the main theorem taken from the
     # shuffle lemma, the functional equation from the main theorem and the
@@ -145,3 +179,5 @@ def test_full_sweep_at_one_prime(counts):
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 8, counts
     assert counts["ss_star"] <= 62, counts
+    # The corollaries add the head (1,1,1,1) and the tail (1,1,1) to prop42's.
+    assert counts["passes"] <= 22, counts
