@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     closed_form_matches = []
     print(f"{'p':>5} {'B(p-5)':>7} {'w1':>6} {'w2':>6} {'w3':>6} {'w4':>6}  "
           f"{'w2=-2B':>7} {'sym':>4} {'closed':>7}")
-    for p in primes_in(max(lo, 7), hi):
+    for p in (q for q in primes_in(lo, hi) if q >= 7):
         b = bernoulli_mod(p - 5, p).value
         w = [zeta_variant(idx, i, p).value for i in (1, 2, 3, 4)]
         law = w[1] == (-2 * b) % p

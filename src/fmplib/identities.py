@@ -48,6 +48,7 @@ def ones_fmp(k: int, p: int) -> PolyFp:
     return PolyFp.one(p) if k == 0 else oy_fmp(Index.ones(k), p)
 
 
+# Unused by the sweep; perfbench's memo figures and the test oracles read it.
 @lru_cache(maxsize=None)
 def _depth1_power(e: int, p: int) -> PolyFp:
     if e <= 1:
@@ -198,33 +199,27 @@ def obstruction_n5_residual(p: int) -> PolyFp:
 
 def closed_form_residuals(p: int) -> list[tuple[str, PolyFp]]:
     """(note, residual) for each worked closed form, at depths 3, 4, 5, and
-    for the factorization f_4 = f_3 * (depth-1 polylog)."""
+    for the factorization f_4 = f_3 * (depth-1 polylog).
+
+    Each depth-n form is the main theorem with C_n written out: exactly,
+    depth-n polylog - l^n/n! = M_n + C_n/n! for the depth-1 polylog l.  C_n
+    is built by Horner, C_k = C_{k-1} l + (k-1)! (f_k + g_k) with C_1 = 0, and
+    l^2 in the depth-5 tail is the shuffle bridge, so no power of l is formed."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
-    z12 = zeta_variant(Index.of(1, 2), 1, p).value
-    l1 = lambda e: _depth1_power(e, p)
-    inv = lambda c: pow(c, -1, p)
-
-    def minus_tail_third(g):
-        # -(1/3) t^p (1-t)^p z12 g = -(z12/3) (T - T^2) g with T = t^p
-        c = z12 * inv(3)
-        return [(-c, p, g), (c, 2 * p, g)]
-
-    n3 = PolyFp.sum_of(p, [(1, 0, ones_fmp(3, p)), (-inv(6), 0, l1(3))] + minus_tail_third(l1(0)))
-    n4 = PolyFp.sum_of(p, [(1, 0, ones_fmp(4, p)), (-inv(24), 0, l1(4))] + minus_tail_third(l1(1)))
-    f4 = f_poly(4, p) - f_poly(3, p) * l1(1)
-    n5 = PolyFp.sum_of(
-        p,
-        [
-            (1, 0, ones_fmp(5, p)),
-            (-inv(120), 0, l1(5)),
-            (-inv(15), 0, f_poly(3, p) * l1(2)),
-            (-inv(5), 0, f_poly(5, p)),
-        ],
-    )
+    l, f3, inv = ones_fmp(1, p), f_poly(3, p), lambda c: pow(c, -1, p)
+    theorem, c_n = {}, PolyFp.zero(p)
+    for n in range(2, 6):
+        w = math.factorial(n - 1)
+        c_n = PolyFp.sum_of(p, [(1, 0, c_n * l), (w, 0, f_poly(n, p)), (w, 0, g_poly(n, p))])
+        theorem[n] = [(1, 0, main_theorem_residual(n, p)), (inv(n * w), 0, c_n)]
+    # -(1/3) t^p (1-t)^p z12 g = -(z12/3) (T - T^2) g with T = t^p
+    c = zeta_variant(Index.of(1, 2), 1, p).value * inv(3)
+    minus_tail_third = lambda g: [(-c, p, g), (c, 2 * p, g)]
+    n5_tail = [(-inv(15), 0, f3 * _bridge(2, 0, p)), (-inv(5), 0, f_poly(5, p))]
     return [
-        ("closed-form {'n': 3}", n3),
-        ("closed-form {'n': 4}", n4),
-        ("closed-form-f4-factorization {}", f4),
-        ("closed-form {'n': 5}", n5),
+        ("closed-form {'n': 3}", PolyFp.sum_of(p, theorem[3] + minus_tail_third(PolyFp.one(p)))),
+        ("closed-form {'n': 4}", PolyFp.sum_of(p, theorem[4] + minus_tail_third(l))),
+        ("closed-form-f4-factorization {}", f_poly(4, p) - f3 * l),
+        ("closed-form {'n': 5}", PolyFp.sum_of(p, theorem[5] + n5_tail)),
     ]

@@ -56,9 +56,11 @@ def _shift_add(
 
 #: An operand with at most this many nonzero coefficients is multiplied by
 #: shift-and-add.  Measured (`fmp verify all`, Python 3.11, Xeon VM): at
-#: p = 1051 two products take this branch, both f_3 * £_1^e in closed-forms,
-#: 0.5 ms each against 1.9 ms by Kronecker; over 5..199, 240 products do,
-#: 114 in oracle-crosscheck and 90 in closed-forms.
+#: p = 1051 three products take this branch, all in closed-forms, each with
+#: an operand of two nonzero coefficients: f_3 * £_1, f_3 * £_1^2 and
+#: C_3 * £_1 with C_3 = 2 f_3; each takes 0.3 to 0.5 ms, as long as by
+#: Kronecker.  Over 5..199, 280 products do, 114 in oracle-crosscheck and
+#: 130 in closed-forms.
 _SPARSE_NONZEROS = 6
 
 

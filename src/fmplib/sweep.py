@@ -254,7 +254,7 @@ class PrimeOutcome:
     @classmethod
     def from_dict(cls, d: dict) -> "PrimeOutcome":
         fields = (d["pass"], bool), (d.get("residual"), str), (d.get("note"), str)
-        if not isinstance(d["p"], int) or any(
+        if type(d["p"]) is not int or any(
             v is not None and not isinstance(v, t) for v, t in fields
         ):
             raise TypeError(f"bad outcome {d!r}")
@@ -289,7 +289,7 @@ class IdentityEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IdentityEntry":
-        if not isinstance(d["floor"], int):
+        if type(d["floor"]) is not int:
             raise TypeError(f"bad floor {d['floor']!r}")
         return cls(
             d["id"],
@@ -318,11 +318,16 @@ class SweepReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
-        """Raises ValueError on a missing key or a value of the wrong type.
-        Older reports also carry config.budget, which is ignored."""
+        """Raises ValueError on a missing key, a value of the wrong type or a
+        range that is not LO <= HI.  Older reports also carry config.budget,
+        which is ignored."""
         try:
+            ranges = [tuple(r) for r in d["config"]["ranges"]]
+            for r in ranges:
+                if len(r) != 2 or any(type(x) is not int for x in r) or r[0] > r[1]:
+                    raise ValueError(f"bad range {list(r)!r}")
             return cls(
-                [tuple(r) for r in d["config"]["ranges"]],
+                ranges,
                 [IdentityEntry.from_dict(e) for e in d["identities"]],
                 dict(d.get("timing", {})),
             )

@@ -172,6 +172,26 @@ def functional_eq_direct(n: int, p: int) -> PolyFp:
     return l - compose_one_minus_t(l)
 
 
+def closed_forms_direct(p: int) -> list[tuple[str, PolyFp]]:
+    """The worked closed forms by their statements, forming every power of
+    the depth-1 polylog: depth-n polylog - (depth-1 polylog)^n/n! - tail_n."""
+    z12 = zeta_variant(Index.of(1, 2), 1, p).value
+    l1 = lambda e: identities._depth1_power(e, p)
+    f3, tail = identities.f_poly(3, p), PolyFp.monomial(p, p) - PolyFp.monomial(p, 2 * p)
+    tail_third = tail * (z12 * pow(3, -1, p))
+
+    def depth(n):
+        return identities.ones_fmp(n, p) - l1(n) * pow(math.factorial(n), -1, p)
+
+    n5 = depth(5) - f3 * l1(2) * pow(15, -1, p) - identities.f_poly(5, p) * pow(5, -1, p)
+    return [
+        ("closed-form {'n': 3}", depth(3) - tail_third),
+        ("closed-form {'n': 4}", depth(4) - tail_third * l1(1)),
+        ("closed-form-f4-factorization {}", identities.f_poly(4, p) - f3 * l1(1)),
+        ("closed-form {'n': 5}", n5),
+    ]
+
+
 def window_poly(parts: tuple[int, ...], p: int) -> PolyFp:
     """Sum over i = 1..len(parts) of (window slice i) * t^{i*p}, one
     zeta_variant per slice."""

@@ -6,6 +6,7 @@ import math
 
 import pytest
 from oracles import (
+    closed_forms_direct,
     curly_L,
     f_poly_sum,
     functional_eq_direct,
@@ -355,13 +356,44 @@ def test_obstruction_guard():
 # --- worked closed forms ----------------------------------------------------------
 
 
+_CLOSED_FORM_NOTES = [
+    "closed-form {'n': 3}",
+    "closed-form {'n': 4}",
+    "closed-form-f4-factorization {}",
+    "closed-form {'n': 5}",
+]
+
+
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_closed_forms_all_pass(p):
     pairs = closed_form_residuals(p)
-    assert [note for note, _ in pairs] == [
-        "closed-form {'n': 3}",
-        "closed-form {'n': 4}",
-        "closed-form-f4-factorization {}",
-        "closed-form {'n': 5}",
-    ]
+    assert [note for note, _ in pairs] == _CLOSED_FORM_NOTES
     assert all(residual.is_zero for _, residual in pairs)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 101, 1009])
+def test_closed_forms_match_direct_form(p):
+    assert closed_form_residuals(p) == closed_forms_direct(p)
+
+
+# Chain-value bumps and the closed forms they break.  A bump of (1) or (1,1)
+# reaches every deeper all-ones polylog and the chain of (1,1,2) in f_4, so
+# every note; one of (1,1,1) leaves the chains of f_3 and f_4 alone; one in
+# window 2 of (1,2) changes f_3 and f_4 alike, so only the depth-5 form,
+# whose tail holds f_3, sees it.
+_CLOSED_FORM_BUMPS = {
+    "(1) at S=2": ((1,), lambda q: 2, (0, 1, 2, 3)),
+    "(1,1) at S=p+1": ((1, 1), lambda q: q + 1, (0, 1, 2, 3)),
+    "(1,1,1) at S=p+1": ((1, 1, 1), lambda q: q + 1, (0, 1, 3)),
+    "(1,2) at S=p+1": ((1, 2), lambda q: q + 1, (3,)),
+}
+
+
+@pytest.mark.parametrize("bump", list(_CLOSED_FORM_BUMPS))
+@pytest.mark.parametrize("p", [7, 11, 13, 101, 1009])
+def test_closed_forms_match_direct_form_perturbed(p, bump, monkeypatch, fresh_memos):
+    parts, position, broken = _CLOSED_FORM_BUMPS[bump]
+    _bump_chain_values(monkeypatch, (parts,), position)
+    pairs = closed_form_residuals(p)
+    assert pairs == closed_forms_direct(p)
+    assert [note for note, r in pairs if not r.is_zero] == [_CLOSED_FORM_NOTES[i] for i in broken]

@@ -522,6 +522,12 @@ def _one_outcome(outcome: dict, **entry) -> dict:
         _one_outcome({"p": 7, "pass": True}, floor="5"),
         _one_outcome({"p": 7, "pass": False, "residual": 5}),
         _one_outcome({"p": 7, "pass": None, "note": ["requires p > n"]}),
+        _one_outcome({"p": True, "pass": True}),
+        _one_outcome({"p": 7, "pass": True}, floor=True),
+        {"config": {"ranges": [[7]]}, "identities": []},
+        {"config": {"ranges": ["ab"]}, "identities": []},
+        {"config": {"ranges": [[9, 7]]}, "identities": []},
+        {"config": {"ranges": [[7, True]]}, "identities": []},
     ],
 )
 def test_cli_merge_malformed_report(tmp_path, payload):
@@ -576,3 +582,8 @@ def test_depth5_symmetry_scan(capsys):
     assert script.main(["--primes", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[0] == "7" and lines[-1].endswith(": []")
+    # No prime from 7 up in the range: the empty table.
+    for empty in ("5..5", "5..6"):
+        assert script.main(["--primes", empty]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and lines[-1].endswith(": []")

@@ -7,12 +7,14 @@ and each bridge of the recurrence is one chain step on a shorter bridge.
 The main theorem follows from the shuffle lemma by the induction step, so it
 forms no power of the depth-1 polylog, and the functional equation follows
 from the main theorem and the Kontsevich residual, so it forms no power and
-composes no polylog of depth above 1.  The oracle crosscheck compares each
-chain once.  The strict-chain polylogs of prop42 and the corollaries share
-their prefix- and suffix-sum passes through the head and tail memos.  These
-counts guard that sharing, which no result would reveal if it broke.  A full
-12-identity sweep at one prime is counted too, so that a change to the sweep
-or identity layers cannot add work unseen.
+composes no polylog of depth above 1.  The worked closed forms follow from
+the main theorem too, and take the square of the depth-1 polylog from the
+shuffle bridge, so they form no power of their own.  The oracle crosscheck
+compares each chain once.  The strict-chain polylogs of prop42 and the
+corollaries share their prefix- and suffix-sum passes through the head and
+tail memos.  These counts guard that sharing, which no result would reveal
+if it broke.  A full 12-identity sweep at one prime is counted too, so that a
+change to the sweep or identity layers cannot add work unseen.
 """
 
 import functools
@@ -134,6 +136,16 @@ def test_functional_eq_forms_no_power_of_depth1(counts):
     assert counts["products"] == counts["dense"] <= 4, counts
 
 
+def test_closed_forms_forms_no_power_of_depth1(counts):
+    # After the main theorem, the closed forms' one dense product is C_4 * L_1
+    # in the Horner sum for C_5; L_1^2 is the shuffle bridge of M_2.
+    run_sweep(RunConfig(lo=P, hi=P, identities=("main-theorem",)))
+    dense = counts["dense"]
+    report = run_sweep(RunConfig(lo=P, hi=P, identities=("closed-forms",)))
+    _all_checked_pass(report)
+    assert counts["dense"] - dense <= 1, counts
+
+
 def test_crosscheck_runs_each_loop_oracle_once(counts):
     # 42 distinct chains (the 30 of weight <= 5 and depth <= 4, and 12
     # heavier ones in parts 1 and 2) plus the 124 three-block triples with
@@ -158,10 +170,10 @@ def test_full_sweep_at_one_prime(counts):
     # shuffle lemma, the functional equation from the main theorem and the
     # Kontsevich residual, and each corollary as one composition of the
     # conversion of the all-ones index (each distinct strict-chain polylog
-    # evaluated once).  The 4 powers of the depth-1 polylog that closed-forms
-    # forms are left.  Four of the 8 compositions are functional-eq's M_n(1-t)
-    # of the zero polynomial.  Neither main-theorem n = 1 nor
-    # oracle-crosscheck checks anything at this prime.
+    # evaluated once), and the closed forms from the main theorem's residual.
+    # Four of the 8 compositions are functional-eq's M_n(1-t) of the zero
+    # polynomial.  Neither main-theorem n = 1 nor oracle-crosscheck checks
+    # anything at this prime.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=IDENTITY_IDS))
     checked = [
         (e.identity, e.params) for e in report.entries if e.outcomes[0].passed is not None
@@ -169,13 +181,13 @@ def test_full_sweep_at_one_prime(counts):
     assert len(checked) == 23
     assert ("main-theorem", {"n": 1}) not in checked
     assert ("oracle-crosscheck", {}) not in checked
-    # Every product is dense but the two of f_3, which has two nonzero
-    # coefficients, with a power of the depth-1 polylog: f_3 * L_1 in the f_4
-    # factorization and f_3 * L_1^2 in the depth-5 closed form.  The error
+    # Every product is dense but the three with an operand of two nonzero
+    # coefficients, f_3 or C_3 = 2 f_3: f_3 * L_1 in the f_4 factorization,
+    # f_3 * L_1^2 in the depth-5 closed form and C_3 * L_1 in C_4.  The error
     # terms, the residuals, the conversion and the advertised closed forms
     # are sums of shifted terms and form no product.
-    assert counts["products"] <= 23, counts
-    assert counts["dense"] <= 21, counts
+    assert counts["products"] <= 21, counts
+    assert counts["dense"] <= 18, counts
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 8, counts
     assert counts["ss_star"] <= 62, counts
