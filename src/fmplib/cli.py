@@ -76,23 +76,34 @@ def _check_supported_prime(p: int):
         raise SystemExit(f"error: p={p} out of supported range (primes >= 5)")
 
 
+#: The flags each kind of `fmp compute` reads; every one is required but
+#: --window, which defaults to 1.
+_COMPUTE_FLAGS = {
+    "oy": ("index",),
+    "ss": ("index", "slot"),
+    "zeta": ("index", "window"),
+    "bernoulli": ("m",),
+}
+
+
 def _cmd_compute(args) -> int:
     _check_supported_prime(args.prime)
     p = args.prime
-    if args.kind in ("oy", "ss", "zeta") and args.index is None:
-        raise SystemExit(f"error: compute {args.kind} requires --index")
+    reads = _COMPUTE_FLAGS[args.kind]
+    for flag in ("index", "slot", "window", "m"):
+        given = getattr(args, flag) is not None
+        if given and flag not in reads:
+            raise SystemExit(f"error: compute {args.kind} takes no --{flag}")
+        if not given and flag in reads and flag != "window":
+            raise SystemExit(f"error: compute {args.kind} requires --{flag}")
     if args.kind == "oy":
-        value = str(oy_fmp(args.index, p))
+        value = oy_fmp(args.index, p)
     elif args.kind == "ss":
-        if args.slot is None:
-            raise SystemExit("error: compute ss requires --slot")
-        value = str(ss_star(args.index, args.slot, p))
+        value = ss_star(args.index, args.slot, p)
     elif args.kind == "zeta":
-        value = str(zeta_variant(args.index, args.window, p))
+        value = zeta_variant(args.index, 1 if args.window is None else args.window, p)
     else:  # bernoulli
-        if args.m is None:
-            raise SystemExit("error: compute bernoulli requires --m")
-        value = str(bernoulli_mod(args.m, p))
+        value = bernoulli_mod(args.m, p)
     print(value)
     return 0
 
@@ -153,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--index", type=parse_index, help="index, e.g. 1,2 or 1^4")
     comp.add_argument("--prime", type=int, required=True)
     comp.add_argument("--slot", type=int, help="indeterminate slot (ss only)")
-    comp.add_argument("--window", type=int, default=1, help="window i (zeta only)")
+    comp.add_argument("--window", type=int, help="window i (zeta only; default 1)")
     comp.add_argument("--m", type=int, help="Bernoulli index (bernoulli only)")
     comp.set_defaults(fn=_cmd_compute)
 

@@ -6,7 +6,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress, islice, zip_longest
+from itertools import islice
 from operator import add, sub
 
 from .modular import PrimeMismatch, require_prime
@@ -27,17 +27,15 @@ def _normalize(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs if n == len(coeffs) else islice(coeffs, n))
 
 
-def _shift_add(
-    terms: Iterable[tuple[int, int, Sequence[int]]], p: int, size: int = 0
-) -> list[int]:
+def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> list[int]:
     """The sum of c * t^shift * f over the (c, shift, f) terms, each f a
-    coefficient sequence, as a list of at least size coefficients.
+    coefficient sequence, as a list of coefficients.
 
     Every term is added into one list of plain ints, and the sum is reduced
     mod p once at the end, so a sum of many polynomials costs one pass per
     term and one reduction.  Weights may be any ints, negative too.
     """
-    out = [0] * size
+    out: list[int] = []
     for c, shift, f in terms:
         if not c or not f:
             continue
@@ -52,16 +50,6 @@ def _shift_add(
         else:
             out[shift:end] = [x + c * y for x, y in zip(old, f)]
     return [x % p for x in out]
-
-
-#: An operand with at most this many nonzero coefficients is multiplied by
-#: shift-and-add.  Measured (`fmp verify all`, Python 3.11, Xeon VM): at
-#: p = 1051 three products take this branch, all in closed-forms, each with
-#: an operand of two nonzero coefficients: f_3 * £_1, f_3 * £_1^2 and
-#: C_3 * £_1 with C_3 = 2 f_3; each takes 0.3 to 0.5 ms, as long as by
-#: Kronecker.  Over 5..199, 280 products do, 114 in oracle-crosscheck and
-#: 130 in closed-forms.
-_SPARSE_NONZEROS = 6
 
 
 def _pack(v: Sequence[int], width: int) -> int:
@@ -92,26 +80,19 @@ def _unpack(x: int, width: int, n: int) -> array:
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
-    """Exact convolution of reduced coefficient vectors.
+    """Exact convolution of reduced coefficient vectors, by Kronecker
+    substitution: pack each vector into one big integer with enough room per
+    chunk that product coefficients cannot collide, multiply, unpack.
 
-    When one operand has at most _SPARSE_NONZEROS nonzero coefficients, the
-    other is added in at each of their offsets by _shift_add.  Otherwise
-    Kronecker substitution: pack each vector into one big integer with enough
-    room per chunk that product coefficients cannot collide, multiply, unpack.
     Exact for every p (no floating point, no fixed-width overflow), and far
     faster than a Python-level schoolbook loop at the degrees the identity
-    sweeps reach (~10^3).  Up to 8 bytes per chunk (p up to about 2^21 at
-    operand lengths about p), the conversion runs as C-level strided byte
-    copies between the chunks and 8-byte words (_pack, _unpack), and the
-    chunks keep their width, so the bignum product is no larger; wider
-    chunks are converted one coefficient at a time.
+    sweeps reach (~10^3).  Chunks of up to 8 bytes (p up to about 2^21 at
+    operand lengths about p) are converted by C-level strided byte copies
+    between the chunks and 8-byte words (_pack, _unpack); the chunks keep
+    their width, so the bignum product is no larger.  Wider chunks are
+    converted one coefficient at a time.
     """
     n = len(a) + len(b) - 1
-    nonzeros_a, nonzeros_b = len(a) - a.count(0), len(b) - b.count(0)
-    if min(nonzeros_a, nonzeros_b) <= _SPARSE_NONZEROS:
-        if nonzeros_a > nonzeros_b:
-            a, b = b, a
-        return _shift_add(((a[i], i, b) for i in compress(range(len(a)), a)), p, n)
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
     if width <= 8:
@@ -274,9 +255,6 @@ def compose_one_minus_t(f: PolyFp) -> PolyFp:
     for block in reversed(blocks):
         # acc <- acc * (1 - t^p) + block(1 - t)
         small = _block_at_one_minus_t(block, p, fact, inv_fact)
-        acc = [
-            (a + c - b) % p
-            for a, c, b in zip_longest(acc, small, [0] * p + acc, fillvalue=0)
-        ]
+        acc = _shift_add([(1, 0, acc), (-1, p, acc), (1, 0, small)], p)
     return PolyFp(p, _normalize(acc))
 

@@ -37,7 +37,7 @@ from .identities import (
     recurrence_residual,
     shuffle_lemma_residual,
 )
-from .modular import bernoulli_mod, primes_in
+from .modular import bernoulli_mod, is_prime, primes_in
 from .polyfp import PolyFp
 from .ss import (
     corollary_depth3_residual,
@@ -254,8 +254,10 @@ class PrimeOutcome:
     @classmethod
     def from_dict(cls, d: dict) -> "PrimeOutcome":
         fields = (d["pass"], bool), (d.get("residual"), str), (d.get("note"), str)
-        if type(d["p"]) is not int or any(
-            v is not None and not isinstance(v, t) for v, t in fields
+        if (
+            type(d["p"]) is not int
+            or not is_prime(d["p"])
+            or any(v is not None and not isinstance(v, t) for v, t in fields)
         ):
             raise TypeError(f"bad outcome {d!r}")
         return cls(d["p"], d["pass"], d.get("residual"), d.get("note"))
@@ -289,11 +291,18 @@ class IdentityEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IdentityEntry":
+        """Raises TypeError unless the id is a string, the params map string
+        keys to ints >= 1 and the floor is an int."""
+        params = d["params"]
+        if not isinstance(d["id"], str) or not isinstance(params, dict):
+            raise TypeError(f"bad entry {d['id']!r} {params!r}")
+        if any(not isinstance(k, str) or type(v) is not int or v < 1 for k, v in params.items()):
+            raise TypeError(f"bad params {params!r}")
         if type(d["floor"]) is not int:
             raise TypeError(f"bad floor {d['floor']!r}")
         return cls(
             d["id"],
-            dict(d["params"]),
+            dict(params),
             d["floor"],
             [PrimeOutcome.from_dict(o) for o in d["primes"]],
         )
@@ -318,19 +327,21 @@ class SweepReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
-        """Raises ValueError on a missing key, a value of the wrong type or a
-        range that is not LO <= HI.  Older reports also carry config.budget,
-        which is ignored."""
+        """Raises ValueError on a missing key, a value of the wrong type, a
+        range that is not LO <= HI, or an outcome prime that is not prime or
+        lies in no range.  Older reports also carry config.budget, which is
+        ignored."""
         try:
             ranges = [tuple(r) for r in d["config"]["ranges"]]
             for r in ranges:
                 if len(r) != 2 or any(type(x) is not int for x in r) or r[0] > r[1]:
                     raise ValueError(f"bad range {list(r)!r}")
-            return cls(
-                ranges,
-                [IdentityEntry.from_dict(e) for e in d["identities"]],
-                dict(d.get("timing", {})),
-            )
+            entries = [IdentityEntry.from_dict(e) for e in d["identities"]]
+            for e in entries:
+                for o in e.outcomes:
+                    if not any(lo <= o.p <= hi for lo, hi in ranges):
+                        raise ValueError(f"{e.identity} prime {o.p} lies in no range")
+            return cls(ranges, entries, dict(d.get("timing", {})))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"not a sweep report: {type(exc).__name__} {exc}") from None
 

@@ -10,13 +10,7 @@ from oracles import compose_binomial, compose_horner, schoolbook_mul
 
 from fmplib.identities import ones_fmp
 from fmplib.modular import PrimeMismatch, is_prime
-from fmplib.polyfp import (
-    _SPARSE_NONZEROS,
-    PolyFp,
-    _convolve,
-    _shift_add,
-    compose_one_minus_t,
-)
+from fmplib.polyfp import PolyFp, _convolve, _shift_add, compose_one_minus_t
 
 PRIMES = [5, 7, 11, 13, 17, 31]
 
@@ -118,9 +112,11 @@ def _kronecker_cases():
     """(p, shorter length, width) with packed width 1 to 8 bytes on both
     sides of each 2^(8w) boundary: for each w, the largest prime p whose
     bound (p-1)^2 * 8 fits in w bytes, at the shorter length where the bound
-    still fits and at the one where it first crosses into w + 1 bytes.  Then
-    9 bytes at p = 2^31 - 1, length 8, which is converted coefficient by
-    coefficient."""
+    still fits and at the one where it first crosses into w + 1 bytes.  Up
+    to 8 bytes the chunks are converted by strided byte copies; then 9 bytes
+    at p = 2^31 - 1, length 8, which is converted coefficient by
+    coefficient.  Every case multiplies dense operands and a two-nonzero
+    one, so each width is also reached by a sparse shape."""
     cases = []
     for w in range(1, 9):
         p = math.isqrt((2 ** (8 * w) - 1) // 8) + 1
@@ -135,16 +131,27 @@ def _kronecker_cases():
 @pytest.mark.parametrize("p,length,width", _kronecker_cases())
 def test_kronecker_mul_exact_at_every_width(p, length, width):
     # The bound is the largest product coefficient, reached when every
-    # coefficient is p - 1; the longer operand is 3 longer.
+    # coefficient is p - 1; the longer operand is 3 longer.  The two-nonzero
+    # operand has the shape of the closed forms' f_3 = c(T - T^2), T = t^p,
+    # with t^((length - 1) // 2) for T and t^(length - 1) for T^2.
     assert ((p - 1) ** 2 * length).bit_length() in range(8 * width - 7, 8 * width + 1)
     rng = random.Random(p * length)
     dense = [rng.randrange(1, p) for _ in range(length)]
     mixed = [rng.randrange(p) for _ in range(length + 3)]
-    for a, b in (([p - 1] * length, [p - 1] * (length + 3)), (dense, mixed)):
+    c = rng.randrange(1, p)
+    two = [0] * length
+    two[(length - 1) // 2], two[-1] = c, p - c
+    cases = (([p - 1] * length, [p - 1] * (length + 3)), (dense, mixed), (two, mixed))
+    for a, b in cases:
         f, g = PolyFp.of(p, a), PolyFp.of(p, b)
         expected = list(schoolbook_mul(f, g).coeffs)
         assert _convolve(f.coeffs, g.coeffs, p) == expected
         assert _convolve(g.coeffs, f.coeffs, p) == expected
+
+
+#: The nonzero count that perfbench (child.py's SPARSE_NNZ) and
+#: tests/test_work_counts.py call sparse.
+_FEW_NONZEROS = 6
 
 
 @st.composite
@@ -153,7 +160,7 @@ def sparse_dense_pairs(draw):
     over up to three blocks of size p, and a dense one with more than 6."""
     p = draw(st.sampled_from([5, 13, 101, 211]))
     rng = draw(st.randoms(use_true_random=False))
-    nonzeros = draw(st.sampled_from([_SPARSE_NONZEROS, _SPARSE_NONZEROS + 1]))
+    nonzeros = draw(st.sampled_from([_FEW_NONZEROS, _FEW_NONZEROS + 1]))
     length = draw(st.integers(nonzeros, 3 * p))
     sparse = [0] * length
     for d in rng.sample(range(length), nonzeros):
@@ -165,7 +172,8 @@ def sparse_dense_pairs(draw):
 @settings(max_examples=60)
 @given(sparse_dense_pairs())
 def test_sparse_mul_matches_schoolbook(data):
-    # 6 nonzeros take the shift-and-add path, 7 the packed-integer one.
+    # Both shapes, 6 and 7 nonzeros, take the one Kronecker path; 6 is the
+    # count that perfbench still reports as sparse.
     sparse, dense = data
     expected = schoolbook_mul(sparse, dense)
     assert sparse * dense == expected
@@ -176,7 +184,7 @@ def test_sparse_mul_zero_operand():
     p = 13
     f = PolyFp.of(p, range(1, 12))
     assert (f * PolyFp.zero(p)).is_zero and (PolyFp.zero(p) * f).is_zero
-    # an unnormalized all-zero vector has no nonzeros, so it takes the sparse path
+    # an unnormalized all-zero vector packs to 0, and Kronecker unpacks zeros
     assert _convolve((0, 0, 0), f.coeffs, p) == [0] * (len(f.coeffs) + 2)
     assert _convolve(f.coeffs, (0, 0, 0), p) == [0] * (len(f.coeffs) + 2)
 
@@ -207,9 +215,8 @@ def test_sum_of_matches_schoolbook_products(data):
     for c, shift, f in polys:
         expected = expected + schoolbook_mul(PolyFp.monomial(p, shift, c), f)
     assert PolyFp.sum_of(p, polys) == expected
-    # the raw accumulator takes unreduced lists with trailing zeros, and pads
-    raw = _shift_add(terms, p, size=20)
-    assert len(raw) >= 20 and PolyFp.of(p, raw) == expected
+    # the raw accumulator takes unreduced lists with trailing zeros
+    assert PolyFp.of(p, _shift_add(terms, p)) == expected
 
 
 @given(poly_pairs(count=3))

@@ -346,9 +346,11 @@ def test_cli_compute_oy(capsys):
 def test_cli_compute_zeta_matches_bernoulli(capsys):
     main(["compute", "zeta", "--index", "1,1,1,2", "--window", "1", "--prime", "13"])
     zeta_out = capsys.readouterr().out.strip()
+    main(["compute", "zeta", "--index", "1,1,1,2", "--prime", "13"])  # window 1
+    default_out = capsys.readouterr().out.strip()
     main(["compute", "bernoulli", "--m", "8", "--prime", "13"])
     bern_out = capsys.readouterr().out.strip()
-    assert zeta_out == bern_out == "3 (mod 13)"
+    assert zeta_out == default_out == bern_out == "3 (mod 13)"
 
 
 def test_cli_compute_bernoulli_b0(capsys):
@@ -365,6 +367,32 @@ def test_cli_compute_guards():
         main(["compute", "oy", "--prime", "7"])
     with pytest.raises(SystemExit):
         main(["compute", "bernoulli", "--prime", "7"])
+    # a given --window 0 is not the default
+    with pytest.raises(SystemExit) as err:
+        main(["compute", "zeta", "--index", "1,1,1,2", "--window", "0", "--prime", "13"])
+    assert err.value.code == "error: window 0 out of range 1..4"
+
+
+@pytest.mark.parametrize(
+    "kind,given,flag",
+    [
+        ("oy", ["--index", "1,2", "--slot", "2"], "slot"),
+        ("oy", ["--index", "1,2", "--window", "1"], "window"),
+        ("oy", ["--index", "1,2", "--m", "2"], "m"),
+        ("ss", ["--index", "1,2", "--slot", "1", "--window", "1"], "window"),
+        ("ss", ["--index", "1,2", "--slot", "1", "--m", "2"], "m"),
+        ("zeta", ["--index", "1,2", "--m", "2"], "m"),
+        ("zeta", ["--index", "1,2", "--slot", "1"], "slot"),
+        ("bernoulli", ["--m", "2", "--index", "1"], "index"),
+        ("bernoulli", ["--m", "2", "--window", "1"], "window"),
+        ("bernoulli", ["--m", "2", "--slot", "1"], "slot"),
+    ],
+)
+def test_cli_compute_refuses_unread_flags(kind, given, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["compute", kind, "--prime", "7", *given])
+    assert err.value.code == f"error: compute {kind} takes no --{flag}"
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_verify_pass_and_fail(tmp_path, capsys):
@@ -528,6 +556,15 @@ def _one_outcome(outcome: dict, **entry) -> dict:
         {"config": {"ranges": ["ab"]}, "identities": []},
         {"config": {"ranges": [[9, 7]]}, "identities": []},
         {"config": {"ranges": [[7, True]]}, "identities": []},
+        _one_outcome({"p": 7, "pass": True}, id=5),
+        _one_outcome({"p": 7, "pass": True}, params={"n": True}),
+        _one_outcome({"p": 7, "pass": True}, params={"n": 0}),
+        _one_outcome({"p": 7, "pass": True}, params={"n": "2"}),
+        _one_outcome({"p": 7, "pass": True}, params={"n": 2.0}),
+        _one_outcome({"p": 7, "pass": True}, params=[["n", 2]]),
+        {**_one_outcome({"p": 8, "pass": True}), "config": {"ranges": [[-3, 9]]}},
+        {**_one_outcome({"p": -3, "pass": False}), "config": {"ranges": [[-3, 9]]}},
+        _one_outcome({"p": 11, "pass": True}),
     ],
 )
 def test_cli_merge_malformed_report(tmp_path, payload):
