@@ -7,8 +7,10 @@ every tuple with some L_x divisible by p.  The generating polynomial of that
 distribution is the polylog; window slices of it are the zeta variants.
 
 Two independent evaluation paths are kept on purpose: a sliding-window DP and
-literal nested loops (`naive_reference*`).  The DP's exclusion logic is the
-likeliest bug site, so the loops are the oracle of record at small scale.
+a literal sum over tuples (`naive_reference*`), enumerated depth first with
+one loop per part and a table of v^{-k} per exponent, every tuple adding its
+own term.  The DP's exclusion logic is the likeliest bug site, so the loops
+are the oracle of record at small scale.
 """
 
 from __future__ import annotations
@@ -193,14 +195,18 @@ def oy_fmp_general(blocks: BlockTriple, p: int) -> PolyFp:
     return PolyFp(p, _normalize(_window_extend(shorter.coeffs, third[-1], p)))
 
 
-def _oracle_inverses(p: int, depth: int) -> tuple[int, ...]:
-    """The inverse table mod p for a nested-loop oracle over p^depth tuples,
-    refused before the table is built when p is not prime or the tuples
-    exceed ORACLE_BUDGET."""
+def _oracle_inverses(p: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """tables[x][v] = v^{-k} mod p for the exponent k = parts[x], and
+    tables[x][0] = 0, for a nested-loop oracle over the p^len(parts) tuples;
+    one table per distinct exponent, built from the inverse table.  Refused
+    before anything is built when p is not prime or the tuples exceed
+    ORACLE_BUDGET.  Independent of the DP's _inverse_powers on purpose."""
     require_prime(p)
-    if p**depth > ORACLE_BUDGET:
-        raise OracleTooLarge(f"p^depth = {p}^{depth} exceeds {ORACLE_BUDGET}")
-    return inverse_table(p)
+    if p ** len(parts) > ORACLE_BUDGET:
+        raise OracleTooLarge(f"p^depth = {p}^{len(parts)} exceeds {ORACLE_BUDGET}")
+    inv = inverse_table(p)
+    tables = {k: tuple([pow(v, k, p) for v in inv]) for k in set(parts)}
+    return [tables[k] for k in parts]
 
 
 def naive_reference(index: Index, p: int) -> PolyFp:
@@ -211,39 +217,43 @@ def naive_reference(index: Index, p: int) -> PolyFp:
 
 
 def naive_reference_general(blocks: BlockTriple, p: int) -> PolyFp:
-    """Nested-loop oracle for the three-block sum."""
-    inv = _oracle_inverses(p, blocks.total_depth)
-    a, b, c = len(blocks.first), len(blocks.second), len(blocks.third)
-    coeffs = [0] * (blocks.total_depth * (p - 1) + 1)
-    for ls in itertools.product(range(1, p), repeat=a):
-        term_a = 1
-        total_a = 0
-        for l, k in zip(ls, blocks.first):
-            total_a += l
-            if total_a % p == 0:
-                break
-            term_a = term_a * pow(inv[total_a % p], k, p) % p
+    """Nested-loop oracle for the three-block sum, tuple by tuple.
+
+    Depth first, one loop per part: each loop carries the running total and
+    the term of its prefix down to the next, and the loop over the last part
+    adds each tuple's term straight into the coefficient of its final total.
+    The weight of part x at running denominator v is tables[x][v % p], whose
+    0 entry drops every tuple with a partial sum at a multiple of p.  The
+    second block's denominators restart from 0 and the third block's go on
+    from the combined total of the first two; no two tuples are merged.
+    """
+    parts = blocks.first + blocks.second + blocks.third
+    # Doubled tables: entries r+1 .. r+p-1 are the weights at totals
+    # t+1 .. t+p-1 for any t = r mod p.
+    tables = [tab * 2 for tab in _oracle_inverses(p, parts)]
+    second = len(blocks.first)  # position of the second block's first part
+    third = second + len(blocks.second)  # and of the third block's
+    last = len(parts) - 1
+    coeffs = [0] * (len(parts) * (p - 1) + 1)
+
+    def walk(x: int, base: int, total: int, term: int) -> None:
+        # base + total is the combined total so far; total is the running
+        # denominator of the chain that part x continues.
+        if x == second:
+            base, total = base + total, 0
+        if x == third:
+            base, total = 0, base + total
+        r = total % p
+        weights = tables[x][r + 1 : r + p]
+        if x == last:
+            for s, w in enumerate(weights, base + total + 1):
+                coeffs[s] += term * w
         else:
-            for ms in itertools.product(range(1, p), repeat=b):
-                term_b = term_a
-                total_b = 0
-                for m, k in zip(ms, blocks.second):
-                    total_b += m
-                    if total_b % p == 0:
-                        break
-                    term_b = term_b * pow(inv[total_b % p], k, p) % p
-                else:
-                    base = total_a + total_b
-                    for ns in itertools.product(range(1, p), repeat=c):
-                        term = term_b
-                        total = base
-                        for n, k in zip(ns, blocks.third):
-                            total += n
-                            if total % p == 0:
-                                break
-                            term = term * pow(inv[total % p], k, p) % p
-                        else:
-                            coeffs[total] = (coeffs[total] + term) % p
+            for s, w in enumerate(weights, total + 1):
+                if w:
+                    walk(x + 1, base, s, term * w % p)
+
+    walk(0, 0, 0, 1)
     return PolyFp.of(p, coeffs)
 
 

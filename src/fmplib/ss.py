@@ -190,17 +190,17 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
 
 
 def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:
-    """Literal loop over strictly increasing tuples; the oracle for ss_star."""
+    """Literal loop over strictly increasing tuples, each weight read from
+    the oracle's per-exponent tables; the oracle for ss_star."""
     if not 1 <= slot <= index.depth:
         raise ValueError(f"slot {slot} out of range 1..{index.depth}")
-    inv = _oracle_inverses(p, index.depth)
+    tables = _oracle_inverses(p, index.parts)
     coeffs = [0] * p
     for tup in itertools.combinations(range(1, p), index.depth):
         term = 1
-        for n, k in zip(tup, index.parts):
-            term = term * pow(inv[n], k, p) % p
-        pos = tup[slot - 1]
-        coeffs[pos] = (coeffs[pos] + term) % p
+        for n, tab in zip(tup, tables):
+            term = term * tab[n] % p
+        coeffs[tup[slot - 1]] += term
     return PolyFp.of(p, coeffs)
 
 

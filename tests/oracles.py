@@ -4,10 +4,11 @@ Each is written independently of the fast path it checks, or is the
 per-coefficient loop that the fast path replaced, kept here as it was.
 """
 
+import itertools
 import math
 
 from fmplib import identities
-from fmplib.fmp import Index, oy_fmp, zeta_variant
+from fmplib.fmp import BlockTriple, Index, oy_fmp, zeta_variant
 from fmplib.modular import inverse_table, require_prime
 from fmplib.polyfp import PolyFp, compose_one_minus_t
 from fmplib.ss import enumerate_phi, grouped_index, ss_star
@@ -68,6 +69,45 @@ def compose_horner(f: PolyFp) -> PolyFp:
             if c:
                 acc[i] = (acc[i] + c) % p
     return PolyFp.of(p, acc)
+
+
+def naive_reference_product(blocks: BlockTriple, p: int) -> PolyFp:
+    """The three-block sum over itertools.product tuples, each tuple's
+    running totals and powers recomputed from scratch: the nested-loop
+    oracle that the depth-first enumeration replaced."""
+    inv = inverse_table(p)
+    a, b, c = len(blocks.first), len(blocks.second), len(blocks.third)
+    coeffs = [0] * (blocks.total_depth * (p - 1) + 1)
+    for ls in itertools.product(range(1, p), repeat=a):
+        term_a = 1
+        total_a = 0
+        for l, k in zip(ls, blocks.first):
+            total_a += l
+            if total_a % p == 0:
+                break
+            term_a = term_a * pow(inv[total_a % p], k, p) % p
+        else:
+            for ms in itertools.product(range(1, p), repeat=b):
+                term_b = term_a
+                total_b = 0
+                for m, k in zip(ms, blocks.second):
+                    total_b += m
+                    if total_b % p == 0:
+                        break
+                    term_b = term_b * pow(inv[total_b % p], k, p) % p
+                else:
+                    base = total_a + total_b
+                    for ns in itertools.product(range(1, p), repeat=c):
+                        term = term_b
+                        total = base
+                        for n, k in zip(ns, blocks.third):
+                            total += n
+                            if total % p == 0:
+                                break
+                            term = term * pow(inv[total % p], k, p) % p
+                        else:
+                            coeffs[total] = (coeffs[total] + term) % p
+    return PolyFp.of(p, coeffs)
 
 
 def window_extend_loop(values: list[int], k: int, p: int) -> list[int]:

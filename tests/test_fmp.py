@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import window_extend_loop
+from oracles import naive_reference_product, window_extend_loop
 
 from fmplib import fmp, ss
 from fmplib.fmp import (
@@ -161,6 +161,50 @@ def test_oracle_budget_guard(monkeypatch):
         naive_reference_general(BlockTriple.of((1, 1), (1, 1), (1, 1)), 17)
     with pytest.raises(OracleTooLarge):
         ss.ss_star_reference(Index.ones(6), 1, 17)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_depth_first_oracle_matches_product_triples(p):
+    # At p = 3 partial sums inside every block hit multiples of p.
+    for blocks in _block_triples(4):
+        assert naive_reference_general(blocks, p) == naive_reference_product(blocks, p), blocks
+
+
+def test_depth_first_oracle_matches_product_chains():
+    for idx in all_indices(5, 4):
+        blocks = BlockTriple((), (), idx.parts)
+        assert naive_reference_general(blocks, 11) == naive_reference_product(blocks, 11), idx
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an oracle read the DP's structures")
+
+
+def test_oracles_independent_of_dp(fresh_memos, monkeypatch):
+    # The oracles must not lean on the DP they check: with its chain steps,
+    # chain memo, power tables and strict-chain passes all refusing, they
+    # still return the values the DP gave before.
+    p, idx, blocks = 7, Index.of(2, 1, 1), BlockTriple.of((1, 2), (1,), (2,))
+    expected = (
+        oy_fmp(idx, p),
+        oy_fmp_general(blocks, p),
+        [ss.ss_star(idx, slot, p) for slot in (1, 2, 3)],
+    )
+    for module, name in [
+        (fmp, "_window_extend"),
+        (fmp, "_inverse_powers"),
+        (fmp, "_chain_values"),
+        (ss, "_inverse_powers"),
+        (ss, "_heads"),
+        (ss, "_tails"),
+    ]:
+        monkeypatch.setattr(module, name, _refuse)
+    got = (
+        naive_reference(idx, p),
+        naive_reference_general(blocks, p),
+        [ss.ss_star_reference(idx, slot, p) for slot in (1, 2, 3)],
+    )
+    assert got == expected
 
 
 # --- zeta variants -----------------------------------------------------------
