@@ -22,13 +22,12 @@ from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
 
 from .modular import Residue, inverse_table, require_prime
-from .polyfp import PolyFp, _normalize
+from .polyfp import PolyFp
 
 __all__ = [
     "BlockTriple",
     "Index",
     "ORACLE_BUDGET",
-    "OracleTooLarge",
     "all_indices",
     "chain_distribution",
     "naive_reference",
@@ -42,10 +41,6 @@ __all__ = [
 #: Most tuples a nested-loop oracle may enumerate.  The sweeps run the
 #: oracles at p <= 13 only, where the largest enumerates 13^4 = 28,561.
 ORACLE_BUDGET = 10_000_000
-
-
-class OracleTooLarge(ValueError):
-    """The naive oracle would enumerate more tuples than ORACLE_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,6 @@ class BlockTriple:
                 raise ValueError(f"block parts must be positive: {block}")
         if self.total_depth < 1:
             raise ValueError("total depth must be at least 1")
-
-    @classmethod
-    def of(cls, first, second, third) -> "BlockTriple":
-        return cls(tuple(first), tuple(second), tuple(third))
 
     @property
     def total_depth(self) -> int:
@@ -165,7 +156,7 @@ def window_slices(index: Index, p: int) -> list[int]:
 
 def oy_fmp(index: Index, p: int) -> PolyFp:
     """The chain-sum polylog: sum of values[S] * t^S, degree <= depth*(p-1)."""
-    return PolyFp(p, _normalize(chain_distribution(index, p)))
+    return PolyFp(p, chain_distribution(index, p))
 
 
 def zeta_variant(index: Index, i: int, p: int) -> Residue:
@@ -192,7 +183,7 @@ def oy_fmp_general(blocks: BlockTriple, p: int) -> PolyFp:
     if not third:
         return oy_fmp(Index(first), p) * oy_fmp(Index(second), p)
     shorter = oy_fmp_general(BlockTriple(first, second, third[:-1]), p)
-    return PolyFp(p, _normalize(_window_extend(shorter.coeffs, third[-1], p)))
+    return PolyFp(p, _window_extend(shorter.coeffs, third[-1], p))
 
 
 def _oracle_inverses(p: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -203,7 +194,7 @@ def _oracle_inverses(p: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     ORACLE_BUDGET.  Independent of the DP's _inverse_powers on purpose."""
     require_prime(p)
     if p ** len(parts) > ORACLE_BUDGET:
-        raise OracleTooLarge(f"p^depth = {p}^{len(parts)} exceeds {ORACLE_BUDGET}")
+        raise ValueError(f"p^depth = {p}^{len(parts)} exceeds {ORACLE_BUDGET}")
     inv = inverse_table(p)
     tables = {k: tuple([pow(v, k, p) for v in inv]) for k in set(parts)}
     return [tables[k] for k in parts]

@@ -17,7 +17,6 @@ from .modular import bernoulli_mod
 from .polyfp import PolyFp, compose_one_minus_t
 
 __all__ = [
-    "FactorialNotInvertible",
     "closed_form_residuals",
     "depth5_symmetry_difference",
     "f_poly",
@@ -32,14 +31,10 @@ __all__ = [
 ]
 
 
-class FactorialNotInvertible(ValueError):
-    """n! has no inverse mod p (p <= n)."""
-
-
 def _require_p_gt_n(n: int, p: int):
     """The guard of every depth-n identity: p > n, that is p does not divide n!."""
     if p <= n:
-        raise FactorialNotInvertible(f"requires p > n, got p={p}, n={n}")
+        raise ValueError(f"requires p > n, got p={p}, n={n}")
 
 
 @lru_cache(maxsize=None)

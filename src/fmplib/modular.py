@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "DenominatorNotInvertible",
-    "PrimeMismatch",
     "Residue",
     "bernoulli_mod",
     "inverse_table",
@@ -20,14 +18,6 @@ __all__ = [
     "primes_in",
     "require_prime",
 ]
-
-
-class PrimeMismatch(ValueError):
-    """Arithmetic between values attached to different primes."""
-
-
-class DenominatorNotInvertible(ValueError):
-    """Bernoulli index so large that the von Staudt-Clausen denominator hits p."""
 
 
 # Deterministic Miller-Rabin witnesses, exact for n < 3.3e24.
@@ -134,7 +124,7 @@ def bernoulli_mod(m: int, p: int) -> Residue:
     if m < 0 or m % 2 != 0:
         raise ValueError(f"Bernoulli index must be even and nonnegative, got {m}")
     if m > p - 3:
-        raise DenominatorNotInvertible(f"B_{m} mod {p}: need m <= p - 3")
+        raise ValueError(f"B_{m} mod {p}: need m <= p - 3")
     if m == 0:
         return Residue(1, p)
     p2 = p * p

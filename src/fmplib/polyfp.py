@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add, sub
 
-from .modular import PrimeMismatch, require_prime
+from .modular import require_prime
 
 __all__ = [
     "PolyFp",
@@ -107,8 +107,8 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
 class PolyFp:
     """A normalized dense polynomial: coeffs[d] is the coefficient of t^d.
 
-    The zero polynomial is the empty coefficient tuple.  Coefficients are
-    canonical ints in [0, p); construct through `of` to get reduction for free.
+    The zero polynomial is the empty tuple.  Coefficients are canonical ints
+    in [0, p); the constructor strips trailing zeros, and `of` also reduces.
     """
 
     p: int
@@ -116,13 +116,12 @@ class PolyFp:
 
     def __post_init__(self):
         require_prime(self.p)
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("coefficients not normalized; use PolyFp.of")
+        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
 
     @classmethod
     def of(cls, p: int, coeffs: Iterable[int]) -> "PolyFp":
         require_prime(p)
-        return cls(p, _normalize([int(c) % p for c in coeffs]))
+        return cls(p, [int(c) % p for c in coeffs])
 
     @classmethod
     def sum_of(cls, p: int, terms: Iterable[tuple[int, int, "PolyFp"]]) -> "PolyFp":
@@ -132,10 +131,10 @@ class PolyFp:
         def coefficients():
             for c, shift, f in terms:
                 if f.p != p:
-                    raise PrimeMismatch(f"mod {p} vs mod {f.p}")
+                    raise ValueError(f"mod {p} vs mod {f.p}")
                 yield c, shift, f.coeffs
 
-        return cls(p, _normalize(_shift_add(coefficients(), p)))
+        return cls(p, _shift_add(coefficients(), p))
 
     @classmethod
     def zero(cls, p: int) -> "PolyFp":
@@ -144,10 +143,6 @@ class PolyFp:
     @classmethod
     def one(cls, p: int) -> "PolyFp":
         return cls.of(p, (1,))
-
-    @classmethod
-    def monomial(cls, p: int, degree: int, coeff: int = 1) -> "PolyFp":
-        return cls.of(p, [0] * degree + [coeff])
 
     @property
     def degree(self) -> int:
@@ -174,10 +169,10 @@ class PolyFp:
             return PolyFp.sum_of(self.p, [(other, 0, self)])
         if isinstance(other, PolyFp):
             if self.p != other.p:
-                raise PrimeMismatch(f"mod {self.p} vs mod {other.p}")
+                raise ValueError(f"mod {self.p} vs mod {other.p}")
             if not self.coeffs or not other.coeffs:
                 return PolyFp(self.p, ())
-            return PolyFp(self.p, _normalize(_convolve(self.coeffs, other.coeffs, self.p)))
+            return PolyFp(self.p, _convolve(self.coeffs, other.coeffs, self.p))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -256,5 +251,5 @@ def compose_one_minus_t(f: PolyFp) -> PolyFp:
         # acc <- acc * (1 - t^p) + block(1 - t)
         small = _block_at_one_minus_t(block, p, fact, inv_fact)
         acc = _shift_add([(1, 0, acc), (-1, p, acc), (1, 0, small)], p)
-    return PolyFp(p, _normalize(acc))
+    return PolyFp(p, acc)
 

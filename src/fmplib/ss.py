@@ -18,12 +18,11 @@ from operator import mul
 
 from .fmp import Index, _inverse_powers, _oracle_inverses
 from .modular import require_prime
-from .polyfp import PolyFp, _normalize, compose_one_minus_t
+from .polyfp import PolyFp, compose_one_minus_t
 
 __all__ = [
     "AdjacentDistinctSurjection",
     "ENUMERATION_CAP",
-    "EnumerationCapExceeded",
     "corollary_depth3_residual",
     "corollary_depth4_residual",
     "enumerate_phi",
@@ -35,10 +34,6 @@ __all__ = [
 
 #: Deepest surjection family enumerated; the family grows faster than r!.
 ENUMERATION_CAP = 8
-
-
-class EnumerationCapExceeded(ValueError):
-    """Surjection enumeration request above ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ def enumerate_phi(r: int) -> dict[int, tuple[AdjacentDistinctSurjection, ...]]:
     if r < 1:
         raise ValueError(f"depth must be positive, got {r}")
     if r > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"depth {r} above enumeration cap {ENUMERATION_CAP}")
+        raise ValueError(f"depth {r} above enumeration cap {ENUMERATION_CAP}")
     groups: dict[int, list[AdjacentDistinctSurjection]] = {i: [] for i in range(1, r + 1)}
     for phi in _all_surjections(r):
         groups[phi.beta].append(phi)
@@ -186,7 +181,7 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     if not 1 <= slot <= len(ks):
         raise ValueError(f"slot {slot} out of range 1..{len(ks)}")
     heads, tails = _heads(ks[:slot], p).tolist(), _tails(ks[slot:], p).tolist()
-    return PolyFp(p, _normalize([h * w % p for h, w in zip(heads, tails)]))
+    return PolyFp(p, [h * w % p for h, w in zip(heads, tails)])
 
 
 def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:

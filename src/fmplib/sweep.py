@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,7 +48,6 @@ from .ss import (
 )
 
 __all__ = [
-    "ConflictError",
     "IDENTITY_IDS",
     "IdentityEntry",
     "PrimeOutcome",
@@ -59,10 +58,6 @@ __all__ = [
     "run_sweep",
     "skip_reason",
 ]
-
-
-class ConflictError(ValueError):
-    """Reports to merge disagree about the same prime."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +102,14 @@ def _prop42(p):
 
 
 def _block_triples(max_total_depth: int) -> list[BlockTriple]:
-    blocks: list[tuple[int, ...]] = [()]
-    for d in range(1, max_total_depth + 1):
-        blocks.extend(itertools.product((1, 2), repeat=d))
-    out = []
-    for a in blocks:
-        for b in blocks:
-            for c in blocks:
-                if 1 <= len(a) + len(b) + len(c) <= max_total_depth:
-                    out.append(BlockTriple.of(a, b, c))
-    return out
+    """Every tuple of 1s and 2s of depth 1..max, cut in three at each i <= j."""
+    return [
+        BlockTriple(parts[:i], parts[i:j], parts[j:])
+        for d in range(1, max_total_depth + 1)
+        for parts in itertools.product((1, 2), repeat=d)
+        for i in range(d + 1)
+        for j in range(i, d + 1)
+    ]
 
 
 def _oracle_crosscheck(p):
@@ -328,9 +321,10 @@ class SweepReport:
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
         """Raises ValueError on a missing key, a value of the wrong type, a
-        range that is not LO <= HI, or an outcome prime that is not prime or
-        lies in no range.  Older reports also carry config.budget, which is
-        ignored."""
+        range that is not LO <= HI, an outcome prime that is not prime or
+        lies in no range, or a timing that is not an object whose seconds,
+        if given, are a finite number.  Older reports also carry
+        config.budget, which is ignored."""
         try:
             ranges = [tuple(r) for r in d["config"]["ranges"]]
             for r in ranges:
@@ -341,7 +335,12 @@ class SweepReport:
                 for o in e.outcomes:
                     if not any(lo <= o.p <= hi for lo, hi in ranges):
                         raise ValueError(f"{e.identity} prime {o.p} lies in no range")
-            return cls(ranges, entries, dict(d.get("timing", {})))
+            timing = d.get("timing", {})
+            seconds = timing.get("seconds", 0) if isinstance(timing, dict) else None
+            # A NaN fails both comparisons; a bool's type is not int.
+            if type(seconds) not in (int, float) or not -math.inf < seconds < math.inf:
+                raise ValueError(f"bad timing {timing!r}")
+            return cls(ranges, entries, dict(timing))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"not a sweep report: {type(exc).__name__} {exc}") from None
 
@@ -470,6 +469,9 @@ def run_sweep(config: RunConfig) -> SweepReport:
     if config.workers <= 1 or len(primes) <= 1:
         rows = [_run_prime(jobs, p) for p in primes]
     else:
+        # Imported here: multiprocessing is loaded only by a sweep that forks.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_run_prime, itertools.repeat(jobs), primes))
     elapsed = time.perf_counter() - start
@@ -487,7 +489,7 @@ def run_sweep(config: RunConfig) -> SweepReport:
 def merge_reports(reports: list[SweepReport]) -> SweepReport:
     """Union of sweeps over different prime ranges.
 
-    Duplicate primes must agree exactly (ConflictError otherwise); entries are
+    Duplicate primes must agree exactly (ValueError otherwise); entries are
     matched by identity and parameters, primes come out ascending.
     """
     if not reports:
@@ -500,7 +502,7 @@ def merge_reports(reports: list[SweepReport]) -> SweepReport:
                 key, IdentityEntry(entry.identity, dict(entry.params), entry.floor, [])
             )
             if target.floor != entry.floor:
-                raise ConflictError(
+                raise ValueError(
                     f"floor mismatch for {entry.identity}: {target.floor} vs {entry.floor}"
                 )
             target.outcomes.extend(entry.outcomes)
@@ -508,9 +510,7 @@ def merge_reports(reports: list[SweepReport]) -> SweepReport:
         seen: dict[int, PrimeOutcome] = {}
         for o in entry.outcomes:
             if o.p in seen and seen[o.p] != o:
-                raise ConflictError(
-                    f"{entry.identity} disagrees at p={o.p}: {seen[o.p]} vs {o}"
-                )
+                raise ValueError(f"{entry.identity} disagrees at p={o.p}: {seen[o.p]} vs {o}")
             seen[o.p] = o
         entry.outcomes = [seen[p] for p in sorted(seen)]
     ranges = sorted({tuple(r) for rep in reports for r in rep.ranges})

@@ -217,7 +217,8 @@ def closed_forms_direct(p: int) -> list[tuple[str, PolyFp]]:
     the depth-1 polylog: depth-n polylog - (depth-1 polylog)^n/n! - tail_n."""
     z12 = zeta_variant(Index.of(1, 2), 1, p).value
     l1 = lambda e: identities._depth1_power(e, p)
-    f3, tail = identities.f_poly(3, p), PolyFp.monomial(p, p) - PolyFp.monomial(p, 2 * p)
+    f3 = identities.f_poly(3, p)
+    tail = PolyFp.of(p, [0] * p + [1]) - PolyFp.of(p, [0] * (2 * p) + [1])
     tail_third = tail * (z12 * pow(3, -1, p))
 
     def depth(n):

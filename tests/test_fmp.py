@@ -12,7 +12,6 @@ from fmplib.fmp import (
     ORACLE_BUDGET,
     BlockTriple,
     Index,
-    OracleTooLarge,
     _window_extend,
     all_indices,
     chain_distribution,
@@ -47,12 +46,12 @@ def test_index_validation():
 
 
 def test_block_triple_validation():
-    b = BlockTriple.of((1, 1), (1,), ())
+    b = BlockTriple((1, 1), (1,), ())
     assert b.total_depth == 3
     with pytest.raises(ValueError):
-        BlockTriple.of((), (), ())
+        BlockTriple((), (), ())
     with pytest.raises(ValueError):
-        BlockTriple.of((0,), (), (1,))
+        BlockTriple((0,), (), (1,))
 
 
 def test_all_indices_family():
@@ -155,11 +154,11 @@ def test_oracle_budget_guard(monkeypatch):
     # builds the inverse table, so none of them starts to loop.
     assert 17**6 > ORACLE_BUDGET
     monkeypatch.setattr(fmp, "inverse_table", None)
-    with pytest.raises(OracleTooLarge):
+    with pytest.raises(ValueError, match=r"p\^depth = 17\^6 exceeds 10000000"):
         naive_reference(Index.ones(6), 17)
-    with pytest.raises(OracleTooLarge):
-        naive_reference_general(BlockTriple.of((1, 1), (1, 1), (1, 1)), 17)
-    with pytest.raises(OracleTooLarge):
+    with pytest.raises(ValueError, match=r"p\^depth = 17\^6 exceeds 10000000"):
+        naive_reference_general(BlockTriple((1, 1), (1, 1), (1, 1)), 17)
+    with pytest.raises(ValueError, match=r"p\^depth = 17\^6 exceeds 10000000"):
         ss.ss_star_reference(Index.ones(6), 1, 17)
 
 
@@ -184,7 +183,7 @@ def test_oracles_independent_of_dp(fresh_memos, monkeypatch):
     # The oracles must not lean on the DP they check: with its chain steps,
     # chain memo, power tables and strict-chain passes all refusing, they
     # still return the values the DP gave before.
-    p, idx, blocks = 7, Index.of(2, 1, 1), BlockTriple.of((1, 2), (1,), (2,))
+    p, idx, blocks = 7, Index.of(2, 1, 1), BlockTriple((1, 2), (1,), (2,))
     expected = (
         oy_fmp(idx, p),
         oy_fmp_general(blocks, p),
@@ -250,19 +249,19 @@ def test_zeta_window_out_of_range():
 
 @pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (4, 7)])
 def test_general_product_form(n, p):
-    blocks = BlockTriple.of((1,) * (n - 1), (1,), ())
+    blocks = BlockTriple((1,) * (n - 1), (1,), ())
     expected = oy_fmp(Index.ones(n - 1), p) * oy_fmp(Index.of(1), p)
     assert oy_fmp_general(blocks, p) == expected
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (5, 11)])
 def test_general_collapses_to_plain(n, p):
-    blocks = BlockTriple.of((), (1,), (1,) * (n - 1))
+    blocks = BlockTriple((), (1,), (1,) * (n - 1))
     assert oy_fmp_general(blocks, p) == oy_fmp(Index.ones(n), p)
 
 
 def test_general_matches_naive():
-    blocks = BlockTriple.of((1, 1), (1,), (1,))
+    blocks = BlockTriple((1, 1), (1,), (1,))
     assert oy_fmp_general(blocks, 7) == naive_reference_general(blocks, 7)
 
 

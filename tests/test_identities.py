@@ -25,7 +25,6 @@ from fmplib.fmp import (
     zeta_variant,
 )
 from fmplib.identities import (
-    FactorialNotInvertible,
     _bridge,
     closed_form_residuals,
     f_poly,
@@ -79,7 +78,7 @@ def test_f1_f2_vanish(p):
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_f3_closed_form(p):
     z12 = zeta_variant(Index.of(1, 2), 1, p).value
-    tp = PolyFp.monomial(p, p)
+    tp = PolyFp.of(p, [0] * p + [1])
     one_minus_t_pow_p = math.prod([PolyFp.of(p, [1, -1])] * p, start=PolyFp.one(p))
     assert f_poly(3, p) == tp * one_minus_t_pow_p * z12
 
@@ -190,8 +189,8 @@ def test_shuffle_dp_path(n, p):
 
 def test_recurrence_n2_oracle_path():
     p = 7
-    f0 = naive_reference_general(BlockTriple.of((1,), (1,), ()), p)
-    f1 = naive_reference_general(BlockTriple.of((), (1,), (1,)), p)
+    f0 = naive_reference_general(BlockTriple((1,), (1,), ()), p)
+    f1 = naive_reference_general(BlockTriple((), (1,), (1,)), p)
     a0 = spike(p, {1: brute_zeta((2,), 1, p)})
     assert f0 == f1 + naive_reference(Index.ones(2), p) - a0
     assert recurrence_residual(2, 0, p).is_zero
@@ -199,8 +198,8 @@ def test_recurrence_n2_oracle_path():
 
 def test_recurrence_n3_oracle_path():
     p = 7
-    f1 = naive_reference_general(BlockTriple.of((1,), (1,), (1,)), p)
-    f2 = naive_reference_general(BlockTriple.of((), (1,), (1, 1)), p)
+    f1 = naive_reference_general(BlockTriple((1,), (1,), (1,)), p)
+    f2 = naive_reference_general(BlockTriple((), (1,), (1, 1)), p)
     a1 = spike(p, {1: brute_zeta((2,), 1, p)}) * naive_reference(Index.of(1), p)
     assert f1 == f2 + naive_reference(Index.ones(3), p) - a1
     assert recurrence_residual(3, 1, p).is_zero
@@ -220,7 +219,7 @@ def test_bridges_are_three_block_sums(p):
         assert _bridge(n, 0, p) == ones_fmp(n - 1, p) * ones_fmp(1, p), n
         assert _bridge(n, n - 1, p) == ones_fmp(n, p), n
         for j in range(n) if p <= 7 else ():
-            blocks = BlockTriple.of((1,) * (n - j - 1), (1,), (1,) * j)
+            blocks = BlockTriple((1,) * (n - j - 1), (1,), (1,) * j)
             assert _bridge(n, j, p) == naive_reference_general(blocks, p), (n, j)
 
 
@@ -248,9 +247,9 @@ def test_main_theorem(n, p):
 
 
 def test_main_theorem_factorial_guard():
-    with pytest.raises(FactorialNotInvertible):
+    with pytest.raises(ValueError, match="requires p > n, got p=5, n=5"):
         main_theorem_residual(5, 5)
-    with pytest.raises(FactorialNotInvertible):
+    with pytest.raises(ValueError, match="requires p > n, got p=7, n=7"):
         main_theorem_residual(7, 7)
 
 
@@ -266,7 +265,7 @@ def test_main_theorem_recursion_with_perturbed_f3(p, monkeypatch, fresh_memos):
     # M_{n-1} * (depth-1 polylog) is never formed.  A wrong f_3 makes
     # M_3..M_5 nonzero, and the recursion must still give the definition.
     original = identities.f_poly
-    bump = PolyFp.monomial(p, 1)
+    bump = PolyFp.of(p, [0, 1])
     monkeypatch.setattr(
         identities, "f_poly", lambda n, q: original(n, q) + bump if n == 3 else original(n, q)
     )

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fmplib.modular import (
-    DenominatorNotInvertible,
     Residue,
     bernoulli_mod,
     inverse_table,
@@ -155,7 +154,7 @@ def test_bernoulli_examples():
 
 
 def test_bernoulli_guards():
-    with pytest.raises(DenominatorNotInvertible):
+    with pytest.raises(ValueError, match="B_10 mod 11: need m <= p - 3"):
         bernoulli_mod(10, 11)  # m > p - 3
     with pytest.raises(ValueError):
         bernoulli_mod(3, 11)  # odd index

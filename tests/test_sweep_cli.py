@@ -1,8 +1,10 @@
 """Sweep driver, report plumbing, and the command-line interface."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -15,7 +17,6 @@ from fmplib.fmp import BlockTriple, Index
 from fmplib.polyfp import PolyFp
 from fmplib.sweep import (
     IDENTITY_IDS,
-    ConflictError,
     IdentityEntry,
     PrimeOutcome,
     RunConfig,
@@ -157,6 +158,21 @@ def test_crosscheck_compares_every_triple_once(p, monkeypatch):
     assert len({_one_chain(b) for b in fast}) == len(fast), "a chain is compared twice"
 
 
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+def test_block_triples_are_every_triple_once(max_depth):
+    blocks = [()] + [
+        parts for d in range(1, max_depth + 1) for parts in itertools.product((1, 2), repeat=d)
+    ]
+    expected = {
+        BlockTriple(a, b, c)
+        for a, b, c in itertools.product(blocks, repeat=3)
+        if 1 <= len(a) + len(b) + len(c) <= max_depth
+    }
+    triples = sweep._block_triples(max_depth)
+    assert len(triples) == len(set(triples))
+    assert set(triples) == expected
+
+
 @pytest.mark.parametrize("p", [11, 13])
 def test_zeta_vanishing_checks_each_zeta_once(p, monkeypatch):
     seen = []
@@ -200,7 +216,7 @@ def test_sweep_one_prime_starts_no_pool(monkeypatch):
     def no_pool(max_workers):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     report = run_sweep(RunConfig(lo=101, hi=101, identities=("main-theorem",), workers=2))
     assert [e.params["n"] for e in report.entries] == [1, 2, 3, 4, 5]
     assert report.ok
@@ -227,7 +243,7 @@ def test_sweep_task_is_the_prime(monkeypatch):
             return [fn(*a) for a in args]
 
     base = dict(lo=7, hi=31, identities=("kontsevich", "main-theorem"))
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     report = run_sweep(RunConfig(workers=2, **base))
     assert [task[-1] for task in tasks] == [7, 11, 13, 17, 19, 23, 29, 31]
     monkeypatch.undo()
@@ -254,7 +270,7 @@ def test_merge_conflict():
     b = run_sweep(RunConfig(lo=7, hi=13, identities=("kontsevich",)))
     tampered = b.entries[0].outcomes[0]
     b.entries[0].outcomes[0] = PrimeOutcome(tampered.p, False, "[7; 1]", None)
-    with pytest.raises(ConflictError):
+    with pytest.raises(ValueError, match="kontsevich disagrees at p=7: "):
         merge_reports([a, b])
 
 
@@ -263,7 +279,7 @@ def test_merge_floor_mismatch():
     b = run_sweep(
         RunConfig(lo=17, hi=19, identities=("kontsevich",), floors={"kontsevich": 11})
     )
-    with pytest.raises(ConflictError):
+    with pytest.raises(ValueError, match="floor mismatch for kontsevich: 5 vs 11"):
         merge_reports([a, b])
 
 
@@ -565,6 +581,10 @@ def _one_outcome(outcome: dict, **entry) -> dict:
         {**_one_outcome({"p": 8, "pass": True}), "config": {"ranges": [[-3, 9]]}},
         {**_one_outcome({"p": -3, "pass": False}), "config": {"ranges": [[-3, 9]]}},
         _one_outcome({"p": 11, "pass": True}),
+        {**_one_outcome({"p": 7, "pass": True}), "timing": {"seconds": "0.5"}},
+        {**_one_outcome({"p": 7, "pass": True}), "timing": {"seconds": True}},
+        {**_one_outcome({"p": 7, "pass": True}), "timing": {"seconds": float("nan")}},
+        {**_one_outcome({"p": 7, "pass": True}), "timing": [["seconds", 0.5]]},
     ],
 )
 def test_cli_merge_malformed_report(tmp_path, payload):
