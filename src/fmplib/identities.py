@@ -51,26 +51,46 @@ def _depth1_power(e: int, p: int) -> PolyFp:
     return _depth1_power(e - 1, p) * ones_fmp(1, p)
 
 
-def _window_terms(parts: tuple[int, ...], poly: PolyFp, p: int) -> list:
-    """Shift-and-add terms (window slice i, i*p, poly) for i = 1..len(parts):
-    the sum over i of (window slice i) * t^{i*p}, times poly."""
+def _window_terms(parts: tuple[int, ...], poly: PolyFp, p: int, difference=None) -> list:
+    """Shift-and-add terms of W(T) * poly, where T = t^p and W(T) is the sum
+    of (window slice i) * T^i over i = 1..len(parts).
+
+    Given difference, a function returning D(poly) = poly(t) - poly(1-t), the
+    terms are instead those of D(W(T) * poly).  Composition with 1-t takes T
+    to 1 - T, so that is (W(T) - W(1-T)) poly + W(1-T) D(poly), with W(1-T)
+    expanded by binomials; difference is called only when W(1-T) != 0.
+    """
     slices = window_slices(Index(parts), p)
-    return [(z, i * p, poly) for i, z in enumerate(slices, 1)]
+    if difference is None:
+        return [(z, i * p, poly) for i, z in enumerate(slices, 1)]
+    coeffs = [0, *slices]  # of W, in T
+    reflected = [
+        (-1) ** j * sum(math.comb(i, j) * z for i, z in enumerate(coeffs)) % p
+        for j in range(len(coeffs))
+    ]
+    terms = [(z - r, j * p, poly) for j, (z, r) in enumerate(zip(coeffs, reflected))]
+    if any(reflected):
+        diff = difference()
+        terms += [(r, j * p, diff) for j, r in enumerate(reflected)]
+    return terms
 
 
-def _f_terms(n: int, k: int, p: int) -> list:
+def _f_terms(n: int, k: int, p: int, difference: bool = False) -> list:
     """The k-th summand of f_n: window slices of ({1}^{n-k-2}, 2) against the
-    depth-k all-ones polylog."""
-    return _window_terms((1,) * (n - k - 2) + (2,), ones_fmp(k, p), p)
+    depth-k all-ones polylog; with difference, the summand's D."""
+    diff = (lambda: ones_symmetry_difference(k, p)) if difference else None
+    return _window_terms((1,) * (n - k - 2) + (2,), ones_fmp(k, p), p, diff)
 
 
-def _g_terms(n: int, k: int, p: int) -> list:
+def _g_terms(n: int, k: int, p: int, difference: bool = False) -> list:
     """The k-th summand of g_n: window slices of {1}^m, m = n-k-2, against
-    the polylog of (2, {1}^k); no terms when m < 1."""
+    the polylog of (2, {1}^k); no terms when m < 1.  With difference, the
+    summand's D, composing that polylog only if its window part needs it."""
     m = n - k - 2
     if m < 1:
         return []
-    return _window_terms((1,) * m, oy_fmp(Index((2,) + (1,) * k), p), p)
+    h = oy_fmp(Index((2,) + (1,) * k), p)
+    return _window_terms((1,) * m, h, p, (lambda: _symmetry_difference(h)) if difference else None)
 
 
 @lru_cache(maxsize=None)
@@ -136,39 +156,102 @@ def main_theorem_residual(n: int, p: int) -> PolyFp:
     return PolyFp.sum_of(p, [(inv_n, 0, product), (-inv_n, 0, shuffle_lemma_residual(n, p))])
 
 
+def _symmetry_difference(f: PolyFp) -> PolyFp:
+    """D(f) = f(t) - f(1-t); free for the zero polynomial."""
+    return f - compose_one_minus_t(f)
+
+
 @lru_cache(maxsize=None)
 def kontsevich_residual(p: int) -> PolyFp:
     """K = l(t) - l(1-t) for the depth-1 polylog l."""
-    l = ones_fmp(1, p)
-    return l - compose_one_minus_t(l)
+    return _symmetry_difference(ones_fmp(1, p))
 
 
-def functional_eq_residual(n: int, p: int) -> PolyFp:
-    """L_n(t) - L_n(1-t) for L_n = depth-n polylog - C_n/n! = l^n/n! + M_n,
-    with l the depth-1 polylog and M_n the main theorem's residual.
+def _power_difference(n: int, p: int) -> PolyFp:
+    """P_n = D(l^n) = l^n - E^n for the depth-1 polylog l, where D is the
+    difference under t -> 1-t, a ring homomorphism taking l to E = l - K.
 
-    Composition with 1-t is a ring homomorphism taking l to E = l - K, so
-    exactly the residual is (l^n - E^n)/n! + M_n - M_n(1-t).  The difference
-    of powers is P_n, with P_1 = U_1 = K, U_j = E U_{j-1} and
-    P_j = l P_{j-1} + U_j.  Where K = 0 every product has a zero operand, and
-    where M_n = 0 the composition returns at once, so neither costs work.
-    """
-    _require_p_gt_n(n, p)
+    P_1 = U_1 = K, U_j = E U_{j-1} and P_j = l P_{j-1} + U_j.  Where K = 0
+    every product has a zero operand, so none costs work."""
     l, kont = ones_fmp(1, p), kontsevich_residual(p)
     e = l - kont
     powers = unit = kont
     for _ in range(n - 1):
         unit = e * unit
         powers = l * powers + unit
-    m = main_theorem_residual(n, p)
+    return powers
+
+
+def functional_eq_residual(n: int, p: int) -> PolyFp:
+    """L_n(t) - L_n(1-t) for L_n = depth-n polylog - C_n/n! = l^n/n! + M_n,
+    with l the depth-1 polylog and M_n the main theorem's residual.
+
+    Composition with 1-t is a ring homomorphism, so exactly the residual is
+    P_n/n! + M_n - M_n(1-t), with P_n the difference of powers (see
+    _power_difference).  Where M_n = 0 the composition returns at once.
+    """
+    _require_p_gt_n(n, p)
     inv_fact = pow(math.factorial(n), -1, p)
-    return PolyFp.sum_of(p, [(inv_fact, 0, powers), (1, 0, m), (-1, 0, compose_one_minus_t(m))])
+    m = _symmetry_difference(main_theorem_residual(n, p))
+    return PolyFp.sum_of(p, [(inv_fact, 0, _power_difference(n, p)), (1, 0, m)])
+
+
+def _corrections(n: int, p: int) -> list[PolyFp]:
+    """[C_1, ..., C_n], the main theorem's corrections, by Horner:
+    C_1 = 0 and C_k = C_{k-1} l + (k-1)! (f_k + g_k) for the depth-1 polylog l."""
+    out = [PolyFp.zero(p)]
+    for k in range(2, n + 1):
+        w = math.factorial(k - 1)
+        terms = [(1, 0, out[-1] * ones_fmp(1, p)), (w, 0, f_poly(k, p)), (w, 0, g_poly(k, p))]
+        out.append(PolyFp.sum_of(p, terms))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _correction_difference(n: int, p: int) -> PolyFp:
+    """D(C_n), the difference of the main theorem's correction under t -> 1-t.
+
+    D(C_1) = 0, and by the product rule D(xy) = D(x) y + x(1-t) D(y) on the
+    Horner step, D(C_n) = D(C_{n-1}) l + C_{n-1}(1-t) K + (n-1)! D(f_n + g_n).
+    C_{n-1} and C_{n-1}(1-t) = C_{n-1} - D(C_{n-1}) are formed only where
+    K != 0, and D(f_n + g_n) is a sum of shifted window terms (_window_terms).
+    """
+    if n <= 1:
+        return PolyFp.zero(p)
+    prev, kont = _correction_difference(n - 1, p), kontsevich_residual(p)
+    terms = [(1, 0, prev * ones_fmp(1, p))]
+    if not kont.is_zero:
+        terms.append((1, 0, (_corrections(n - 1, p)[-1] - prev) * kont))
+    w = math.factorial(n - 1)
+    for k in range(n - 1):
+        terms += [(w * c, s, f) for c, s, f in _f_terms(n, k, p, True) + _g_terms(n, k, p, True)]
+    return PolyFp.sum_of(p, terms)
+
+
+@lru_cache(maxsize=None)
+def ones_symmetry_difference(n: int, p: int) -> PolyFp:
+    """D(L_n) = L_n(t) - L_n(1-t) for the depth-n all-ones polylog L_n, from
+    the main theorem: L_n = (l^n + C_n)/n! + M_n holds exactly for the
+    computed values, so D(L_n) = P_n/n! + D(C_n)/n! + D(M_n), with D(1) = 0.
+
+    On correct code K, every D(L_j) of lower depth, every window's W(T) -
+    W(1-T) and M_n are zero, so the whole is a sum of shifted terms and
+    composes nothing beyond K's depth-1 polylog.  A nonzero piece is formed
+    as it stands, so a broken chain or window still shows.
+    """
+    _require_p_gt_n(n, p)
+    if n == 0:
+        return PolyFp.zero(p)
+    inv_fact = pow(math.factorial(n), -1, p)
+    terms = [(inv_fact, 0, _power_difference(n, p)), (inv_fact, 0, _correction_difference(n, p))]
+    m = _symmetry_difference(main_theorem_residual(n, p))
+    return PolyFp.sum_of(p, terms + [(1, 0, m)])
 
 
 def depth5_symmetry_difference(p: int) -> PolyFp:
-    """The depth-5 all-ones polylog minus its image under t -> 1-t."""
-    five = ones_fmp(5, p)
-    return five - compose_one_minus_t(five)
+    """The depth-5 all-ones polylog minus its image under t -> 1-t, taken
+    from the main theorem by ones_symmetry_difference; needs p >= 7."""
+    return ones_symmetry_difference(5, p)
 
 
 def obstruction_n5_closed_form(b: int, p: int) -> PolyFp:
@@ -181,10 +264,11 @@ def obstruction_n5_closed_form(b: int, p: int) -> PolyFp:
 
 
 def obstruction_n5_residual(p: int) -> PolyFp:
-    """Difference of the depth-5 polylog under t -> 1-t, minus its advertised
-    closed form (B_{p-5}/5) t^p (1 - t^p)(2 t^p - 1).  Zero residual means the
-    advertised form is exact.  The measured difference is zero at every prime
-    in 7..5000, so the residual is minus the advertised form, nonzero whenever
+    """Difference of the depth-5 polylog under t -> 1-t, taken from the main
+    theorem (depth5_symmetry_difference), minus its advertised closed form
+    (B_{p-5}/5) t^p (1 - t^p)(2 t^p - 1).  Zero residual means the advertised
+    form is exact.  The measured difference is zero at every prime in
+    7..5000, so the residual is minus the advertised form, nonzero whenever
     B_{p-5} != 0 mod p."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
@@ -203,11 +287,10 @@ def closed_form_residuals(p: int) -> list[tuple[str, PolyFp]]:
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
     l, f3, inv = ones_fmp(1, p), f_poly(3, p), lambda c: pow(c, -1, p)
-    theorem, c_n = {}, PolyFp.zero(p)
-    for n in range(2, 6):
-        w = math.factorial(n - 1)
-        c_n = PolyFp.sum_of(p, [(1, 0, c_n * l), (w, 0, f_poly(n, p)), (w, 0, g_poly(n, p))])
-        theorem[n] = [(1, 0, main_theorem_residual(n, p)), (inv(n * w), 0, c_n)]
+    theorem = {
+        n: [(1, 0, main_theorem_residual(n, p)), (inv(math.factorial(n)), 0, c_n)]
+        for n, c_n in enumerate(_corrections(5, p)[1:], 2)
+    }
     # -(1/3) t^p (1-t)^p z12 g = -(z12/3) (T - T^2) g with T = t^p
     c = zeta_variant(Index.of(1, 2), 1, p).value * inv(3)
     minus_tail_third = lambda g: [(-c, p, g), (c, 2 * p, g)]

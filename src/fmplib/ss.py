@@ -17,8 +17,9 @@ from itertools import accumulate
 from operator import mul
 
 from .fmp import Index, _inverse_powers, _oracle_inverses
+from .identities import _symmetry_difference, ones_fmp, ones_symmetry_difference
 from .modular import require_prime
-from .polyfp import PolyFp, compose_one_minus_t
+from .polyfp import PolyFp
 
 __all__ = [
     "AdjacentDistinctSurjection",
@@ -219,15 +220,21 @@ def oy_from_ss(index: Index, p: int) -> PolyFp:
 
 def _corollary_residual(n: int, p: int) -> PolyFp:
     """F(t) - F(1-t) for F the depth-n all-ones chain-sum polylog, rebuilt
-    from strict-chain polylogs by oy_from_ss.
+    from strict-chain polylogs by oy_from_ss; needs p > n.
 
     Group i of the conversion is the T^{i-1} part of the corollary's left
     side, with T = t^p.  Composing with 1-t is a ring homomorphism and
     (1-t)^p = 1 - T, so F(1-t) is exactly the right side: every strict-chain
     polylog at 1-t with coefficient (1-T)^{i-1}.
+
+    The difference is that of the all-ones polylog L_n, taken from the main
+    theorem (ones_symmetry_difference), plus that of F - L_n.  The
+    conversion makes F = L_n, so the second composes the zero polynomial
+    unless the conversion or a chain is broken.
     """
     f = oy_from_ss(Index.ones(n), p)
-    return f - compose_one_minus_t(f)
+    rest = f - ones_fmp(n, p)
+    return ones_symmetry_difference(n, p) + _symmetry_difference(rest)
 
 
 def corollary_depth3_residual(p: int) -> PolyFp:

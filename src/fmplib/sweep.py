@@ -489,8 +489,9 @@ def run_sweep(config: RunConfig) -> SweepReport:
 def merge_reports(reports: list[SweepReport]) -> SweepReport:
     """Union of sweeps over different prime ranges.
 
-    Duplicate primes must agree exactly (ValueError otherwise); entries are
-    matched by identity and parameters, primes come out ascending.
+    Duplicate primes must agree exactly (ValueError otherwise), and so must
+    the timing seconds sum to a finite number; entries are matched by
+    identity and parameters, primes come out ascending.
     """
     if not reports:
         raise ValueError("nothing to merge")
@@ -515,6 +516,9 @@ def merge_reports(reports: list[SweepReport]) -> SweepReport:
         entry.outcomes = [seen[p] for p in sorted(seen)]
     ranges = sorted({tuple(r) for rep in reports for r in rep.ranges})
     seconds = round(sum(rep.timing.get("seconds", 0.0) for rep in reports), 3)
+    # Finite seconds can still sum past the largest float; JSON has no inf.
+    if not math.isfinite(seconds):
+        raise ValueError(f"not a sweep report: timing seconds sum to {seconds}")
     return SweepReport(
         ranges=list(ranges),
         entries=list(merged.values()),

@@ -11,7 +11,7 @@ from fmplib import identities
 from fmplib.fmp import BlockTriple, Index, oy_fmp, zeta_variant
 from fmplib.modular import inverse_table, require_prime
 from fmplib.polyfp import PolyFp, compose_one_minus_t
-from fmplib.ss import enumerate_phi, grouped_index, ss_star
+from fmplib.ss import enumerate_phi, grouped_index, oy_from_ss, ss_star
 
 
 def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
@@ -210,6 +210,20 @@ def functional_eq_direct(n: int, p: int) -> PolyFp:
     curly_L at 1-t, composing the whole of curly_L."""
     l = curly_L(n, p)
     return l - compose_one_minus_t(l)
+
+
+def ones_symmetry_difference_direct(n: int, p: int) -> PolyFp:
+    """The depth-n all-ones polylog minus its image under t -> 1-t, composing
+    the whole polylog."""
+    f = identities.ones_fmp(n, p)
+    return f - compose_one_minus_t(f)
+
+
+def corollary_direct(n: int, p: int) -> PolyFp:
+    """A corollary's residual by its definition, F(t) - F(1-t) for F the
+    conversion of the depth-n all-ones index, composing the whole of F."""
+    f = oy_from_ss(Index.ones(n), p)
+    return f - compose_one_minus_t(f)
 
 
 def closed_forms_direct(p: int) -> list[tuple[str, PolyFp]]:

@@ -7,16 +7,18 @@ import math
 import pytest
 from oracles import (
     closed_forms_direct,
+    corollary_direct,
     curly_L,
     f_poly_sum,
     functional_eq_direct,
     g_poly_sum,
     main_theorem_direct,
+    ones_symmetry_difference_direct,
     recurrence_sum,
     shuffle_lemma_sum,
 )
 
-from fmplib import fmp, identities
+from fmplib import fmp, identities, ss
 from fmplib.fmp import (
     BlockTriple,
     Index,
@@ -34,6 +36,7 @@ from fmplib.identities import (
     main_theorem_residual,
     obstruction_n5_residual,
     ones_fmp,
+    ones_symmetry_difference,
     recurrence_residual,
     shuffle_lemma_residual,
 )
@@ -323,6 +326,50 @@ def test_functional_eq_matches_direct_form_perturbed(p, bump, monkeypatch, fresh
         n for n in nonzero if n > 1
     ]
     assert kontsevich_residual(p).is_zero == (parts != (1,))
+
+
+def _assert_symmetry_differences_match_direct(p, depths):
+    for n in depths:
+        assert ones_symmetry_difference(n, p) == ones_symmetry_difference_direct(n, p), n
+    for n in (3, 4):
+        assert ss._corollary_residual(n, p) == corollary_direct(n, p), n
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_symmetry_difference_matches_direct(p):
+    # Every all-ones polylog of depth below p - 1 is symmetric; the one of
+    # depth p - 1 (p = 5 and 7 here) is not.
+    depths = range(1, min(p - 1, 7) + 1)
+    _assert_symmetry_differences_match_direct(p, depths)
+    nonzero = [n for n in depths if not ones_symmetry_difference(n, p).is_zero]
+    assert nonzero == [n for n in depths if n == p - 1]
+
+
+# Chain bumps for the symmetry difference: (index, S as a function of p,
+# smallest depth with a nonzero main-theorem residual).  A bump of (1)
+# changes the depth-1 polylog, so K and every deeper polylog and its
+# difference; one of (1,2) or (1,1,1,2) changes a window of f_3 or f_5 and
+# no all-ones polylog, so the windows' and M_n's differences must cancel.
+_SYMMETRY_BUMPS = {
+    "(1) at S=2": ((1,), lambda q: 2, 2),
+    "(1) at S=p-1": ((1,), lambda q: q - 1, 2),
+    "(1,2) at S=p+1": ((1, 2), lambda q: q + 1, 3),
+    "(1,1,1,2) at S=2p+3": ((1, 1, 1, 2), lambda q: 2 * q + 3, 5),
+}
+
+
+@pytest.mark.parametrize("bump", list(_SYMMETRY_BUMPS))
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_symmetry_difference_matches_direct_perturbed(p, bump, monkeypatch, fresh_memos):
+    parts, position, first = _SYMMETRY_BUMPS[bump]
+    _bump_chain_values(monkeypatch, (parts,), position)
+    depths = range(1, min(p - 1, 7) + 1)
+    _assert_symmetry_differences_match_direct(p, depths)
+    nonzero = [n for n in depths if not ones_symmetry_difference(n, p).is_zero]
+    assert nonzero == [n for n in depths if parts == (1,) or n == p - 1]
+    assert [n for n in depths if not main_theorem_residual(n, p).is_zero] == [
+        n for n in depths if n >= first
+    ]
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (2, 7), (3, 11), (4, 11)])

@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -210,6 +211,23 @@ def test_sweep_deterministic_across_workers(monkeypatch):
     r2 = run_sweep(RunConfig(workers=3, **base))
     assert _stripped(r1) == _stripped(r2)
     assert r1.timing["workers"] == 1 and r2.timing["workers"] == 3
+
+
+# SHA-256 of the JSON report of every identity, without its timing.  Pinned
+# from the sweep that took each symmetry difference by composing the whole
+# polylog, so a faster path must give the same bytes.
+_GOLDEN_REPORTS = {
+    (5, 199): "69d173d28540deafd8d2e68993ccdcf45a10c2238a2e4cbf36891df7ae6ccc0e",
+    (1051, 1051): "95a571caf0d26922b080547480f46b06b8257589aadc07bb21f3b1d8a01afdf5",
+}
+
+
+@pytest.mark.parametrize("lo,hi", list(_GOLDEN_REPORTS))
+def test_full_sweep_report_is_golden(lo, hi):
+    d = json.loads(run_sweep(RunConfig(lo=lo, hi=hi, identities=IDENTITY_IDS)).to_json())
+    del d["timing"]
+    text = json.dumps(d, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_REPORTS[lo, hi]
 
 
 def test_sweep_one_prime_starts_no_pool(monkeypatch):
@@ -585,13 +603,15 @@ def _one_outcome(outcome: dict, **entry) -> dict:
         {**_one_outcome({"p": 7, "pass": True}), "timing": {"seconds": True}},
         {**_one_outcome({"p": 7, "pass": True}), "timing": {"seconds": float("nan")}},
         {**_one_outcome({"p": 7, "pass": True}), "timing": [["seconds", 0.5]]},
+        # Finite in each report, but twice 1e308 overflows, and JSON has no inf.
+        {**_one_outcome({"p": 7, "pass": True}), "timing": {"seconds": 1e308}},
     ],
 )
 def test_cli_merge_malformed_report(tmp_path, payload):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     with pytest.raises(SystemExit) as err:
-        main(["merge", str(bad)])
+        main(["merge", str(bad), str(bad)])
     assert str(err.value.code).startswith("error: not a sweep report: ")
 
 
