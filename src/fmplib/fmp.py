@@ -16,13 +16,14 @@ are the oracle of record at small scale.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
 
 from .modular import Residue, inverse_table, require_prime
-from .polyfp import PolyFp
+from .polyfp import PolyFp, _require_word_prime, _words
 
 __all__ = [
     "BlockTriple",
@@ -128,30 +129,39 @@ def _window_extend(values: Sequence[int], k: int, p: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _chain_values(parts: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _chain_values(parts: tuple[int, ...], p: int) -> array:
     """Chain values of parts, one step on those of parts[:-1]; the empty
     chain has total 0 with value 1.  Every value at a multiple of p is zero,
-    checked once per memo entry: a nonzero one means a faulty chain step."""
+    checked once per memo entry: a nonzero one means a faulty chain step.
+
+    Stored as 4-byte words, as PolyFp stores its coefficients (so p must be
+    below 2^32), and shared with the polylogs built from them: never mutate
+    an entry."""
     if not parts:
-        require_prime(p)
-        return (1,)
-    values = tuple(_window_extend(_chain_values(parts[:-1], p), parts[-1], p))
+        _require_word_prime(p)
+        return _words([1])
+    values = _words(_window_extend(_chain_values(parts[:-1], p), parts[-1], p))
     if any(values[::p]):
         raise ValueError(f"nonzero chain value at a multiple of {p} for {parts}")
     return values
 
 
-def chain_distribution(index: Index, p: int) -> tuple[int, ...]:
+def chain_distribution(index: Index, p: int) -> array:
     """values[S] = sum' over chains with final partial sum S, by the
     sliding-window DP; entries at multiples of p are zero."""
     return _chain_values(index.parts, p)
 
 
-def window_slices(index: Index, p: int) -> list[int]:
+# One prime's working set: a full sweep reads the slices of 21 indices at a
+# prime, most of them several times (the error terms, the recurrence and the
+# symmetry differences).  Keeping more primes would grow with the prime range.
+@lru_cache(maxsize=32)
+def window_slices(index: Index, p: int) -> tuple[int, ...]:
     """Every window slice of the chain sum, read in one pass: slice i, for
-    i = 1..depth, sums the chain values over (i-1)p < S < ip."""
+    i = 1..depth, sums the chain values over (i-1)p < S < ip.  A tuple, since
+    every caller shares the memoized result."""
     values = chain_distribution(index, p)
-    return [sum(values[lo + 1 : lo + p]) % p for lo in range(0, index.depth * p, p)]
+    return tuple([sum(values[lo + 1 : lo + p]) % p for lo in range(0, index.depth * p, p)])
 
 
 def oy_fmp(index: Index, p: int) -> PolyFp:

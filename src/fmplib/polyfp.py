@@ -17,14 +17,38 @@ __all__ = [
 ]
 
 
-def _normalize(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """coeffs without trailing zeros, in one copy."""
+# Every stored coefficient vector (PolyFp, the chain DP's memo, the
+# strict-chain heads and tails) is an array of 4-byte unsigned words: an
+# int takes 4 bytes there, where a tuple or list slot and its int take about
+# 33.  So every prime must be below 2^32; a p-long vector could not be held
+# at a larger p anyway.  Narrower types for small p would save more but
+# cost about three times as much to build from a list.
+_WORD = "I"
+
+
+def _words(values: Iterable[int]) -> array:
+    """values, each in [0, 2^32), as a stored coefficient vector."""
+    return array(_WORD, values)
+
+
+def _require_word_prime(p: int) -> int:
+    """p, if it is a prime whose residues fit in one stored word."""
+    if p >= 1 << 32:
+        raise ValueError(f"p = {p} is not below 2^32, the coefficient word size")
+    return require_prime(p)
+
+
+def _normalize(coeffs: Sequence[int]) -> array:
+    """coeffs without trailing zeros, as an 'I' array of 4-byte words, in at
+    most one copy: an 'I' array with no trailing zero is returned as it is."""
     if not any(coeffs):
-        return ()
+        return _words(())
     n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+    while coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs if n == len(coeffs) else islice(coeffs, n))
+    if isinstance(coeffs, array) and coeffs.typecode == _WORD:
+        return coeffs if n == len(coeffs) else coeffs[:n]
+    return _words(coeffs if n == len(coeffs) else islice(coeffs, n))
 
 
 def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> list[int]:
@@ -33,11 +57,17 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> list[
 
     Every term is added into one list of plain ints, and the sum is reduced
     mod p once at the end, so a sum of many polynomials costs one pass per
-    term and one reduction.  Weights may be any ints, negative too.
+    term and one reduction.  A term that starts past the list's end, the
+    first one always, is copied in, not added to zeros.  Weights may be any
+    ints, negative too.
     """
     out: list[int] = []
     for c, shift, f in terms:
         if not c or not f:
+            continue
+        if shift >= len(out):
+            out.extend([0] * (shift - len(out)))
+            out.extend(f if c == 1 else [c * y for y in f])
             continue
         end = shift + len(f)
         if end > len(out):
@@ -54,15 +84,18 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> list[
 
 def _pack(v: Sequence[int], width: int) -> int:
     """The integer whose width-byte little-endian chunks are the entries of
-    v, each below 2^(8*width) <= 2^64.  The entries are staged as 8-byte
-    words and copied into the chunks by one strided slice per byte."""
-    words = array("Q", v)
+    v, each below 2^(8*width) <= 2^64.  The entries are staged as words, an
+    'I' array as its own 4-byte words and anything else as 8-byte words, and
+    copied into the chunks by one strided slice per byte that a word holds;
+    the chunks' higher bytes stay zero."""
+    words = v if isinstance(v, array) and v.typecode == _WORD else array("Q", v)
     if sys.byteorder == "big":
+        words = array(words.typecode, words)  # v may be a PolyFp's own array
         words.byteswap()
-    staged = words.tobytes()
+    staged, size = words.tobytes(), words.itemsize
     chunks = bytearray(width * len(v))
-    for j in range(width):
-        chunks[j::width] = staged[j::8]
+    for j in range(min(width, size)):
+        chunks[j::width] = staged[j::size]
     return int.from_bytes(chunks, "little")
 
 
@@ -79,7 +112,7 @@ def _unpack(x: int, width: int, n: int) -> array:
     return words
 
 
-def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
+def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Exact convolution of reduced coefficient vectors, by Kronecker
     substitution: pack each vector into one big integer with enough room per
     chunk that product coefficients cannot collide, multiply, unpack.
@@ -107,20 +140,25 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
 class PolyFp:
     """A normalized dense polynomial: coeffs[d] is the coefficient of t^d.
 
-    The zero polynomial is the empty tuple.  Coefficients are canonical ints
-    in [0, p); the constructor strips trailing zeros, and `of` also reduces.
+    Coefficients are canonical ints in [0, p), stored as an array('I') of
+    4-byte words, so p must be below 2^32; the zero polynomial is the empty
+    array.  The constructor takes any sequence and strips trailing zeros, and
+    `of` also reduces.  The array may be shared with a memo, so it is never
+    mutated, and a PolyFp is not hashable.
     """
 
     p: int
-    coeffs: tuple[int, ...]
+    coeffs: array
+
+    __hash__ = None
 
     def __post_init__(self):
-        require_prime(self.p)
+        _require_word_prime(self.p)
         object.__setattr__(self, "coeffs", _normalize(self.coeffs))
 
     @classmethod
     def of(cls, p: int, coeffs: Iterable[int]) -> "PolyFp":
-        require_prime(p)
+        _require_word_prime(p)
         return cls(p, [int(c) % p for c in coeffs])
 
     @classmethod
@@ -181,7 +219,7 @@ class PolyFp:
         """Multiply by t^d."""
         if self.is_zero:
             return self
-        return PolyFp(self.p, (0,) * d + self.coeffs)
+        return PolyFp(self.p, _words([0]) * d + self.coeffs)
 
     def __str__(self):
         if self.is_zero:
@@ -216,7 +254,7 @@ def _factorial_tables(n: int, p: int) -> tuple[list[int], list[int]]:
 
 
 def _block_at_one_minus_t(
-    block: tuple[int, ...], p: int, fact: list[int], inv_fact: list[int]
+    block: Sequence[int], p: int, fact: list[int], inv_fact: list[int]
 ) -> list[int]:
     # Taylor shift g(x) = f(1+x): with a_i = c_i i!, the coefficient of x^k is
     # (1/k!) sum_i a_i / (i-k)!, a correlation of a against 1/j!, done as one

@@ -18,8 +18,7 @@ from operator import mul
 
 from .fmp import Index, _inverse_powers, _oracle_inverses
 from .identities import _symmetry_difference, ones_fmp, ones_symmetry_difference
-from .modular import require_prime
-from .polyfp import PolyFp
+from .polyfp import PolyFp, _require_word_prime, _words
 
 __all__ = [
     "AdjacentDistinctSurjection",
@@ -139,15 +138,14 @@ def _heads(prefix: tuple[int, ...], p: int) -> array:
     1/(n_1^{k_1} ... n_c^{k_c}), for the c parts of prefix; the empty prefix
     is the chain ending at 0.  One pass on the heads of prefix[:-1].
 
-    Stored as 64-bit words, 8 bytes an entry where a list of ints takes
-    about 36; every entry is below p, and a vector of p entries fits in
-    memory only far below 2^63."""
+    Stored as 4-byte words, as PolyFp stores its coefficients: every entry
+    is below p < 2^32."""
     if not prefix:
-        return array("q", [1] + [0] * (p - 1))
+        return _words([1] + [0] * (p - 1))
     # new[v] = v^{-k} * (heads[0] + ... + heads[v-1]) for 0 < v < p
     tab = _inverse_powers(prefix[-1], p)
     heads = _heads(prefix[:-1], p).tolist()
-    return array("q", [0] + [run * w % p for run, w in zip(accumulate(heads), tab[1:])])
+    return _words([0] + [run * w % p for run, w in zip(accumulate(heads), tab[1:])])
 
 
 @lru_cache(maxsize=8)
@@ -157,14 +155,17 @@ def _tails(suffix: tuple[int, ...], p: int) -> array:
     completes every v with 1.  One pass on the tails of suffix[1:], stored
     as _heads stores its vectors."""
     if not suffix:
-        return array("q", [1] * p)
+        return _words([1] * p)
     # new[v] = sum over u > v of u^{-k} * tails[u], and new[p-1] = 0
     tab = _inverse_powers(suffix[0], p)
     tails = _tails(suffix[1:], p).tolist()
     running = list(accumulate(map(mul, reversed(tab), reversed(tails))))
-    return array("q", [run % p for run in running[-2::-1]] + [0])
+    return _words([run % p for run in running[-2::-1]] + [0])
 
 
+# One prime's working set: at one prime a full sweep's conversions ask 62
+# times for 32 distinct (index, slot) pairs, and prop42's 42 times for 28.
+@lru_cache(maxsize=32)
 def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     """Sum over strictly increasing chains 0 < n_1 < ... < n_s < p of
     t^{n_slot} / (n_1^{k_1} ... n_s^{k_s}); every other argument is fixed at 1.
@@ -175,9 +176,10 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     slots of one index, and indices sharing a prefix or a suffix, share their
     passes: prop42 and the two corollaries make 22 passes at one prime,
     where a pass per part at each of their 62 calls would make 158.  The
-    memos keep one prime's vectors, as 64-bit words.
+    memos keep one prime's vectors, as 4-byte words, and this one keeps one
+    prime's polylogs, which the conversions of several indices share.
     """
-    require_prime(p)
+    _require_word_prime(p)
     ks = index.parts
     if not 1 <= slot <= len(ks):
         raise ValueError(f"slot {slot} out of range 1..{len(ks)}")

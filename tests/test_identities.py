@@ -3,6 +3,7 @@ formula, functional equations, and the depth-5 closed forms."""
 
 import itertools
 import math
+from array import array
 
 import pytest
 from oracles import (
@@ -119,7 +120,8 @@ def _bump_chain_values(monkeypatch, indices, position):
         values = original(parts, q)
         if parts in indices:
             s = position(q)
-            values = values[:s] + ((values[s] + 1) % q,) + values[s + 1 :]
+            values = array("I", values)  # a copy: the memo's entry is shared
+            values[s] = (values[s] + 1) % q
         return values
 
     monkeypatch.setattr(fmp, "_chain_values", perturbed)

@@ -2,15 +2,17 @@
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import compose_binomial, compose_horner, schoolbook_mul
 
+from fmplib import fmp
 from fmplib.identities import ones_fmp
 from fmplib.modular import is_prime
-from fmplib.polyfp import PolyFp, _convolve, _shift_add, compose_one_minus_t
+from fmplib.polyfp import PolyFp, _convolve, _pack, _shift_add, compose_one_minus_t
 
 PRIMES = [5, 7, 11, 13, 17, 31]
 
@@ -42,7 +44,7 @@ def multi_block_polys(draw):
 def test_normalization_and_zero():
     assert PolyFp.of(5, [1, 5, 10]) == PolyFp(5, (1,))
     assert PolyFp.of(5, [0, 0]) == PolyFp.zero(5)
-    assert PolyFp.zero(5).coeffs == ()
+    assert PolyFp.zero(5).coeffs == array("I")
     assert PolyFp.of(5, [-1]) == PolyFp(5, (4,))
     assert PolyFp(5, (1, 0)) == PolyFp(5, (1,))  # the constructor normalizes
     with pytest.raises(ValueError):
@@ -54,6 +56,62 @@ def test_degree_marker():
     assert type(PolyFp.zero(7).degree) is int
     assert PolyFp.one(7).degree == 0
     assert PolyFp.of(7, [0] * 12 + [1]).degree == 12
+
+
+# --- storage -----------------------------------------------------------------
+
+#: The largest prime below 2^32, and the smallest above it.
+_LAST_WORD_PRIME, _FIRST_WIDE_PRIME = 4294967291, 4294967311
+
+
+@pytest.mark.parametrize("make", [tuple, list, lambda c: array("I", c)])
+def test_coefficients_are_4_byte_words(make):
+    f = PolyFp(7, make([3, 0, 5, 0, 0]))
+    assert isinstance(f.coeffs, array) and f.coeffs.typecode == "I"
+    assert f.coeffs.itemsize == 4
+    assert list(f.coeffs) == [3, 0, 5]
+    for g in (PolyFp.of(7, make([10, 0, 12])), f + f, f * f, -f, f.shifted(2)):
+        assert g.coeffs.typecode == "I", g
+
+
+def test_normalized_array_is_kept():
+    words = array("I", [1, 2, 3])
+    assert PolyFp(5, words).coeffs is words
+    padded = array("I", [1, 2, 3, 0])
+    assert PolyFp(5, padded).coeffs == words and list(padded) == [1, 2, 3, 0]
+
+
+def test_primes_up_to_the_word_size():
+    assert is_prime(_LAST_WORD_PRIME) and is_prime(_FIRST_WIDE_PRIME)
+    p = _LAST_WORD_PRIME
+    f = PolyFp.of(p, [p - 1, 1, p - 2])
+    assert list(f.coeffs) == [p - 1, 1, p - 2]
+    assert f * f == schoolbook_mul(f, f)
+    assert fmp._chain_values((), p) == array("I", [1])
+    with pytest.raises(ValueError, match="2\\^32"):
+        PolyFp.of(_FIRST_WIDE_PRIME, [1])
+    with pytest.raises(ValueError, match="2\\^32"):
+        PolyFp(_FIRST_WIDE_PRIME, ())
+    with pytest.raises(ValueError, match="2\\^32"):
+        fmp._chain_values((), _FIRST_WIDE_PRIME)
+
+
+def test_polyfp_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(PolyFp.of(5, [1, 2]))
+    with pytest.raises(TypeError):
+        hash(PolyFp.zero(5))
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_pack_tuple_and_array_agree(width):
+    top = min(2 ** (8 * width), 2**32) - 1
+    rng = random.Random(width)
+    values = [top, 0, 1, *(rng.randrange(top + 1) for _ in range(40)), top]
+    packed = _pack(tuple(values), width)
+    assert _pack(array("I", values), width) == packed
+    assert packed == sum(v << (8 * width * i) for i, v in enumerate(values))
+    assert _pack((), width) == _pack(array("I"), width) == 0
 
 
 # --- addition --------------------------------------------------------------
@@ -323,4 +381,7 @@ def test_compact_form():
 def test_shifted():
     f = PolyFp.of(7, [1, 2])
     assert f.shifted(3) == PolyFp.of(7, [0, 0, 0, 1, 2])
+    # padded with zero words in front of the array
+    assert f.shifted(3).coeffs == array("I", [0, 0, 0, 1, 2])
+    assert f.shifted(0) == f
     assert PolyFp.zero(7).shifted(4).is_zero

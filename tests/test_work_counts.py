@@ -15,9 +15,10 @@ the main theorem too, and take the square of the depth-1 polylog from the
 shuffle bridge, so they form no power of their own.  The oracle crosscheck
 compares each chain once.  The strict-chain polylogs of prop42 and the
 corollaries share their prefix- and suffix-sum passes through the head and
-tail memos.  These counts guard that sharing, which no result would reveal
-if it broke.  A full 12-identity sweep at one prime is counted too, so that a
-change to the sweep or identity layers cannot add work unseen.
+tail memos, and each distinct one is evaluated once per prime.  These
+counts guard that sharing, which no result would reveal if it broke.  A full
+12-identity sweep at one prime is counted too, so that a change to the sweep
+or identity layers cannot add work unseen.
 """
 
 import functools
@@ -75,33 +76,31 @@ def counts(fresh_memos, monkeypatch):
         seen["compositions"] += not f.is_zero
         return compose(f)
 
-    def counted_ss_star(index, slot, p):
-        seen["ss_star"] += 1
-        return ss_star(index, slot, p)
-
     def counted_oracle(blocks, p):
         seen["oracles"] += 1
         return oracle(blocks, p)
 
-    def counted_passes(memo):
-        # A fresh memo of the same size around a counting step, so a pass is
-        # counted once per miss; the empty prefix or suffix is no pass.
-        step = memo.__wrapped__
+    def counted_misses(memo, key, work=lambda *args: True):
+        # A fresh memo of the same size around a counting evaluation, so an
+        # evaluation is counted once per miss, not once per call.
+        evaluate = memo.__wrapped__
 
-        def counted_step(parts, p):
-            seen["passes"] += bool(parts)
-            return step(parts, p)
+        def counted(*args):
+            seen[key] += work(*args)
+            return evaluate(*args)
 
-        return functools.lru_cache(**memo.cache_parameters())(counted_step)
+        return functools.lru_cache(**memo.cache_parameters())(counted)
 
     _wrap_everywhere(monkeypatch, convolve, counted_convolve)
     _wrap_everywhere(monkeypatch, window_extend, counted_window_extend)
     _wrap_everywhere(monkeypatch, compose, counted_compose)
-    _wrap_everywhere(monkeypatch, ss_star, counted_ss_star)
+    _wrap_everywhere(monkeypatch, ss_star, counted_misses(ss_star, "ss_star"))
     _wrap_everywhere(monkeypatch, oracle, counted_oracle)
-    # The steps recurse through the module's names, so the patch counts them.
-    monkeypatch.setattr(ss, "_heads", counted_passes(ss._heads))
-    monkeypatch.setattr(ss, "_tails", counted_passes(ss._tails))
+    # The steps recurse through the module's names, so the patch counts them;
+    # the empty prefix or suffix is no pass.
+    nonempty = lambda parts, p: bool(parts)
+    monkeypatch.setattr(ss, "_heads", counted_misses(ss._heads, "passes", nonempty))
+    monkeypatch.setattr(ss, "_tails", counted_misses(ss._tails, "passes", nonempty))
     return seen
 
 
@@ -177,12 +176,13 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
 
 
 def test_prop42_shares_strict_chain_passes(counts):
-    # 42 strict-chain polylogs over the 14 indices' conversions, built from 14
-    # head and 6 tail passes, each shared by every slot and index that has
-    # its prefix or suffix.
+    # The 14 indices' conversions ask for 42 strict-chain polylogs, 28 of
+    # them distinct, each evaluated once and built from 14 head and 6 tail
+    # passes, each shared by every slot and index that has its prefix or
+    # suffix.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("prop42",)))
     _all_checked_pass(report)
-    assert counts["ss_star"] <= 42, counts
+    assert counts["ss_star"] <= 28, counts
     assert counts["passes"] <= 20, counts
 
 
@@ -212,6 +212,7 @@ def test_full_sweep_at_one_prime(counts):
     assert counts["dense"] <= 6, counts
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 1, counts
-    assert counts["ss_star"] <= 62, counts
+    # 62 strict-chain polylogs asked for, 32 of them distinct.
+    assert counts["ss_star"] <= 32, counts
     # The corollaries add the head (1,1,1,1) and the tail (1,1,1) to prop42's.
     assert counts["passes"] <= 22, counts
