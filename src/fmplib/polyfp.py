@@ -84,13 +84,13 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> list[
 
 def _pack(v: Sequence[int], width: int) -> int:
     """The integer whose width-byte little-endian chunks are the entries of
-    v, each below 2^(8*width) <= 2^64.  The entries are staged as words, an
-    'I' array as its own 4-byte words and anything else as 8-byte words, and
-    copied into the chunks by one strided slice per byte that a word holds;
-    the chunks' higher bytes stay zero."""
-    words = v if isinstance(v, array) and v.typecode == _WORD else array("Q", v)
+    v, each below p < 2^32.  The entries are staged as 4-byte words (an 'I'
+    array is its own staging) and copied into the chunks by one strided
+    slice per byte that both a word and a chunk hold; the chunks' higher
+    bytes stay zero."""
+    words = v if isinstance(v, array) and v.typecode == _WORD else _words(v)
     if sys.byteorder == "big":
-        words = array(words.typecode, words)  # v may be a PolyFp's own array
+        words = _words(words)  # v may be a PolyFp's own array
         words.byteswap()
     staged, size = words.tobytes(), words.itemsize
     chunks = bytearray(width * len(v))
@@ -121,7 +121,8 @@ def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     faster than a Python-level schoolbook loop at the degrees the identity
     sweeps reach (~10^3).  Chunks of up to 8 bytes (p up to about 2^21 at
     operand lengths about p) are converted by C-level strided byte copies
-    between the chunks and 8-byte words (_pack, _unpack); the chunks keep
+    from 4-byte words into the chunks (_pack) and from the chunks into
+    8-byte words (_unpack); the chunks keep
     their width, so the bignum product is no larger.  Wider chunks are
     converted one coefficient at a time.
     """

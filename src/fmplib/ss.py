@@ -163,8 +163,8 @@ def _tails(suffix: tuple[int, ...], p: int) -> array:
     return _words([run % p for run in running[-2::-1]] + [0])
 
 
-# One prime's working set: at one prime a full sweep's conversions ask 62
-# times for 32 distinct (index, slot) pairs, and prop42's 42 times for 28.
+# One prime's working set: at one prime a full sweep's conversions ask 77
+# times for 32 distinct (index, slot) pairs, and prop42's 46 times for 28.
 @lru_cache(maxsize=32)
 def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     """Sum over strictly increasing chains 0 < n_1 < ... < n_s < p of
@@ -175,9 +175,10 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     prefix- and suffix-sum passes memoized per prefix and suffix, so the
     slots of one index, and indices sharing a prefix or a suffix, share their
     passes: prop42 and the two corollaries make 22 passes at one prime,
-    where a pass per part at each of their 62 calls would make 158.  The
-    memos keep one prime's vectors, as 4-byte words, and this one keeps one
-    prime's polylogs, which the conversions of several indices share.
+    where a pass per part of each of their 32 distinct polylogs would make
+    80.  The memos keep one prime's vectors, as 4-byte words, and this one
+    keeps one prime's polylogs, which the conversions of several indices and
+    the groups of one conversion share.
     """
     _require_word_prime(p)
     ks = index.parts
@@ -206,17 +207,16 @@ def oy_from_ss(index: Index, p: int) -> PolyFp:
     """Rebuild the chain-sum polylog as sum over i of t^{(i-1)p} times the
     slot-indexed strict-chain polylogs of the grouped indices; must agree with
     oy_fmp exactly, prime by prime.  Each distinct (group, grouped index,
-    slot) is one term weighted by its count of surjections, and each distinct
-    (grouped index, slot) is evaluated once."""
+    slot) is one term weighted by its count of surjections; a (grouped
+    index, slot) that recurs is read from ss_star's memo."""
     counts = Counter(
         (i, grouped_index(phi, index), phi.values[-1])
         for i, phis in enumerate_phi(index.depth).items()
         for phi in phis
     )
-    keys = dict.fromkeys((grouped, slot) for _, grouped, slot in counts)
-    polys = {key: ss_star(*key, p) for key in keys}
     return PolyFp.sum_of(
-        p, [(c, (i - 1) * p, polys[grouped, slot]) for (i, grouped, slot), c in counts.items()]
+        p,
+        [(c, (i - 1) * p, ss_star(grouped, slot, p)) for (i, grouped, slot), c in counts.items()],
     )
 
 

@@ -176,7 +176,7 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
 
 
 def test_prop42_shares_strict_chain_passes(counts):
-    # The 14 indices' conversions ask for 42 strict-chain polylogs, 28 of
+    # The 14 indices' conversions ask for 46 strict-chain polylogs, 28 of
     # them distinct, each evaluated once and built from 14 head and 6 tail
     # passes, each shared by every slot and index that has its prefix or
     # suffix.
@@ -212,7 +212,7 @@ def test_full_sweep_at_one_prime(counts):
     assert counts["dense"] <= 6, counts
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 1, counts
-    # 62 strict-chain polylogs asked for, 32 of them distinct.
+    # 77 strict-chain polylogs asked for, 32 of them distinct.
     assert counts["ss_star"] <= 32, counts
     # The corollaries add the head (1,1,1,1) and the tail (1,1,1) to prop42's.
     assert counts["passes"] <= 22, counts
