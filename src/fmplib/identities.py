@@ -109,9 +109,11 @@ def g_poly(n: int, p: int) -> PolyFp:
     return PolyFp.sum_of(p, chain.from_iterable(_g_terms(n, k, p) for k in range(n - 1)))
 
 
+@lru_cache(maxsize=None)
 def shuffle_lemma_residual(n: int, p: int) -> PolyFp:
     """Product of the depth-(n-1) and depth-1 all-ones polylogs, minus
-    (n * depth-n polylog - f_n - g_n)."""
+    (n * depth-n polylog - f_n - g_n).  Memoized: the shuffle-lemma check,
+    the main theorem's induction and the symmetry differences all read it."""
     _require_p_gt_n(n, p)
     terms = [(1, 0, _bridge(n, 0, p)), (-n, 0, ones_fmp(n, p))]
     return PolyFp.sum_of(p, terms + [(1, 0, f_poly(n, p)), (1, 0, g_poly(n, p))])
@@ -208,49 +210,38 @@ def _corrections(n: int, p: int) -> list[PolyFp]:
 
 
 @lru_cache(maxsize=None)
-def _correction_difference(n: int, p: int) -> PolyFp:
-    """D(C_n), the difference of the main theorem's correction under t -> 1-t.
-
-    D(C_1) = 0, and by the product rule D(xy) = D(x) y + x(1-t) D(y) on the
-    Horner step, D(C_n) = D(C_{n-1}) l + C_{n-1}(1-t) K + (n-1)! D(f_n + g_n).
-    C_{n-1} and C_{n-1}(1-t) = C_{n-1} - D(C_{n-1}) are formed only where
-    K != 0, and D(f_n + g_n) is a sum of shifted window terms (_window_terms).
-    """
-    if n <= 1:
-        return PolyFp.zero(p)
-    prev, kont = _correction_difference(n - 1, p), kontsevich_residual(p)
-    terms = [(1, 0, prev * ones_fmp(1, p))]
-    if not kont.is_zero:
-        terms.append((1, 0, (_corrections(n - 1, p)[-1] - prev) * kont))
-    w = math.factorial(n - 1)
-    for k in range(n - 1):
-        terms += [(w * c, s, f) for c, s, f in _f_terms(n, k, p, True) + _g_terms(n, k, p, True)]
-    return PolyFp.sum_of(p, terms)
-
-
-@lru_cache(maxsize=None)
 def ones_symmetry_difference(n: int, p: int) -> PolyFp:
-    """D(L_n) = L_n(t) - L_n(1-t) for the depth-n all-ones polylog L_n, from
-    the main theorem: L_n = (l^n + C_n)/n! + M_n holds exactly for the
-    computed values, so D(L_n) = P_n/n! + D(C_n)/n! + D(M_n), with D(1) = 0.
+    """D(L_n) = L_n(t) - L_n(1-t) for the depth-n all-ones polylog L_n, by
+    the shuffle lemma's induction step: n L_n = L_{n-1} l + f_n + g_n - S_n
+    holds exactly for the computed values, with l the depth-1 polylog and S_n
+    the shuffle residual.  By the product rule D(xy) = D(x) y + x(1-t) D(y),
+    n D(L_n) = D(L_{n-1}) l + L_{n-1}(1-t) K + D(f_n + g_n) - D(S_n), with
+    D(L_0) = D(1) = 0.  L_{n-1}(1-t) = L_{n-1} - D(L_{n-1}) is formed only
+    where K != 0, and D(f_n + g_n) is a sum of shifted window terms
+    (_window_terms).
 
     On correct code K, every D(L_j) of lower depth, every window's W(T) -
-    W(1-T) and M_n are zero, so the whole is a sum of shifted terms and
+    W(1-T) and S_n are zero, so the whole is a sum of shifted terms and
     composes nothing beyond K's depth-1 polylog.  A nonzero piece is formed
     as it stands, so a broken chain or window still shows.
     """
     _require_p_gt_n(n, p)
     if n == 0:
         return PolyFp.zero(p)
-    inv_fact = pow(math.factorial(n), -1, p)
-    terms = [(inv_fact, 0, _power_difference(n, p)), (inv_fact, 0, _correction_difference(n, p))]
-    m = _symmetry_difference(main_theorem_residual(n, p))
-    return PolyFp.sum_of(p, terms + [(1, 0, m)])
+    prev, kont = ones_symmetry_difference(n - 1, p), kontsevich_residual(p)
+    shuffle = _symmetry_difference(shuffle_lemma_residual(n, p))
+    terms = [(1, 0, prev * ones_fmp(1, p)), (-1, 0, shuffle)]
+    if not kont.is_zero:
+        terms.append((1, 0, (ones_fmp(n - 1, p) - prev) * kont))
+    for k in range(n - 1):
+        terms += _f_terms(n, k, p, True) + _g_terms(n, k, p, True)
+    inv_n = pow(n, -1, p)
+    return PolyFp.sum_of(p, [(inv_n * c, s, f) for c, s, f in terms])
 
 
 def depth5_symmetry_difference(p: int) -> PolyFp:
     """The depth-5 all-ones polylog minus its image under t -> 1-t, taken
-    from the main theorem by ones_symmetry_difference; needs p >= 7."""
+    from the shuffle lemma by ones_symmetry_difference; needs p >= 7."""
     return ones_symmetry_difference(5, p)
 
 
@@ -264,12 +255,12 @@ def obstruction_n5_closed_form(b: int, p: int) -> PolyFp:
 
 
 def obstruction_n5_residual(p: int) -> PolyFp:
-    """Difference of the depth-5 polylog under t -> 1-t, taken from the main
-    theorem (depth5_symmetry_difference), minus its advertised closed form
-    (B_{p-5}/5) t^p (1 - t^p)(2 t^p - 1).  Zero residual means the advertised
-    form is exact.  The measured difference is zero at every prime in
-    7..5000, so the residual is minus the advertised form, nonzero whenever
-    B_{p-5} != 0 mod p."""
+    """Difference of the depth-5 polylog under t -> 1-t, taken from the
+    shuffle lemma (depth5_symmetry_difference), minus its advertised closed
+    form (B_{p-5}/5) t^p (1 - t^p)(2 t^p - 1).  Zero residual means the
+    advertised form is exact.  The measured difference is zero at every
+    prime in 7..5000, so the residual is minus the advertised form, nonzero
+    whenever B_{p-5} != 0 mod p."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
     b = bernoulli_mod(p - 5, p).value

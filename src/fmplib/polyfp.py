@@ -119,21 +119,19 @@ def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
     Exact for every p (no floating point, no fixed-width overflow), and far
     faster than a Python-level schoolbook loop at the degrees the identity
-    sweeps reach (~10^3).  Chunks of up to 8 bytes (p up to about 2^21 at
-    operand lengths about p) are converted by C-level strided byte copies
-    from 4-byte words into the chunks (_pack) and from the chunks into
-    8-byte words (_unpack); the chunks keep
-    their width, so the bignum product is no larger.  Wider chunks are
-    converted one coefficient at a time.
+    sweeps reach (~10^3).  Operands are packed by C-level strided byte copies
+    from 4-byte words into the chunks (_pack), at every width.  Chunks of up
+    to 8 bytes (p up to about 2^21 at operand lengths about p) are unpacked
+    the same way into 8-byte words (_unpack); wider ones one coefficient at
+    a time.  The chunks keep their width, so the bignum product is no larger.
     """
     n = len(a) + len(b) - 1
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
+    product = _pack(a, width) * _pack(b, width)
     if width <= 8:
-        return [x % p for x in _unpack(_pack(a, width) * _pack(b, width), width, n)]
-    abig = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-    bbig = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    raw = (abig * bbig).to_bytes(width * n, "little")
+        return [x % p for x in _unpack(product, width, n)]
+    raw = product.to_bytes(width * n, "little")
     return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
 
 

@@ -229,8 +229,8 @@ def _corollary_residual(n: int, p: int) -> PolyFp:
     (1-t)^p = 1 - T, so F(1-t) is exactly the right side: every strict-chain
     polylog at 1-t with coefficient (1-T)^{i-1}.
 
-    The difference is that of the all-ones polylog L_n, taken from the main
-    theorem (ones_symmetry_difference), plus that of F - L_n.  The
+    The difference is that of the all-ones polylog L_n, taken from the
+    shuffle lemma (ones_symmetry_difference), plus that of F - L_n.  The
     conversion makes F = L_n, so the second composes the zero polynomial
     unless the conversion or a chain is broken.
     """

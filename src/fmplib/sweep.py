@@ -157,13 +157,14 @@ class _Identity:
 # Floors: n+2 where the identity divides by n!, n+1 where it needs p > n,
 # 7 where B_{p-5} enters or p = 5 is a known exception: corollary-d4 is the
 # depth-4 all-ones polylog's t <-> 1-t symmetry, which fails at n = p - 1.
-# The main theorem's residual at n = 1 is zero by definition (M_1 = 0).
+# The main theorem's residual at n = 1 is zero by definition (M_1 = 0), and
+# the recurrence at n = 1 has no step.
 _IDENTITIES = {
     "kontsevich": _Identity(kontsevich_residual),
     "shuffle-lemma": _Identity(
         shuffle_lemma_residual, (1, 2, 3, 4, 5), lambda n: max(5, n + 1)
     ),
-    "recurrence": _Identity(_recurrence, (2, 3, 4), lambda n: max(5, n + 1)),
+    "recurrence": _Identity(_recurrence, (2, 3, 4), lambda n: max(5, n + 1), min_n=2),
     "main-theorem": _Identity(
         main_theorem_residual, (1, 2, 3, 4, 5), lambda n: max(5, n + 2), min_n=2
     ),

@@ -103,7 +103,7 @@ def test_polyfp_is_unhashable():
         hash(PolyFp.zero(5))
 
 
-@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("width", range(1, 17))
 def test_pack_tuple_and_array_agree(width):
     top = min(2 ** (8 * width), 2**32) - 1
     rng = random.Random(width)
@@ -170,9 +170,9 @@ def _kronecker_cases():
     sides of each 2^(8w) boundary: for each w, the largest prime p whose
     bound (p-1)^2 * 8 fits in w bytes, at the shorter length where the bound
     still fits and at the one where it first crosses into w + 1 bytes.  Up
-    to 8 bytes the chunks are converted by strided byte copies; then 9 bytes
-    at p = 2^31 - 1, length 8, which is converted coefficient by
-    coefficient.  Every case multiplies dense operands and a two-nonzero
+    to 8 bytes the chunks are converted both ways by strided byte copies;
+    then 9 bytes at p = 2^31 - 1, length 8, packed the same way and
+    unpacked coefficient by coefficient.  Every case multiplies dense operands and a two-nonzero
     one, so each width is also reached by a sparse shape."""
     cases = []
     for w in range(1, 9):

@@ -106,6 +106,19 @@ def test_sweep_main_theorem_n1_checks_nothing():
     assert "main-theorem n=1: ok (0 primes checked" in report.to_text()
 
 
+@pytest.mark.parametrize("identity", [i for i in IDENTITY_IDS if sweep._IDENTITIES[i].depths])
+def test_every_evaluated_depth_checks_something(identity):
+    # Each depth is either skipped with a note or evaluated to at least one
+    # check, so no prime passes with nothing checked (recurrence n = 1 has
+    # no step, main-theorem n = 1 a residual zero by definition).
+    p, row = 13, sweep._IDENTITIES[identity]
+    for n in range(1, 7):
+        if sweep._null_note(identity, {"n": n}, p) is None:
+            result = row.evaluate(n, p)
+            checks = [result] if isinstance(result, PolyFp) else list(result)
+            assert checks, n
+
+
 def test_sweep_crosscheck_null_where_nothing_checked():
     report = run_sweep(RunConfig(lo=11, hi=19, identities=("oracle-crosscheck",)))
     entry = report.entries[0]
@@ -475,6 +488,7 @@ _REFUSALS = {
         "no prime in 5..197 was checked at or above the identity floor"
     ),
     "main-theorem --n 1 --primes 5..31": "no prime in 5..31 was checked (requires n >= 2)",
+    "recurrence --n 1 --primes 5..13": "no prime in 5..13 was checked (requires n >= 2)",
     "oracle-crosscheck --primes 17..31": (
         "no prime in 17..31 was checked (oracle caps below this prime; nothing checked)"
     ),

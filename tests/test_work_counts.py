@@ -7,10 +7,13 @@ and each bridge of the recurrence is one chain step on a shorter bridge.
 The main theorem follows from the shuffle lemma by the induction step, so it
 forms no power of the depth-1 polylog, and the functional equation follows
 from the main theorem and the Kontsevich residual, so it forms no power and
-composes no polylog of depth above 1.  So do the depth-5 symmetry
-difference of obstruction-n5 and the depth-3 and depth-4 differences of the
-corollaries: each is a sum of shifted window terms, and composes only the
-zero polynomial, on correct code.  The worked closed forms follow from
+composes no polylog of depth above 1.  The depth-5 symmetry difference of
+obstruction-n5 and the depth-3 and depth-4 differences of the corollaries
+follow from the shuffle lemma's own induction step and the Kontsevich
+residual: each is a sum of shifted window terms, and composes only the
+zero polynomial, on correct code.  The shuffle residual is memoized, so
+each depth's is evaluated once and shared by the shuffle-lemma check, the
+main theorem and the differences.  The worked closed forms follow from
 the main theorem too, and take the square of the depth-1 polylog from the
 shuffle bridge, so they form no power of their own.  The oracle crosscheck
 compares each chain once.  The strict-chain polylogs of prop42 and the
@@ -26,7 +29,7 @@ import sys
 
 import pytest
 
-from fmplib import fmp, polyfp, ss
+from fmplib import fmp, identities, polyfp, ss
 from fmplib.sweep import IDENTITY_IDS, RunConfig, run_sweep
 
 P = 101
@@ -54,10 +57,12 @@ def counts(fresh_memos, monkeypatch):
         "ss_star": 0,
         "passes": 0,
         "oracles": 0,
+        "shuffle_residuals": 0,
     }
     convolve, window_extend = polyfp._convolve, fmp._window_extend
     compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
     oracle = fmp.naive_reference_general
+    shuffle_residual = identities.shuffle_lemma_residual
 
     def counted_convolve(a, b, p):
         # An operand with at most 6 nonzeros (perfbench's SPARSE_NNZ) makes
@@ -96,6 +101,9 @@ def counts(fresh_memos, monkeypatch):
     _wrap_everywhere(monkeypatch, compose, counted_compose)
     _wrap_everywhere(monkeypatch, ss_star, counted_misses(ss_star, "ss_star"))
     _wrap_everywhere(monkeypatch, oracle, counted_oracle)
+    _wrap_everywhere(
+        monkeypatch, shuffle_residual, counted_misses(shuffle_residual, "shuffle_residuals")
+    )
     # The steps recurse through the module's names, so the patch counts them;
     # the empty prefix or suffix is no pass.
     nonempty = lambda parts, p: bool(parts)
@@ -151,7 +159,7 @@ def test_closed_forms_forms_no_power_of_depth1(counts):
 
 
 def test_symmetry_differences_compose_no_deep_polylog(counts):
-    # With the memos of kontsevich (K) and main-theorem (M_n, f_n, g_n) warm,
+    # With the memos of kontsevich (K) and main-theorem (S_n, f_n, g_n) warm,
     # every piece of the depth-3 to 5 differences is zero or a window slice:
     # no product, dense or not, and no composition of a nonzero polynomial.
     run_sweep(RunConfig(lo=P, hi=P, identities=("kontsevich", "main-theorem")))
@@ -188,9 +196,10 @@ def test_prop42_shares_strict_chain_passes(counts):
 
 def test_full_sweep_at_one_prime(counts):
     # The bounds are the counts measured with the main theorem taken from the
-    # shuffle lemma; the functional equation, the depth-5 symmetry difference
-    # and the corollaries' differences from the main theorem and the
-    # Kontsevich residual; each corollary's conversion evaluating each
+    # shuffle lemma; the functional equation from the main theorem and the
+    # Kontsevich residual; the depth-5 symmetry difference and the
+    # corollaries' differences from the shuffle lemma and the Kontsevich
+    # residual; each corollary's conversion evaluating each
     # distinct strict-chain polylog once; and the closed forms from the main
     # theorem's residual.  The one composition of a nonzero polynomial is the
     # depth-1 polylog's, for K.  Neither main-theorem n = 1 nor
@@ -212,7 +221,34 @@ def test_full_sweep_at_one_prime(counts):
     assert counts["dense"] <= 6, counts
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 1, counts
+    # One shuffle residual per depth 1..5, shared by shuffle-lemma, the main
+    # theorem's induction and the symmetry differences.
+    assert counts["shuffle_residuals"] == 5, counts
     # 77 strict-chain polylogs asked for, 32 of them distinct.
     assert counts["ss_star"] <= 32, counts
     # The corollaries add the head (1,1,1,1) and the tail (1,1,1) to prop42's.
     assert counts["passes"] <= 22, counts
+
+
+
+# Each symmetry difference run alone from cold memos: the shuffle bridges
+# of S_2..S_n, K's one Taylor shift, the chain steps those need and one
+# shuffle residual per depth; the corollaries add their conversions'
+# strict-chain polylogs.  No deep polylog is composed.
+_ALONE = {
+    "obstruction-n5": dict(products=5, dense=5, steps=11, compositions=1, shuffle_residuals=5),
+    "corollary-d3": dict(
+        products=3, dense=3, steps=5, compositions=1, shuffle_residuals=3, ss_star=5, passes=7
+    ),
+    "corollary-d4": dict(
+        products=4, dense=4, steps=8, compositions=1, shuffle_residuals=4, ss_star=15, passes=17
+    ),
+}
+
+
+@pytest.mark.parametrize("identity", list(_ALONE))
+def test_symmetry_difference_alone_from_cold_memos(counts, identity):
+    report = run_sweep(RunConfig(lo=P, hi=P, identities=(identity,)))
+    # B_{p-5} is nonzero at 101, so obstruction-n5 fails there by design.
+    assert report.entries[0].outcomes[0].passed is (identity != "obstruction-n5")
+    assert {key: counts[key] for key in _ALONE[identity]} == _ALONE[identity], counts
