@@ -129,6 +129,8 @@ def _emit(make_report, args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.identity == "all" and args.floor is not None:
+        raise ValueError("--floor applies to one identity, not all")
     lo, hi = args.primes
     config = RunConfig(
         lo=lo,

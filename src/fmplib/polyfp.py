@@ -7,7 +7,6 @@ from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import islice
-from operator import add, sub
 
 from .modular import require_prime
 
@@ -51,47 +50,19 @@ def _normalize(coeffs: Sequence[int]) -> array:
     return _words(coeffs if n == len(coeffs) else islice(coeffs, n))
 
 
-def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> list[int]:
-    """The sum of c * t^shift * f over the (c, shift, f) terms, each f a
-    coefficient sequence, as a list of coefficients.
-
-    Every term is added into one list of plain ints, and the sum is reduced
-    mod p once at the end, so a sum of many polynomials costs one pass per
-    term and one reduction.  A term that starts past the list's end, the
-    first one always, is copied in, not added to zeros.  Weights may be any
-    ints, negative too.
-    """
-    out: list[int] = []
-    for c, shift, f in terms:
-        if not c or not f:
-            continue
-        if shift >= len(out):
-            out.extend([0] * (shift - len(out)))
-            out.extend(f if c == 1 else [c * y for y in f])
-            continue
-        end = shift + len(f)
-        if end > len(out):
-            out.extend([0] * (end - len(out)))
-        old = out[shift:end]
-        if c == 1:
-            out[shift:end] = map(add, old, f)
-        elif c == -1:
-            out[shift:end] = map(sub, old, f)
-        else:
-            out[shift:end] = [x + c * y for x, y in zip(old, f)]
-    return [x % p for x in out]
-
-
 def _pack(v: Sequence[int], width: int) -> int:
     """The integer whose width-byte little-endian chunks are the entries of
     v, each below p < 2^32.  The entries are staged as 4-byte words (an 'I'
     array is its own staging) and copied into the chunks by one strided
     slice per byte that both a word and a chunk hold; the chunks' higher
-    bytes stay zero."""
+    bytes stay zero.  At width 4 on a little-endian host the words are the
+    chunks."""
     words = v if isinstance(v, array) and v.typecode == _WORD else _words(v)
     if sys.byteorder == "big":
         words = _words(words)  # v may be a PolyFp's own array
         words.byteswap()
+    elif width == words.itemsize:
+        return int.from_bytes(words, "little")
     staged, size = words.tobytes(), words.itemsize
     chunks = bytearray(width * len(v))
     for j in range(min(width, size)):
@@ -99,17 +70,55 @@ def _pack(v: Sequence[int], width: int) -> int:
     return int.from_bytes(chunks, "little")
 
 
-def _unpack(x: int, width: int, n: int) -> array:
-    """The first n width-byte chunks of x, width <= 8, as 8-byte words:
-    _pack in reverse."""
+def _residues(x: int, width: int, n: int, p: int) -> list[int]:
+    """The first n width-byte chunks of x, each reduced mod p: _pack in
+    reverse.  4-byte chunks on a little-endian host are read as 4-byte
+    words; other chunks of up to 8 bytes are copied into 8-byte words by one
+    strided slice per byte, and wider ones are read one at a time."""
     chunks = x.to_bytes(width * n, "little")
+    if width == 4 and sys.byteorder == "little":
+        return [y % p for y in array(_WORD, chunks)]
+    if width > 8:
+        starts = range(0, width * n, width)
+        return [int.from_bytes(chunks[i : i + width], "little") % p for i in starts]
     staged = bytearray(8 * n)
     for j in range(width):
         staged[j::8] = chunks[j::width]
     words = array("Q", staged)
     if sys.byteorder == "big":
         words.byteswap()
-    return words
+    return [y % p for y in words]
+
+
+def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array:
+    """The sum of c * t^shift * f over the (c, shift, f) terms, each f a
+    coefficient sequence, reduced mod p, as an 'I' array.
+
+    Kronecker substitution, as in _convolve: each distinct f is packed once
+    into one big integer, and each term adds its packed value times c,
+    shifted by whole chunks, into one total, so every coefficient is added
+    in C.  With each c reduced into [0, p) and each entry below p, no chunk
+    of the total exceeds k (p-1)^2 for k terms, which fixes the chunk width.
+    The width is at least 4 bytes, so that a stored vector's words are its
+    chunks: for small p, the strided copies of 2- and 3-byte chunks cost
+    more than the narrower total saves.  The total is unpacked and reduced
+    once.  Weights may be any ints; an f
+    that is not an 'I' array may hold any ints and is reduced first, while
+    an 'I' array is a stored vector, its entries already below p.
+    """
+    live = [(c, shift, f) for weight, shift, f in terms if (c := weight % p) and f]
+    if not live:
+        return _words(())
+    n = max(shift + len(f) for _, shift, f in live)
+    width = max(4, ((len(live) * (p - 1) ** 2).bit_length() + 7) // 8)
+    packed: dict[int, int] = {}
+    total = 0
+    for c, shift, f in live:
+        if id(f) not in packed:
+            reduced = isinstance(f, array) and f.typecode == _WORD
+            packed[id(f)] = _pack(f if reduced else _words(y % p for y in f), width)
+        total += packed[id(f)] * c << 8 * width * shift
+    return _words(_residues(total, width, n, p))
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -119,20 +128,15 @@ def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
     Exact for every p (no floating point, no fixed-width overflow), and far
     faster than a Python-level schoolbook loop at the degrees the identity
-    sweeps reach (~10^3).  Operands are packed by C-level strided byte copies
-    from 4-byte words into the chunks (_pack), at every width.  Chunks of up
-    to 8 bytes (p up to about 2^21 at operand lengths about p) are unpacked
-    the same way into 8-byte words (_unpack); wider ones one coefficient at
-    a time.  The chunks keep their width, so the bignum product is no larger.
+    sweeps reach (~10^3).  Operands are packed from 4-byte words into the
+    chunks by C-level strided byte copies (_pack), and the product is
+    unpacked by _residues.  The chunks keep their width, so the
+    bignum product is no larger.
     """
     n = len(a) + len(b) - 1
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
-    product = _pack(a, width) * _pack(b, width)
-    if width <= 8:
-        return [x % p for x in _unpack(product, width, n)]
-    raw = product.to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
+    return _residues(_pack(a, width) * _pack(b, width), width, n, p)
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,7 @@ def _factorial_tables(n: int, p: int) -> tuple[list[int], list[int]]:
 
 def _block_at_one_minus_t(
     block: Sequence[int], p: int, fact: list[int], inv_fact: list[int]
-) -> list[int]:
+) -> array:
     # Taylor shift g(x) = f(1+x): with a_i = c_i i!, the coefficient of x^k is
     # (1/k!) sum_i a_i / (i-k)!, a correlation of a against 1/j!, done as one
     # convolution of reversed a with 1/j!.  Then f(1-t) = g(-t).
@@ -263,7 +267,7 @@ def _block_at_one_minus_t(
     corr = _convolve(weighted, tuple(inv_fact[:n]), p)
     shifted = [corr[n - 1 - k] * inv_fact[k] % p for k in range(n)]
     shifted[1::2] = [-c % p for c in shifted[1::2]]
-    return shifted
+    return _words(shifted)
 
 
 def compose_one_minus_t(f: PolyFp) -> PolyFp:
@@ -283,7 +287,7 @@ def compose_one_minus_t(f: PolyFp) -> PolyFp:
         return f
     fact, inv_fact = _factorial_tables(min(p, len(f.coeffs)), p)
     blocks = [f.coeffs[i : i + p] for i in range(0, len(f.coeffs), p)]
-    acc: list[int] = []
+    acc = _words(())
     for block in reversed(blocks):
         # acc <- acc * (1 - t^p) + block(1 - t)
         small = _block_at_one_minus_t(block, p, fact, inv_fact)

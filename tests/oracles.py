@@ -6,6 +6,7 @@ per-coefficient loop that the fast path replaced, kept here as it was.
 
 import itertools
 import math
+from operator import add, sub
 
 from fmplib import identities
 from fmplib.fmp import BlockTriple, Index, oy_fmp, zeta_variant
@@ -23,6 +24,38 @@ def schoolbook_mul(f: PolyFp, g: PolyFp) -> PolyFp:
         for j, b in enumerate(g.coeffs):
             out[i + j] += a * b
     return PolyFp.of(f.p, out)
+
+
+def shift_add_list(terms, p):
+    """The sum of c * t^shift * f over the (c, shift, f) terms, each f a
+    coefficient sequence, as a list of coefficients: the list accumulator
+    that the packed-integer one in polyfp replaced.
+
+    Every term is added into one list of plain ints, and the sum is reduced
+    mod p once at the end, so a sum of many polynomials costs one pass per
+    term and one reduction.  A term that starts past the list's end, the
+    first one always, is copied in, not added to zeros.  Weights may be any
+    ints, negative too.
+    """
+    out: list[int] = []
+    for c, shift, f in terms:
+        if not c or not f:
+            continue
+        if shift >= len(out):
+            out.extend([0] * (shift - len(out)))
+            out.extend(f if c == 1 else [c * y for y in f])
+            continue
+        end = shift + len(f)
+        if end > len(out):
+            out.extend([0] * (end - len(out)))
+        old = out[shift:end]
+        if c == 1:
+            out[shift:end] = map(add, old, f)
+        elif c == -1:
+            out[shift:end] = map(sub, old, f)
+        else:
+            out[shift:end] = [x + c * y for x, y in zip(old, f)]
+    return [x % p for x in out]
 
 
 def compose_binomial(f: PolyFp) -> PolyFp:

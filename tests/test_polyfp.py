@@ -7,7 +7,7 @@ from array import array
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import compose_binomial, compose_horner, schoolbook_mul
+from oracles import compose_binomial, compose_horner, schoolbook_mul, shift_add_list
 
 from fmplib import fmp
 from fmplib.identities import ones_fmp
@@ -274,6 +274,50 @@ def test_sum_of_matches_schoolbook_products(data):
     assert PolyFp.sum_of(p, polys) == expected
     # the raw accumulator takes unreduced lists with trailing zeros
     assert PolyFp.of(p, _shift_add(terms, p)) == expected
+
+
+@example((7, []))
+@given(shift_add_terms())
+def test_packed_sum_matches_list_accumulator(data):
+    # The unreduced lists, and the same terms as stored 'I' vectors, each
+    # also taken a second time at another weight and shift, so that one
+    # packed vector serves two terms.
+    p, terms = data
+    stored = [(c, shift, array("I", [y % p for y in f])) for c, shift, f in terms]
+    for case in (terms, stored + [(c + 1, shift + 1, f) for c, shift, f in stored]):
+        total = _shift_add(case, p)
+        assert total.typecode == "I"
+        assert PolyFp(p, total) == PolyFp(p, shift_add_list(case, p))
+
+
+@pytest.mark.parametrize("p,count,width", [*_kronecker_cases(), (2**31 - 1, 300, 9)])
+def test_packed_sum_exact_at_every_width(p, count, width):
+    # The sum's bound count * (p-1)^2 is _convolve's with the term count for
+    # the shorter length, so the product's cases give every bound width from
+    # 1 to 9 bytes on both sides of each boundary (the sum packs bounds below
+    # 4 bytes into 4-byte chunks); then many terms above 8 bytes.
+    # Every weight of the first sum reduces to p - 1 and every coefficient
+    # is p - 1, and with shifts 0 to 3 over 8 coefficients all terms overlap
+    # at t^3..t^7, so those chunks reach the bound.  Half the terms share
+    # one vector.  The second sum has random weights, vectors and shifts.
+    assert ((count * (p - 1) ** 2).bit_length() + 7) // 8 == width
+    rng = random.Random(p * count)
+    top = array("I", [p - 1] * 8)
+    weights = (-1, p - 1, -1 - 3 * p)
+    full = [
+        (rng.choice(weights), rng.randrange(4), top if i % 2 else array("I", top))
+        for i in range(count)
+    ]
+    mixed = [
+        (
+            rng.randrange(-3 * p, 3 * p),
+            rng.randrange(12),
+            array("I", [rng.randrange(p) for _ in range(rng.randrange(1, 9))]),
+        )
+        for _ in range(count)
+    ]
+    for terms in (full, mixed):
+        assert PolyFp(p, _shift_add(terms, p)) == PolyFp(p, shift_add_list(terms, p))
 
 
 @given(poly_pairs(count=3))

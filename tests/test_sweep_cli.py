@@ -551,7 +551,7 @@ def test_cli_verify_rejects_n_for_unparameterized(monkeypatch):
     for argv, message in (
         (["kontsevich", "--n", "3"], "identity kontsevich takes no depth n"),
         (["all", "--n", "3"], "identity kontsevich takes no depth n"),
-        (["all", "--floor", "11"], "a floor for 'all', which the request does not select"),
+        (["all", "--floor", "11"], "--floor applies to one identity, not all"),
     ):
         with pytest.raises(SystemExit) as err:
             main(["verify", *argv, "--primes", "7..13"])

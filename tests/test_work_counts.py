@@ -21,15 +21,18 @@ corollaries share their prefix- and suffix-sum passes through the head and
 tail memos, and each distinct one is evaluated once per prime.  These
 counts guard that sharing, which no result would reveal if it broke.  A full
 12-identity sweep at one prime is counted too, so that a change to the sweep
-or identity layers cannot add work unseen.
+or identity layers cannot add work unseen.  Every polynomial sum takes its
+terms as stored 'I' vectors, so no sum reduces and stages a term again.
 """
 
 import functools
 import sys
+from array import array
 
 import pytest
 
 from fmplib import fmp, identities, polyfp, ss
+from fmplib.polyfp import PolyFp
 from fmplib.sweep import IDENTITY_IDS, RunConfig, run_sweep
 
 P = 101
@@ -252,3 +255,22 @@ def test_symmetry_difference_alone_from_cold_memos(counts, identity):
     # B_{p-5} is nonzero at 101, so obstruction-n5 fails there by design.
     assert report.entries[0].outcomes[0].passed is (identity != "obstruction-n5")
     assert {key: counts[key] for key in _ALONE[identity]} == _ALONE[identity], counts
+
+
+def test_every_sum_term_is_a_stored_vector(fresh_memos, monkeypatch):
+    # A term that is not an 'I' array is reduced and staged again by every
+    # sum that takes it.  The full sweep covers sum_of and K's composition;
+    # a three-block composition runs the Horner step three times.
+    shift_add, sums = polyfp._shift_add, []
+
+    def recorded(terms, p):
+        terms = list(terms)
+        sums.append([type(f) is array and f.typecode == "I" for _, _, f in terms])
+        return shift_add(terms, p)
+
+    _wrap_everywhere(monkeypatch, shift_add, recorded)
+    run_sweep(RunConfig(lo=P, hi=P, identities=IDENTITY_IDS))
+    assert sums and all(all(stored) for stored in sums), sums
+    sums.clear()
+    polyfp.compose_one_minus_t(PolyFp.of(P, range(1, 2 * P + 5)))
+    assert sums == [[True] * 3] * 3, sums
