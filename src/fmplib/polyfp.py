@@ -121,6 +121,12 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array
     return _words(_residues(total, width, n, p))
 
 
+# Shorter operand length from which _convolve multiplies at two points.  Its
+# time over one point's (one core): 1.26-1.32 at 128-160 and 1.00-1.06 at 256
+# for p <= 257 at 1:1; 0.81-0.94 at 256 for p >= 401 or 4:1; 0.73-0.85 at 1024.
+_TWO_POINT_MIN = 256
+
+
 def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Exact convolution of reduced coefficient vectors, by Kronecker
     substitution: pack each vector into one big integer with enough room per
@@ -130,13 +136,26 @@ def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     faster than a Python-level schoolbook loop at the degrees the identity
     sweeps reach (~10^3).  Operands are packed from 4-byte words into the
     chunks by C-level strided byte copies (_pack), and the product is
-    unpacked by _residues.  The chunks keep their width, so the
-    bignum product is no larger.
+    unpacked by _residues.  Once the shorter operand has _TWO_POINT_MIN
+    coefficients, both are evaluated at +-s, s = 2^(4 width), not at s^2
+    (Harvey's KS2): with a = E_a(t^2) + t O_a(t^2), x = a(s) b(s) and
+    y = a(-s) b(-s) give x + y = 2 h_even(s^2) and x - y = 2s h_odd(s^2),
+    whose chunks are the product's even and odd coefficients: two
+    half-size products in place of one, about 0.7 of its time.
     """
     n = len(a) + len(b) - 1
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
-    return _residues(_pack(a, width) * _pack(b, width), width, n, p)
+    if min(len(a), len(b)) < _TWO_POINT_MIN:
+        return _residues(_pack(a, width) * _pack(b, width), width, n, p)
+    half = 4 * width
+    even_a, odd_a = _pack(a[0::2], width), _pack(a[1::2], width) << half
+    even_b, odd_b = _pack(b[0::2], width), _pack(b[1::2], width) << half
+    x, y = (even_a + odd_a) * (even_b + odd_b), (even_a - odd_a) * (even_b - odd_b)
+    out = [0] * n
+    out[0::2] = _residues((x + y) >> 1, width, (n + 1) // 2, p)
+    out[1::2] = _residues((x - y) >> (half + 1), width, n // 2, p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,8 +263,9 @@ class PolyFp:
         return f"[{self.p}; {','.join(str(c) for c in coeffs)}]"
 
 
-def _factorial_tables(n: int, p: int) -> tuple[list[int], list[int]]:
-    """k! and 1/k! mod p for 0 <= k < n; needs n <= p so every k! is a unit."""
+def _factorial_tables(n: int, p: int) -> tuple[list[int], array]:
+    """k! and 1/k! mod p for 0 <= k < n, the inverses as an 'I' array that
+    _pack takes as it is; needs n <= p so every k! is a unit."""
     fact = [1] * n
     for k in range(1, n):
         fact[k] = fact[k - 1] * k % p
@@ -253,19 +273,19 @@ def _factorial_tables(n: int, p: int) -> tuple[list[int], list[int]]:
     inv_fact[-1] = pow(fact[-1], p - 2, p)
     for k in range(n - 1, 0, -1):
         inv_fact[k - 1] = inv_fact[k] * k % p
-    return fact, inv_fact
+    return fact, _words(inv_fact)
 
 
 def _block_at_one_minus_t(
-    block: Sequence[int], p: int, fact: list[int], inv_fact: list[int]
+    block: Sequence[int], p: int, fact: list[int], inv_fact: array
 ) -> array:
     # Taylor shift g(x) = f(1+x): with a_i = c_i i!, the coefficient of x^k is
     # (1/k!) sum_i a_i / (i-k)!, a correlation of a against 1/j!, done as one
     # convolution of reversed a with 1/j!.  Then f(1-t) = g(-t).
     n = len(block)
-    weighted = tuple(block[i] * fact[i] % p for i in range(n - 1, -1, -1))
-    corr = _convolve(weighted, tuple(inv_fact[:n]), p)
-    shifted = [corr[n - 1 - k] * inv_fact[k] % p for k in range(n)]
+    weighted = _words([c * f % p for c, f in zip(block[::-1], fact[n - 1 :: -1])])
+    corr = _convolve(weighted, inv_fact[:n], p)
+    shifted = [c * f % p for c, f in zip(corr[n - 1 :: -1], inv_fact)]
     shifted[1::2] = [-c % p for c in shifted[1::2]]
     return _words(shifted)
 

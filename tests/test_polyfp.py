@@ -12,7 +12,14 @@ from oracles import compose_binomial, compose_horner, schoolbook_mul, shift_add_
 from fmplib import fmp
 from fmplib.identities import ones_fmp
 from fmplib.modular import is_prime
-from fmplib.polyfp import PolyFp, _convolve, _pack, _shift_add, compose_one_minus_t
+from fmplib.polyfp import (
+    _TWO_POINT_MIN,
+    PolyFp,
+    _convolve,
+    _pack,
+    _shift_add,
+    compose_one_minus_t,
+)
 
 PRIMES = [5, 7, 11, 13, 17, 31]
 
@@ -172,8 +179,10 @@ def _kronecker_cases():
     still fits and at the one where it first crosses into w + 1 bytes.  Up
     to 8 bytes the chunks are converted both ways by strided byte copies;
     then 9 bytes at p = 2^31 - 1, length 8, packed the same way and
-    unpacked coefficient by coefficient.  Every case multiplies dense operands and a two-nonzero
-    one, so each width is also reached by a sparse shape."""
+    unpacked coefficient by coefficient.  Every case multiplies dense
+    operands and a two-nonzero one, so each width is also reached by a
+    sparse shape.  Every length is below _TWO_POINT_MIN, so these cases
+    test _convolve's one-point path; _two_point_cases test the other."""
     cases = []
     for w in range(1, 9):
         p = math.isqrt((2 ** (8 * w) - 1) // 8) + 1
@@ -192,6 +201,7 @@ def test_kronecker_mul_exact_at_every_width(p, length, width):
     # operand has the shape of the closed forms' f_3 = c(T - T^2), T = t^p,
     # with t^((length - 1) // 2) for T and t^(length - 1) for T^2.
     assert ((p - 1) ** 2 * length).bit_length() in range(8 * width - 7, 8 * width + 1)
+    assert length + 3 < _TWO_POINT_MIN
     rng = random.Random(p * length)
     dense = [rng.randrange(1, p) for _ in range(length)]
     mixed = [rng.randrange(p) for _ in range(length + 3)]
@@ -204,6 +214,85 @@ def test_kronecker_mul_exact_at_every_width(p, length, width):
         expected = list(schoolbook_mul(f, g).coeffs)
         assert _convolve(f.coeffs, g.coeffs, p) == expected
         assert _convolve(g.coeffs, f.coeffs, p) == expected
+
+
+def _two_point_cases():
+    """(p, shorter length, width) for products that take _convolve's
+    two-point path, on both sides of each 2^(8w) boundary that such a
+    product reaches: for each w from 2 to 9, the largest prime p whose bound
+    (p-1)^2 * _TWO_POINT_MIN fits in w bytes, at the shorter length where
+    the bound still fits and at the one where it first crosses into w + 1
+    bytes.  So the chunks are 2 to 10 bytes wide (p = 13 to 2^32 - 5), and
+    both lengths' parities occur at every boundary; then 9 bytes at
+    p = 2^31 - 1."""
+    cases = []
+    for w in range(2, 10):
+        p = math.isqrt((2 ** (8 * w) - 1) // _TWO_POINT_MIN) + 1
+        while not is_prime(p) or (p - 1) ** 2 * _TWO_POINT_MIN >= 2 ** (8 * w):
+            p -= 1
+        cross = -(-(2 ** (8 * w)) // (p - 1) ** 2)
+        cases += [(p, cross - 1, w), (p, cross, w + 1)]
+    cases.append((2**31 - 1, _TWO_POINT_MIN, 9))
+    return cases
+
+
+@pytest.mark.parametrize("p,length,width", _two_point_cases())
+def test_two_point_mul_exact_at_every_width(p, length, width):
+    # All-(p-1) operands in a 4:1 shape reach the bound in every middle
+    # chunk of both halves; a dense operand against one a coefficient
+    # longer gives an even product length, and the closed forms' two-nonzero
+    # shape (as in test_kronecker_mul_exact_at_every_width) against one two
+    # longer an odd one.  Every operand ends in a nonzero, so its length is
+    # as given, and both argument orders are checked.
+    assert ((p - 1) ** 2 * length).bit_length() in range(8 * width - 7, 8 * width + 1)
+    assert length >= _TWO_POINT_MIN
+    rng = random.Random(p * length)
+    dense = [rng.randrange(1, p) for _ in range(length)]
+    c = rng.randrange(1, p)
+    two = [0] * length
+    two[(length - 1) // 2], two[-1] = c, p - c
+
+    def mixed(size):
+        return [rng.randrange(p) for _ in range(size - 1)] + [rng.randrange(1, p)]
+
+    top = [p - 1] * length
+    cases = ((top, top * 4), (dense, mixed(length + 1)), (two, mixed(length + 2)))
+    for a, b in cases:
+        f, g = PolyFp.of(p, a), PolyFp.of(p, b)
+        assert (len(f.coeffs), len(g.coeffs)) == (len(a), len(b))
+        expected = list(schoolbook_mul(f, g).coeffs)
+        assert _convolve(f.coeffs, g.coeffs, p) == expected
+        assert _convolve(g.coeffs, f.coeffs, p) == expected
+
+
+@st.composite
+def crossover_pairs(draw):
+    """Coefficient vectors whose shorter length is one below _TWO_POINT_MIN
+    to two above it, at primes whose chunks are 1 to 10 bytes wide, each
+    dense or all p - 1, the longer up to twice as long."""
+    p = draw(st.sampled_from([2, 13, 257, 4099, 65521, 2**31 - 1, 2**32 - 5]))
+    shorter = draw(st.integers(_TWO_POINT_MIN - 1, _TWO_POINT_MIN + 2))
+    longer = draw(st.integers(shorter, 2 * shorter))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def vector(size):
+        if draw(st.booleans()):
+            return array("I", [p - 1] * size)
+        return array("I", [rng.randrange(p) for _ in range(size)])
+
+    return p, vector(shorter), vector(longer)
+
+
+@settings(max_examples=30, deadline=None)
+@given(crossover_pairs())
+def test_convolve_matches_schoolbook_at_the_crossover(data):
+    # _convolve on the raw vectors, so a trailing zero keeps its length.
+    p, a, b = data
+    expected = list(schoolbook_mul(PolyFp(p, a), PolyFp(p, b)).coeffs)
+    for x, y in ((a, b), (b, a)):
+        product = _convolve(x, y, p)
+        assert len(product) == len(a) + len(b) - 1
+        assert PolyFp(p, product) == PolyFp(p, expected)
 
 
 #: The nonzero count that perfbench (child.py's SPARSE_NNZ) and
