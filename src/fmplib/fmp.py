@@ -11,6 +11,12 @@ a literal sum over tuples (`naive_reference*`), enumerated depth first with
 one loop per part and a table of v^{-k} per exponent, every tuple adding its
 own term.  The DP's exclusion logic is the likeliest bug site, so the loops
 are the oracle of record at small scale.
+
+Chain values of depth r and weight w obey v[rp - S] = (-1)^w v[S], since
+l_x -> p - l_x maps each L_x to xp - L_x, keeps every exclusion and signs
+L_x^{-k_x} by (-1)^{k_x}; so do three-block sums and products.  From
+_HALF_MIN outputs on, a chain step or bridge product of inputs checked (in C)
+to reflect forms its entries S <= rp/2 and mirrors the rest; others do not.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
 
 from .modular import Residue, inverse_table, require_prime
-from .polyfp import PolyFp, _require_word_prime, _words
+from .polyfp import PolyFp, _negated, _require_word_prime, _words
 
 __all__ = [
     "BlockTriple",
@@ -109,9 +115,9 @@ def _inverse_powers(k: int, p: int) -> Sequence[int]:
     return inv if k == 1 else tuple([pow(iv, k, p) for iv in inv])
 
 
-def _window_extend(values: Sequence[int], k: int, p: int) -> list[int]:
+def _window_extend(values: Sequence[int], k: int, p: int, size: int | None = None) -> list[int]:
     """One chain step: add a summand l in (0,p); the new running total is the
-    new denominator.
+    new denominator.  The first size outputs, by default all n + p - 1.
 
     new[S] = (sum of old[S-p+1 .. S-1]) * S^{-k}, forced to 0 when p | S.
     With prefix sums P over the n old values, the window sum is
@@ -121,11 +127,55 @@ def _window_extend(values: Sequence[int], k: int, p: int) -> list[int]:
     prefix sums and shifts run in C.
     """
     n = len(values)
-    prefix = [0, *accumulate(values)]
+    prefix = [0, *accumulate(islice(values, size))]
     upper = chain(prefix, repeat(prefix[-1], p - 2))
     lower = chain(repeat(0, p), islice(prefix, 1, n))
-    table = islice(cycle(_inverse_powers(k, p)), n + p - 1)
+    table = islice(cycle(_inverse_powers(k, p)), size)
     return [(u - d) * w % p for u, d, w in zip(upper, lower, table)]
+
+
+# Shortest output of the half path.  Half over full time (one core): a step
+# 1.3-1.6 below 64 outputs, 0.8-0.9 at 200-500, 0.67-0.75 from 991; a product
+# of depths (r, 1) 1.1-2.3 below 1000, 0.73-0.92 from 991 (1.1 for r = 1).
+_HALF_MIN = 1024
+
+
+def _reflects(v: array, parts: tuple[int, ...], p: int) -> bool:
+    """Whether v, of length r(p-1)+1 and zero below r, has v[rp - S] =
+    (-1)^w v[S], r and w being parts' depth and weight; half against half."""
+    r = len(parts)
+    if len(v) != r * (p - 1) + 1 or any(v[:r]):
+        return False
+    half = (len(v) - r + 1) // 2
+    head, mirror = v[r : r + half], v[: -half - 1 : -1]
+    return head == (_negated(mirror, p) if sum(parts) % 2 else mirror)
+
+
+def _reflected(low: array, parts: tuple[int, ...], p: int) -> array:
+    """The vector of parts' depth r and weight w that is low, zero-padded,
+    below h = rp//2 + 1 and has v[S] = (-1)^w v[rp - S] from h on."""
+    r, h = len(parts), len(parts) * p // 2 + 1
+    low = low[:h] + _words([0]) * (h - len(low))
+    tail = low[r : r * p - h + 1][::-1]
+    return low + (_negated(tail, p) if sum(parts) % 2 else tail)
+
+
+def _extend(values: array, parts: tuple[int, ...], k: int, p: int) -> array:
+    """_window_extend as stored words, of a vector of parts' depth and weight."""
+    if len(values) + p - 1 < _HALF_MIN or not _reflects(values, parts, p):
+        return _words(_window_extend(values, k, p))
+    low = _words(_window_extend(values, k, p, (len(parts) + 1) * p // 2 + 1))
+    return _reflected(low, parts + (k,), p)
+
+
+def _product(a: PolyFp, b: PolyFp, first: tuple[int, ...], second: tuple[int, ...]) -> PolyFp:
+    """a * b, of vectors of the depths and weights of first and second."""
+    p, h = a.p, (len(first) + len(second)) * a.p // 2 + 1
+    halve = len(a.coeffs) + len(b.coeffs) > _HALF_MIN
+    if not (halve and _reflects(a.coeffs, first, p) and _reflects(b.coeffs, second, p)):
+        return a * b
+    low = PolyFp(p, a.coeffs[:h]) * PolyFp(p, b.coeffs[:h])
+    return PolyFp(p, _reflected(low.coeffs, first + second, p))
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +190,7 @@ def _chain_values(parts: tuple[int, ...], p: int) -> array:
     if not parts:
         _require_word_prime(p)
         return _words([1])
-    values = _words(_window_extend(_chain_values(parts[:-1], p), parts[-1], p))
+    values = _extend(_chain_values(parts[:-1], p), parts[:-1], parts[-1], p)
     if any(values[::p]):
         raise ValueError(f"nonzero chain value at a multiple of {p} for {parts}")
     return values
@@ -191,9 +241,9 @@ def oy_fmp_general(blocks: BlockTriple, p: int) -> PolyFp:
     if not first or not second:
         return oy_fmp(Index(first + second + third), p)
     if not third:
-        return oy_fmp(Index(first), p) * oy_fmp(Index(second), p)
+        return _product(oy_fmp(Index(first), p), oy_fmp(Index(second), p), first, second)
     shorter = oy_fmp_general(BlockTriple(first, second, third[:-1]), p)
-    return PolyFp(p, _window_extend(shorter.coeffs, third[-1], p))
+    return PolyFp(p, _extend(shorter.coeffs, first + second + third[:-1], third[-1], p))
 
 
 def _oracle_inverses(p: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:

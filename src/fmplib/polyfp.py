@@ -70,6 +70,19 @@ def _pack(v: Sequence[int], width: int) -> int:
     return int.from_bytes(chunks, "little")
 
 
+def _negated(v: array, p: int) -> array:
+    """-v mod p for residues v, in C: each chunk of packed all-p minus packed
+    v is p - x, with no borrow; the few equal to p, where x = 0, are reset."""
+    chunks = (_pack(_words([p]) * len(v), 4) - _pack(v, 4)).to_bytes(4 * len(v), "little")
+    out, at, i = array(_WORD, chunks), p.to_bytes(4, "little"), -1
+    if sys.byteorder == "big":
+        out.byteswap()
+    while (i := chunks.find(at, i + 1)) >= 0:
+        if i % 4 == 0:
+            out[i // 4] = 0
+    return out
+
+
 def _residues(x: int, width: int, n: int, p: int) -> list[int]:
     """The first n width-byte chunks of x, each reduced mod p: _pack in
     reverse.  4-byte chunks on a little-endian host are read as 4-byte
@@ -203,11 +216,6 @@ class PolyFp:
     @classmethod
     def one(cls, p: int) -> "PolyFp":
         return cls.of(p, (1,))
-
-    @property
-    def degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

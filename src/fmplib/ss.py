@@ -203,21 +203,23 @@ def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:
     return PolyFp.of(p, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _conversion_plan(index: Index) -> tuple[tuple[tuple[int, Index, int], int], ...]:
+    """((group, grouped index, slot), count) for each distinct term of
+    oy_from_ss; independent of p, and kept for every index."""
+    groups = enumerate_phi(index.depth).items()
+    terms = ((i, grouped_index(phi, index), phi.values[-1]) for i, phis in groups for phi in phis)
+    return tuple(Counter(terms).items())
+
+
 def oy_from_ss(index: Index, p: int) -> PolyFp:
     """Rebuild the chain-sum polylog as sum over i of t^{(i-1)p} times the
     slot-indexed strict-chain polylogs of the grouped indices; must agree with
     oy_fmp exactly, prime by prime.  Each distinct (group, grouped index,
     slot) is one term weighted by its count of surjections; a (grouped
     index, slot) that recurs is read from ss_star's memo."""
-    counts = Counter(
-        (i, grouped_index(phi, index), phi.values[-1])
-        for i, phis in enumerate_phi(index.depth).items()
-        for phi in phis
-    )
-    return PolyFp.sum_of(
-        p,
-        [(c, (i - 1) * p, ss_star(grouped, slot, p)) for (i, grouped, slot), c in counts.items()],
-    )
+    plan = _conversion_plan(index)
+    return PolyFp.sum_of(p, [(c, (i - 1) * p, ss_star(g, slot, p)) for (i, g, slot), c in plan])
 
 
 def _corollary_residual(n: int, p: int) -> PolyFp:

@@ -210,7 +210,7 @@ def test_c5_obstruction_witness():
         # what catches a composition that returns its input unchanged
         for f in (five, five.shifted(1)):
             if compose_one_minus_t(f) != _compose_binomial(f):
-                bad.append(("composition", p, f.degree))
+                bad.append(("composition", p, len(f.coeffs) - 1))
     witnesses = [
         p for p in primes_in(7, P_MAX) if not depth5_symmetry_difference(p).is_zero
     ]

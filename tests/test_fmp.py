@@ -6,7 +6,7 @@ from array import array
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_reference_product, window_extend_loop
+from oracles import naive_reference_product, schoolbook_mul, window_extend_loop
 
 from fmplib import fmp, ss
 from fmplib.fmp import (
@@ -96,8 +96,8 @@ def test_nonzero_value_at_multiple_of_p_is_refused(monkeypatch, fresh_memos):
     # chain values are memoized, before any polylog or slice reads them.
     original = fmp._window_extend
 
-    def faulty(values, k, p):
-        out = original(values, k, p)
+    def faulty(values, k, p, size=None):
+        out = original(values, k, p, size)
         if len(out) > p:  # the second step on; the first ends below p
             out[p] = 1
         return out
@@ -124,6 +124,90 @@ def test_window_extend_matches_loop(step, k):
     expected = window_extend_loop(values, k, p)
     assert _window_extend(values, k, p) == expected
     assert _window_extend(tuple(values), k, p) == expected
+
+
+# --- the reflection v[rp - S] = (-1)^w v[S] ---------------------------------
+
+
+def _reflection_defects(coeffs, depth, weight, p):
+    """The S in depth..depth*(p-1) where v[depth*p - S] != (-1)^weight v[S],
+    for v the coefficients padded to depth*(p-1) + 1."""
+    v = list(coeffs) + [0] * (depth * (p - 1) + 1 - len(coeffs))
+    sign = (-1) ** weight
+    return [s for s in range(depth, len(v)) if v[depth * p - s] != sign * v[s] % p]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_loop_oracles_obey_the_reflection(p):
+    # l_i -> p - l_i maps every partial sum L_x to xp - L_x, keeps every
+    # exclusion and turns L_x^{-k_x} into (-1)^{k_x} L_x^{-k_x}.
+    for idx in all_indices(5, 4):
+        got = naive_reference(idx, p).coeffs
+        assert _reflection_defects(got, idx.depth, idx.weight, p) == [], idx
+    for blocks in _block_triples(4):
+        parts = blocks.first + blocks.second + blocks.third
+        got = naive_reference_general(blocks, p).coeffs
+        assert _reflection_defects(got, len(parts), sum(parts), p) == [], blocks
+
+
+@st.composite
+def reflecting(draw, primes=(5, 13, 101, 211, 401), depths=(0, 1, 2, 3, 4)):
+    """(p, parts, v): a random vector of the depth r and weight w of parts,
+    with v[rp - S] = (-1)^w v[S] and a nonzero top coefficient, or, one time
+    in four, that vector with one entry bumped, which breaks the law: a
+    random one, the centre S = rp/2 or S = 0, below the depth."""
+    p, depth = draw(st.sampled_from(primes)), draw(st.sampled_from(depths))
+    parts = tuple(draw(st.lists(st.sampled_from([1, 2]), min_size=depth, max_size=depth)))
+    rng = draw(st.randoms(use_true_random=False))
+    body = [rng.randrange(p) if rng.randrange(4) else 0 for _ in range(depth * (p - 2) + 1)]
+    body[0], n, sign = body[0] or 1, len(body), (-1) ** sum(parts)
+    for j in range(n // 2):
+        body[n - 1 - j] = sign * body[j] % p
+    if n % 2 and sign < 0:
+        body[n // 2] = 0
+    v = [0] * depth + body
+    if draw(st.integers(0, 3)) == 0:
+        i = rng.choice([rng.randrange(len(v)), depth * p // 2, 0])
+        v[i] = (v[i] + 1) % p
+    return p, parts, array("I", v)
+
+
+@settings(max_examples=60)
+@given(reflecting(), st.sampled_from([1, 2, 3]))
+def test_half_chain_step_matches_loop(data, k):
+    # Inputs above and below the gate, of either sign, reflecting or not.
+    p, parts, v = data
+    assert fmp._extend(v, parts, k, p).tolist() == window_extend_loop(v.tolist(), k, p)
+
+
+@settings(max_examples=30)
+@given(st.data(), st.sampled_from([1, 2]))
+def test_half_bridge_and_its_step_match_schoolbook(data, k):
+    # A three-block shape: a product of two chain vectors, one more step on
+    # the combined total.
+    p = data.draw(st.sampled_from([7, 13, 211, 401]))
+    _, first, a = data.draw(reflecting(primes=(p,), depths=(1, 2, 3)))
+    _, second, b = data.draw(reflecting(primes=(p,), depths=tuple(range(1, 5 - len(first)))))
+    f, g = PolyFp(p, a), PolyFp(p, b)
+    got = fmp._product(f, g, first, second)
+    expected = schoolbook_mul(f, g)
+    assert got == expected
+    step = fmp._extend(got.coeffs, first + second, k, p)
+    assert PolyFp(p, step) == PolyFp.of(p, window_extend_loop(expected.coeffs.tolist(), k, p))
+
+
+@pytest.mark.parametrize("where", ["below the depth", "centre", "top"])
+def test_half_path_refuses_a_bumped_chain(where):
+    # Above the gate, chain values of (1, 2) bumped at S = 0, at the centre
+    # S = rp/2 (where odd weight forces a zero) or at the top; every kernel
+    # output still matches the loops.
+    p, parts = 401, (1, 2)
+    v = array("I", chain_distribution(Index(parts), p))
+    s = {"below the depth": 0, "centre": len(parts) * p // 2, "top": len(v) - 1}[where]
+    v[s] = (v[s] + 1) % p
+    assert fmp._extend(v, parts, 1, p).tolist() == window_extend_loop(v.tolist(), 1, p)
+    f, g = PolyFp(p, v), oy_fmp(Index.of(1), p)
+    assert fmp._product(f, g, parts, (1,)) == schoolbook_mul(f, g)
 
 
 # --- the polylog -------------------------------------------------------------

@@ -45,7 +45,7 @@ def multi_block_polys(draw):
     return PolyFp.of(p, [rng.randrange(p) for _ in range((blocks - 1) * p + last)])
 
 
-# --- construction and degree ----------------------------------------------
+# --- construction ------------------------------------------------------------
 
 
 def test_normalization_and_zero():
@@ -56,13 +56,6 @@ def test_normalization_and_zero():
     assert PolyFp(5, (1, 0)) == PolyFp(5, (1,))  # the constructor normalizes
     with pytest.raises(ValueError):
         PolyFp.of(6, [1])  # modulus not prime
-
-
-def test_degree_marker():
-    assert PolyFp.zero(7).degree == -1
-    assert type(PolyFp.zero(7).degree) is int
-    assert PolyFp.one(7).degree == 0
-    assert PolyFp.of(7, [0] * 12 + [1]).degree == 12
 
 
 # --- storage -----------------------------------------------------------------
@@ -433,8 +426,8 @@ def test_frobenius_power(data):
 def test_mul_degree_adds():
     f = PolyFp.of(7, [1, 1, 3])
     g = PolyFp.of(7, [2, 5])
-    assert (f * g).degree == f.degree + g.degree
-    assert (f * PolyFp.zero(7)).degree == -1
+    assert len((f * g).coeffs) - 1 == (len(f.coeffs) - 1) + (len(g.coeffs) - 1)
+    assert len((f * PolyFp.zero(7)).coeffs) - 1 == -1
 
 
 # --- composition at 1 - t ----------------------------------------------------
@@ -493,7 +486,7 @@ def test_compose_is_ring_homomorphism(data):
 @given(poly_pairs(count=1))
 def test_compose_preserves_degree(data):
     _, f = data
-    assert compose_one_minus_t(f).degree == f.degree
+    assert len(compose_one_minus_t(f).coeffs) - 1 == len(f.coeffs) - 1
 
 
 # --- serialization -----------------------------------------------------------

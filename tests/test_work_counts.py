@@ -75,9 +75,9 @@ def counts(fresh_memos, monkeypatch):
             seen["dense"] += 1
         return convolve(a, b, p)
 
-    def counted_window_extend(values, k, p):
+    def counted_window_extend(values, k, p, size=None):
         seen["steps"] += 1
-        return window_extend(values, k, p)
+        return window_extend(values, k, p, size)
 
     def counted_compose(f):
         # Composing the zero polynomial returns at once, so it is no work.
@@ -274,3 +274,34 @@ def test_every_sum_term_is_a_stored_vector(fresh_memos, monkeypatch):
     sums.clear()
     polyfp.compose_one_minus_t(PolyFp.of(P, range(1, 2 * P + 5)))
     assert sums == [[True] * 3] * 3, sums
+
+
+@pytest.mark.parametrize("p", [101, 1051])
+def test_half_path_exactly_above_the_gate(fresh_memos, monkeypatch, p):
+    # In a full sweep every chain step and bridge product from fmp._HALF_MIN
+    # outputs on takes the half path (forms its lower half and reflects it),
+    # and none below does.  All inputs of correct code reflect, so a
+    # reflection check that always failed would show here.
+    extend, product, reflected = fmp._extend, fmp._product, fmp._reflected
+    seen = {"below": 0, "above": 0, "halves": 0}
+
+    def counted_extend(values, parts, k, p):
+        seen["above" if len(values) + p - 1 >= fmp._HALF_MIN else "below"] += 1
+        return extend(values, parts, k, p)
+
+    def counted_product(a, b, first, second):
+        seen["above" if len(a.coeffs) + len(b.coeffs) > fmp._HALF_MIN else "below"] += 1
+        return product(a, b, first, second)
+
+    def counted_reflected(low, parts, p):
+        seen["halves"] += 1
+        return reflected(low, parts, p)
+
+    monkeypatch.setattr(fmp, "_extend", counted_extend)
+    monkeypatch.setattr(fmp, "_product", counted_product)
+    monkeypatch.setattr(fmp, "_reflected", counted_reflected)
+    run_sweep(RunConfig(lo=p, hi=p, identities=IDENTITY_IDS))
+    if p < fmp._HALF_MIN:
+        assert seen["below"] > 0 and seen["above"] == seen["halves"] == 0, seen
+    else:
+        assert seen["below"] == 0 and seen["above"] == seen["halves"] > 0, seen
