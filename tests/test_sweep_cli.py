@@ -230,11 +230,13 @@ def test_sweep_deterministic_across_workers(monkeypatch):
 # from the sweep that took each symmetry difference by composing the whole
 # polylog, so a faster path must give the same bytes.  The sweep at 4099,
 # whose dense products take the two-point multiply with 5-byte chunks, was
-# pinned from the one-point multiply.
+# pinned from the one-point multiply.  All three were re-pinned when
+# shuffle-lemma n = 1 became null ("requires n >= 2"), after checking that
+# those outcomes were the reports' only change.
 _GOLDEN_REPORTS = {
-    (5, 199): "69d173d28540deafd8d2e68993ccdcf45a10c2238a2e4cbf36891df7ae6ccc0e",
-    (1051, 1051): "95a571caf0d26922b080547480f46b06b8257589aadc07bb21f3b1d8a01afdf5",
-    (4099, 4099): "a4f36ea1715b05c985e0c29e86f2346dab520532a85cf9f78a22885b2ec6b0bd",
+    (5, 199): "06eb65c291715b7e1c9165faee8f681591ec3ab284665a93a7520761e8a4b630",
+    (1051, 1051): "e5a064f66dcd9008cfe9967d1de02ff31327db762da8cf6ac974a45c4f201185",
+    (4099, 4099): "815f790869362b3dae5afc8618b98930a7fb763034f566cf7aab6540260cc8ab",
 }
 
 
