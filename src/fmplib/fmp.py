@@ -15,8 +15,9 @@ are the oracle of record at small scale.
 Chain values of depth r and weight w obey v[rp - S] = (-1)^w v[S], since
 l_x -> p - l_x maps each L_x to xp - L_x, keeps every exclusion and signs
 L_x^{-k_x} by (-1)^{k_x}; so do three-block sums and products.  From
-_HALF_MIN outputs on, a chain step or bridge product of inputs checked (in C)
-to reflect forms its entries S <= rp/2 and mirrors the rest; others do not.
+_HALF_MIN outputs on, a chain step or bridge product whose inputs pass a
+C-level check of the law forms its entries S <= rp/2 (r the output's depth)
+and mirrors the rest; any other input takes the full path.
 """
 
 from __future__ import annotations

@@ -124,6 +124,8 @@ def test_window_extend_matches_loop(step, k):
     expected = window_extend_loop(values, k, p)
     assert _window_extend(values, k, p) == expected
     assert _window_extend(tuple(values), k, p) == expected
+    for size in (len(values), len(expected) // 2 + 1):
+        assert _window_extend(values, k, p, size) == expected[:size]
 
 
 # --- the reflection v[rp - S] = (-1)^w v[S] ---------------------------------
