@@ -136,29 +136,26 @@ def _window_extend(values: Sequence[int], k: int, p: int, size: int | None = Non
 
 
 # Shortest output of the half path.  Half over full time (one core): a step
-# 1.3-1.6 below 64 outputs, 0.8-0.9 at 200-500, 0.67-0.75 from 991; a product
-# of depths (r, 1) 1.1-2.3 below 1000, 0.73-0.92 from 991 (1.1 for r = 1).
+# 1.5-1.8 below 64 outputs, 0.82-0.92 at 200-500, 0.65-0.78 from 769; a product
+# of depths (r, 1) 1.1-2.5 below 769, 0.75-0.98 from 769 (1.1 for r = 1).
 _HALF_MIN = 1024
 
 
 def _reflects(v: array, parts: tuple[int, ...], p: int) -> bool:
-    """Whether v, of length r(p-1)+1 and zero below r, has v[rp - S] =
-    (-1)^w v[S], r and w being parts' depth and weight; half against half."""
-    r = len(parts)
-    if len(v) != r * (p - 1) + 1 or any(v[:r]):
-        return False
-    half = (len(v) - r + 1) // 2
-    head, mirror = v[r : r + half], v[: -half - 1 : -1]
-    return head == (_negated(mirror, p) if sum(parts) % 2 else mirror)
+    """Whether v obeys the reflection of parts: whether _reflected gives it back."""
+    return _reflected(v, parts, p) == v
 
 
 def _reflected(low: array, parts: tuple[int, ...], p: int) -> array:
-    """The vector of parts' depth r and weight w that is low, zero-padded,
-    below h = rp//2 + 1 and has v[S] = (-1)^w v[rp - S] from h on."""
-    r, h = len(parts), len(parts) * p // 2 + 1
-    low = low[:h] + _words([0]) * (h - len(low))
+    """The vector of length r(p-1)+1 that obeys v[rp - S] = (-1)^w v[S] for
+    parts' depth r and weight w, and is zero below r and equal to low,
+    zero-padded, on r <= S < h = rp//2 + 1 (but 0 at S = rp/2 if w is odd)."""
+    r, h, odd = len(parts), len(parts) * p // 2 + 1, sum(parts) % 2
+    low = _words([0]) * r + low[r:h] + _words([0]) * (h - len(low))
+    if odd and r * p % 2 == 0:
+        low[h - 1] = 0
     tail = low[r : r * p - h + 1][::-1]
-    return low + (_negated(tail, p) if sum(parts) % 2 else tail)
+    return low + (_negated(tail, p) if odd else tail)
 
 
 def _extend(values: array, parts: tuple[int, ...], k: int, p: int) -> array:

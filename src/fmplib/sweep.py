@@ -158,9 +158,8 @@ class _Identity:
 # 7 where B_{p-5} enters or p = 5 is a known exception: corollary-d4 is the
 # depth-4 all-ones polylog's t <-> 1-t symmetry, which fails at n = p - 1.
 # The main theorem's residual at n = 1 is zero by definition (M_1 = 0), the
-# shuffle lemma's is zero by construction (its bridge is the depth-1 polylog
-# it is compared with, and f_1 = g_1 = 0), and the recurrence at n = 1 has no
-# step.
+# shuffle lemma's by construction (its bridge is the depth-1 polylog and
+# f_1 = g_1 = 0), and the recurrence at n = 1 has no step.
 _IDENTITIES = {
     "kontsevich": _Identity(kontsevich_residual),
     "shuffle-lemma": _Identity(

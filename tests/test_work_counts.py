@@ -283,9 +283,12 @@ def test_half_path_exactly_above_the_gate(fresh_memos, monkeypatch, p):
     # In a full sweep every chain step and bridge product from fmp._HALF_MIN
     # outputs on takes the half path (forms its lower half and reflects it),
     # and none below does.  All inputs of correct code reflect, so a
-    # reflection check that always failed would show here.
-    extend, product, reflected = fmp._extend, fmp._product, fmp._reflected
-    seen = {"below": 0, "above": 0, "halves": 0}
+    # reflection check that always failed would show here.  Each check
+    # reflects its input once, so the halves are the reflections beyond
+    # the checks.
+    extend, product = fmp._extend, fmp._product
+    reflects, reflected = fmp._reflects, fmp._reflected
+    seen = {"below": 0, "above": 0, "checks": 0, "failed": 0, "reflections": 0}
 
     def counted_extend(values, parts, k, p):
         seen["above" if len(values) + p - 1 >= fmp._HALF_MIN else "below"] += 1
@@ -295,15 +298,23 @@ def test_half_path_exactly_above_the_gate(fresh_memos, monkeypatch, p):
         seen["above" if len(a.coeffs) + len(b.coeffs) > fmp._HALF_MIN else "below"] += 1
         return product(a, b, first, second)
 
+    def counted_reflects(v, parts, p):
+        seen["checks"] += 1
+        ok = reflects(v, parts, p)
+        seen["failed"] += not ok
+        return ok
+
     def counted_reflected(low, parts, p):
-        seen["halves"] += 1
+        seen["reflections"] += 1
         return reflected(low, parts, p)
 
     monkeypatch.setattr(fmp, "_extend", counted_extend)
     monkeypatch.setattr(fmp, "_product", counted_product)
+    monkeypatch.setattr(fmp, "_reflects", counted_reflects)
     monkeypatch.setattr(fmp, "_reflected", counted_reflected)
     run_sweep(RunConfig(lo=p, hi=p, identities=IDENTITY_IDS))
+    halves = seen["reflections"] - seen["checks"]
     if p < fmp._HALF_MIN:
-        assert seen["below"] > 0 and seen["above"] == seen["halves"] == 0, seen
+        assert seen["below"] > 0 and seen["above"] == seen["reflections"] == 0, seen
     else:
-        assert seen["below"] == 0 and seen["above"] == seen["halves"] > 0, seen
+        assert seen["below"] == seen["failed"] == 0 and seen["above"] == halves > 0, seen
