@@ -17,7 +17,7 @@ l_x -> p - l_x maps each L_x to xp - L_x, keeps every exclusion and signs
 L_x^{-k_x} by (-1)^{k_x}; so do three-block sums and products.  From
 _HALF_MIN outputs on, a chain step or bridge product whose inputs pass a
 C-level check of the law forms its entries S <= rp/2 (r the output's depth)
-and mirrors the rest; any other input takes the full path.
+and mirrors the rest, if an operand runs past them; any other takes the full path.
 """
 
 from __future__ import annotations
@@ -109,11 +109,11 @@ class BlockTriple:
 
 @lru_cache(maxsize=4)
 def _inverse_powers(k: int, p: int) -> Sequence[int]:
-    """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0.  A few recent
-    tables are kept: one prime's chain steps and strict-chain polylogs ask for
-    the same few exponents again and again."""
+    """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0, from table k-1.  A
+    few recent tables are kept: one prime's chain steps and strict-chain
+    polylogs ask for the same few exponents again and again."""
     inv = inverse_table(p)
-    return inv if k == 1 else tuple([pow(iv, k, p) for iv in inv])
+    return inv if k == 1 else tuple([x * y % p for x, y in zip(_inverse_powers(k - 1, p), inv)])
 
 
 def _window_extend(values: Sequence[int], k: int, p: int, size: int | None = None) -> list[int]:
@@ -169,7 +169,7 @@ def _extend(values: array, parts: tuple[int, ...], k: int, p: int) -> array:
 def _product(a: PolyFp, b: PolyFp, first: tuple[int, ...], second: tuple[int, ...]) -> PolyFp:
     """a * b, of vectors of the depths and weights of first and second."""
     p, h = a.p, (len(first) + len(second)) * a.p // 2 + 1
-    halve = len(a.coeffs) + len(b.coeffs) > _HALF_MIN
+    halve = len(a.coeffs) + len(b.coeffs) > _HALF_MIN and max(len(a.coeffs), len(b.coeffs)) > h
     if not (halve and _reflects(a.coeffs, first, p) and _reflects(b.coeffs, second, p)):
         return a * b
     low = PolyFp(p, a.coeffs[:h]) * PolyFp(p, b.coeffs[:h])

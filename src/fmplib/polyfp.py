@@ -115,9 +115,11 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array
     The width is at least 4 bytes, so that a stored vector's words are its
     chunks: for small p, the strided copies of 2- and 3-byte chunks cost
     more than the narrower total saves.  The total is unpacked and reduced
-    once.  Weights may be any ints; an f
-    that is not an 'I' array may hold any ints and is reduced first, while
-    an 'I' array is a stored vector, its entries already below p.
+    once, unless p divides the total and no chunk of total // p reaches 2^b
+    for b = 8 width - p.bit_length(): p times such chunks carries nothing,
+    so p divides every chunk (every zero sum passes if k (p-1)^2 < p 2^b).
+    Weights may be any ints; an f that is not an 'I' array may hold any ints
+    and is reduced first, while an 'I' array is a stored vector, below p.
     """
     live = [(c, shift, f) for weight, shift, f in terms if (c := weight % p) and f]
     if not live:
@@ -131,6 +133,11 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array
             reduced = isinstance(f, array) and f.typecode == _WORD
             packed[id(f)] = _pack(f if reduced else _words(y % p for y in f), width)
         total += packed[id(f)] * c << 8 * width * shift
+    if total % p == 0:
+        spare = 8 * width - p.bit_length()
+        high = ((1 << 8 * width) - (1 << spare)).to_bytes(width, "little") * n
+        if not (total // p) & int.from_bytes(high, "little"):
+            return _words([0]) * n
     return _words(_residues(total, width, n, p))
 
 
@@ -143,7 +150,7 @@ _TWO_POINT_MIN = 256
 def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Exact convolution of reduced coefficient vectors, by Kronecker
     substitution: pack each vector into one big integer with enough room per
-    chunk that product coefficients cannot collide, multiply, unpack.
+    chunk that product coefficients cannot collide, multiply (or square), unpack.
 
     Exact for every p (no floating point, no fixed-width overflow), and far
     faster than a Python-level schoolbook loop at the degrees the identity
@@ -160,11 +167,15 @@ def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
     if min(len(a), len(b)) < _TWO_POINT_MIN:
-        return _residues(_pack(a, width) * _pack(b, width), width, n, p)
+        x = _pack(a, width)
+        return _residues(x * (x if a is b else _pack(b, width)), width, n, p)
     half = 4 * width
     even_a, odd_a = _pack(a[0::2], width), _pack(a[1::2], width) << half
-    even_b, odd_b = _pack(b[0::2], width), _pack(b[1::2], width) << half
-    x, y = (even_a + odd_a) * (even_b + odd_b), (even_a - odd_a) * (even_b - odd_b)
+    plus, minus = even_a + odd_a, even_a - odd_a
+    if a is not b:
+        even_b, odd_b = _pack(b[0::2], width), _pack(b[1::2], width) << half
+    x = plus * (plus if a is b else even_b + odd_b)
+    y = minus * (minus if a is b else even_b - odd_b)
     out = [0] * n
     out[0::2] = _residues((x + y) >> 1, width, (n + 1) // 2, p)
     out[1::2] = _residues((x - y) >> (half + 1), width, n // 2, p)

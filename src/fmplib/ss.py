@@ -4,6 +4,11 @@ conversion rebuilding the chain-sum polylog from slot-indexed pieces.
 The two t <-> 1-t corollaries at depths 3 and 4 come from the conversion of
 the all-ones index: read at t it is the corollary's left side, and composed
 with 1-t its right side, so the residual is F(t) - F(1-t).
+
+The strict-chain polylog of an index k of depth s and weight w at slot j is
+(-1)^w t^p times that of reversed k at slot s+1-j, read at 1/t, since
+m_i = p - n_{s+1-i} maps chains to chains, n_j to p - m_{s+1-j}, and signs
+the weight by (-1)^w.  Of each reversed pair one is formed, one mirrored.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from operator import mul
 
 from .fmp import Index, _inverse_powers, _oracle_inverses
 from .identities import _symmetry_difference, ones_fmp, ones_symmetry_difference
-from .polyfp import PolyFp, _require_word_prime, _words
+from .polyfp import PolyFp, _negated, _require_word_prime, _words
 
 __all__ = [
     "AdjacentDistinctSurjection",
@@ -130,9 +135,9 @@ def grouped_index(phi: AdjacentDistinctSurjection, index: Index) -> Index:
 
 
 # The head and tail memos keep one prime's working set: prop42 and the two
-# corollaries share 15 head prefixes and 7 tail suffixes, plus the two empty
+# corollaries read 8 head prefixes and 7 tail suffixes, plus the two empty
 # bases.  Keeping more primes would grow memory with the prime range.
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=9)
 def _heads(prefix: tuple[int, ...], p: int) -> array:
     """heads[v] = sum over strict chains 0 < n_1 < ... < n_c = v of
     1/(n_1^{k_1} ... n_c^{k_c}), for the c parts of prefix; the empty prefix
@@ -174,18 +179,27 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     tails of the parts past it; degree always below p.  Heads and tails are
     prefix- and suffix-sum passes memoized per prefix and suffix, so the
     slots of one index, and indices sharing a prefix or a suffix, share their
-    passes: prop42 and the two corollaries make 22 passes at one prime,
-    where a pass per part of each of their 32 distinct polylogs would make
-    80.  The memos keep one prime's vectors, as 4-byte words, and this one
-    keeps one prime's polylogs, which the conversions of several indices and
-    the groups of one conversion share.
+    passes.  A key whose reversed partner sorts before it is mirrored from
+    the partner, one of the same keys: prop42 and the two corollaries form
+    19 of their 32 at one prime, from 15 passes.  The memos keep one prime's
+    vectors, as 4-byte words, and this one keeps one prime's polylogs, which
+    the conversions of several indices and the groups of one conversion share.
     """
     _require_word_prime(p)
     ks = index.parts
     if not 1 <= slot <= len(ks):
         raise ValueError(f"slot {slot} out of range 1..{len(ks)}")
+    partner = (ks[::-1], len(ks) + 1 - slot)
+    if partner < (ks, slot):
+        return _mirrored(ss_star(Index(partner[0]), partner[1], p), index.weight % 2)
     heads, tails = _heads(ks[:slot], p).tolist(), _tails(ks[slot:], p).tolist()
     return PolyFp(p, [h * w % p for h, w in zip(heads, tails)])
+
+
+def _mirrored(f: PolyFp, odd: int) -> PolyFp:
+    """(-1)^odd t^p f(1/t), in C, for f of degree below p with f(0) = 0."""
+    v = _words([0]) * (f.p - len(f.coeffs) + 1) + f.coeffs[:0:-1]
+    return PolyFp(f.p, _negated(v, f.p) if odd else v)
 
 
 def ss_star_reference(index: Index, slot: int, p: int) -> PolyFp:

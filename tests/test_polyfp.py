@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import compose_binomial, compose_horner, schoolbook_mul, shift_add_list
 
-from fmplib import fmp
+from fmplib import fmp, polyfp
 from fmplib.identities import ones_fmp
 from fmplib.modular import is_prime
 from fmplib.polyfp import (
@@ -279,13 +279,16 @@ def crossover_pairs(draw):
 @settings(max_examples=30, deadline=None)
 @given(crossover_pairs())
 def test_convolve_matches_schoolbook_at_the_crossover(data):
-    # _convolve on the raw vectors, so a trailing zero keeps its length.
+    # _convolve on the raw vectors, so a trailing zero keeps its length; a
+    # vector times itself is packed once and squared.
     p, a, b = data
     expected = list(schoolbook_mul(PolyFp(p, a), PolyFp(p, b)).coeffs)
     for x, y in ((a, b), (b, a)):
         product = _convolve(x, y, p)
         assert len(product) == len(a) + len(b) - 1
         assert PolyFp(p, product) == PolyFp(p, expected)
+    square = schoolbook_mul(PolyFp(p, a), PolyFp(p, a))
+    assert PolyFp(p, _convolve(a, a, p)) == square
 
 
 #: The nonzero count that perfbench (child.py's SPARSE_NNZ) and
@@ -400,6 +403,91 @@ def test_packed_sum_exact_at_every_width(p, count, width):
     ]
     for terms in (full, mixed):
         assert PolyFp(p, _shift_add(terms, p)) == PolyFp(p, shift_add_list(terms, p))
+
+
+def _sum_width(count, p):
+    """The chunk width in bytes of a sum of count terms: see _shift_add."""
+    return max(4, ((count * (p - 1) ** 2).bit_length() + 7) // 8)
+
+
+#: Primes whose sums of 1 to 7 terms take every chunk width from 4 to 9.
+_WIDE_PRIMES = [5, 101, 65521, 1048573, 16777213, 268435399, 2**31 - 1, 2**32 - 5]
+
+
+@st.composite
+def zero_test_sums(draw):
+    """Terms of stored vectors at primes whose sums are 4 to 9 bytes wide:
+    random ones; each also negated, so the sum is zero and every chunk of
+    its total a multiple of p; or that zero sum with a term
+    [(-2^(8w)) % p, 1] added, for w the sum's width, whose first chunk
+    carries a multiple of p into the next: the packed total is divisible by
+    p but the sum is not zero."""
+    p = draw(st.sampled_from(_WIDE_PRIMES))
+    rng = draw(st.randoms(use_true_random=False))
+    terms = [
+        (
+            rng.randrange(-p, 2 * p),
+            rng.randrange(6),
+            array("I", [rng.randrange(p) for _ in range(rng.randrange(1, 6))]),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    shape = draw(st.sampled_from(["random", "zero", "carried"]))
+    if shape != "random":
+        terms += [(-c, shift, f) for c, shift, f in terms]
+    if shape == "carried":
+        # _shift_add drops the terms whose weight is 0 mod p
+        width = _sum_width(sum(1 for c, _, _ in terms if c % p) + 1, p)
+        terms.append((1, draw(st.integers(0, 6)), array("I", [(-(1 << 8 * width)) % p, 1])))
+    return p, shape, terms
+
+
+@settings(max_examples=200)
+@given(zero_test_sums())
+def test_zero_test_matches_list_accumulator(data):
+    p, shape, terms = data
+    expected = PolyFp(p, shift_add_list(terms, p))
+    assert PolyFp(p, _shift_add(terms, p)) == expected
+    if shape != "random":
+        assert expected.is_zero is (shape == "zero")
+
+
+# (p, k, width): k-term zero sums whose quotient chunks reach 2^(spare-1),
+# for spare = 8 width - p.bit_length(), under the bound k (p-1)^2 < p 2^spare
+# that keeps them below 2^spare, so _shift_add's zero test must pass them.
+_ZERO_TEST_CASES = [
+    (16411, 5, 4),
+    (262147, 5, 5),
+    (4194319, 5, 6),
+    (67108879, 5, 7),
+    (1073741827, 5, 8),
+    (2**31 - 1, 4, 8),
+    (2**32 - 5, 200, 9),
+]
+
+
+@pytest.mark.parametrize("p,k,width", _ZERO_TEST_CASES)
+def test_zero_sum_is_recognised_without_unpacking(p, k, width, monkeypatch):
+    # Weights p - 1 (k - 1 times) and k - 1 on the all-(p-1) vector: every
+    # chunk of the total is (k-1)(p-1)p.  A zero sum of k - 1 such terms and
+    # a carried term [(-2^(8w)) % p, 1] past them is divisible by p and not
+    # zero; its quotient's carried chunk lies in [2^spare, 2^(spare+1)].
+    assert _sum_width(k, p) == width
+    spare = 8 * width - p.bit_length()
+    assert k * (p - 1) ** 2 < p << spare and (k - 1) * (p - 1) >= 1 << (spare - 1)
+    top = array("I", [p - 1] * 3)
+    zero = [(p - 1, 0, top)] * (k - 1) + [(k - 1, 0, top)]
+    carried = [(p - 1, 0, top)] * (k - 2) + [(k - 2, 0, top)]
+    carried.append((1, 3, array("I", [(-(1 << 8 * width)) % p, 1])))
+    expected = shift_add_list(carried, p)
+    assert any(expected)
+    assert PolyFp(p, _shift_add(carried, p)) == PolyFp(p, expected)
+
+    def unpacked(*args):
+        raise AssertionError("a zero sum was unpacked")
+
+    monkeypatch.setattr(polyfp, "_residues", unpacked)
+    assert _shift_add(zero, p) == array("I", [0] * 3)
 
 
 @given(poly_pairs(count=3))

@@ -167,6 +167,22 @@ def test_ss_star_degree_below_p(idx, p):
         assert len(ss_star(idx, slot, p).coeffs) - 1 < p
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_reference_obeys_the_reversal_law(p):
+    # m_i = p - n_{s+1-i} maps the strict chains of an index of depth s and
+    # weight w onto those of its reverse, and signs their weight by (-1)^w:
+    # the coefficient of t^v at slot j is (-1)^w times that of t^(p-v) at
+    # slot s+1-j, and neither has a constant term.  Checked on the loop
+    # oracle, which knows nothing of the law that ss_star mirrors by.
+    for idx in all_indices(5, 4):
+        s, rev = idx.depth, Index(idx.parts[::-1])
+        for slot in range(1, s + 1):
+            f = list(ss_star_reference(idx, slot, p).coeffs) + [0] * p
+            g = list(ss_star_reference(rev, s + 1 - slot, p).coeffs) + [0] * p
+            assert f[0] == g[0] == 0 and not any(f[p:]), (idx, slot)
+            assert f[1:p] == [(-1) ** idx.weight * g[p - v] % p for v in range(1, p)], (idx, slot)
+
+
 def test_ss_star_exact_across_primes_and_evictions(fresh_memos):
     # Every slot of every index of weight <= 5 and depth <= 4, with the four
     # primes interleaved key by key, in forward and then reverse order: the

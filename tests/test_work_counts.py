@@ -18,7 +18,8 @@ the main theorem too, and take the square of the depth-1 polylog from the
 shuffle bridge, so they form no power of their own.  The oracle crosscheck
 compares each chain once.  The strict-chain polylogs of prop42 and the
 corollaries share their prefix- and suffix-sum passes through the head and
-tail memos, and each distinct one is evaluated once per prime.  These
+tail memos, each distinct one is evaluated once per prime, and of each
+reversed pair one is formed and the other mirrored from it.  These
 counts guard that sharing, which no result would reveal if it broke.  A full
 12-identity sweep at one prime is counted too, so that a change to the sweep
 or identity layers cannot add work unseen.  Every polynomial sum takes its
@@ -58,6 +59,7 @@ def counts(fresh_memos, monkeypatch):
         "steps": 0,
         "compositions": 0,
         "ss_star": 0,
+        "mirrored": 0,
         "passes": 0,
         "oracles": 0,
         "shuffle_residuals": 0,
@@ -66,6 +68,7 @@ def counts(fresh_memos, monkeypatch):
     compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
     oracle = fmp.naive_reference_general
     shuffle_residual = identities.shuffle_lemma_residual
+    mirrored = ss._mirrored
 
     def counted_convolve(a, b, p):
         # An operand with at most 6 nonzeros (perfbench's SPARSE_NNZ) makes
@@ -83,6 +86,12 @@ def counts(fresh_memos, monkeypatch):
         # Composing the zero polynomial returns at once, so it is no work.
         seen["compositions"] += not f.is_zero
         return compose(f)
+
+    def counted_mirrored(f, odd):
+        # A strict-chain polylog read from its reversed partner forms no
+        # product; the other misses of ss_star form one each.
+        seen["mirrored"] += 1
+        return mirrored(f, odd)
 
     def counted_oracle(blocks, p):
         seen["oracles"] += 1
@@ -107,6 +116,7 @@ def counts(fresh_memos, monkeypatch):
     _wrap_everywhere(
         monkeypatch, shuffle_residual, counted_misses(shuffle_residual, "shuffle_residuals")
     )
+    monkeypatch.setattr(ss, "_mirrored", counted_mirrored)
     # The steps recurse through the module's names, so the patch counts them;
     # the empty prefix or suffix is no pass.
     nonempty = lambda parts, p: bool(parts)
@@ -189,13 +199,14 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
 
 def test_prop42_shares_strict_chain_passes(counts):
     # The 14 indices' conversions ask for 46 strict-chain polylogs, 28 of
-    # them distinct, each evaluated once and built from 14 head and 6 tail
-    # passes, each shared by every slot and index that has its prefix or
-    # suffix.
+    # them distinct, each evaluated once.  11 are mirrored from a reversed
+    # partner; the 17 formed are built from 8 head and 6 tail passes, each
+    # shared by every slot and index that has its prefix or suffix.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("prop42",)))
     _all_checked_pass(report)
     assert counts["ss_star"] <= 28, counts
-    assert counts["passes"] <= 20, counts
+    assert counts["ss_star"] - counts["mirrored"] <= 17, counts
+    assert counts["passes"] <= 14, counts
 
 
 def test_full_sweep_at_one_prime(counts):
@@ -229,24 +240,41 @@ def test_full_sweep_at_one_prime(counts):
     # One shuffle residual per depth 1..5, shared by shuffle-lemma, the main
     # theorem's induction and the symmetry differences.
     assert counts["shuffle_residuals"] == 5, counts
-    # 77 strict-chain polylogs asked for, 32 of them distinct.
+    # 77 strict-chain polylogs asked for, 32 of them distinct, 19 of those
+    # formed and 13 mirrored from a reversed partner.
     assert counts["ss_star"] <= 32, counts
-    # The corollaries add the head (1,1,1,1) and the tail (1,1,1) to prop42's.
-    assert counts["passes"] <= 22, counts
+    assert counts["ss_star"] - counts["mirrored"] <= 19, counts
+    # The corollaries add the tail (1,1,1) to prop42's passes.
+    assert counts["passes"] <= 15, counts
 
 
 
 # Each symmetry difference run alone from cold memos: the shuffle bridges
 # of S_2..S_n, K's one Taylor shift, the chain steps those need and one
 # shuffle residual per depth; the corollaries add their conversions'
-# strict-chain polylogs.  No deep polylog is composed.
+# strict-chain polylogs, some of them mirrored from a reversed partner.  No
+# deep polylog is composed.
 _ALONE = {
     "obstruction-n5": dict(products=5, dense=5, steps=11, compositions=1, shuffle_residuals=5),
     "corollary-d3": dict(
-        products=3, dense=3, steps=5, compositions=1, shuffle_residuals=3, ss_star=5, passes=7
+        products=3,
+        dense=3,
+        steps=5,
+        compositions=1,
+        shuffle_residuals=3,
+        ss_star=5,
+        mirrored=2,
+        passes=5,
     ),
     "corollary-d4": dict(
-        products=4, dense=4, steps=8, compositions=1, shuffle_residuals=4, ss_star=15, passes=17
+        products=4,
+        dense=4,
+        steps=8,
+        compositions=1,
+        shuffle_residuals=4,
+        ss_star=15,
+        mirrored=7,
+        passes=11,
     ),
 }
 
@@ -280,22 +308,27 @@ def test_every_sum_term_is_a_stored_vector(fresh_memos, monkeypatch):
 
 @pytest.mark.parametrize("p", [101, 1051])
 def test_half_path_exactly_above_the_gate(fresh_memos, monkeypatch, p):
-    # In a full sweep every chain step and bridge product from fmp._HALF_MIN
-    # outputs on takes the half path (forms its lower half and reflects it),
-    # and none below does.  All inputs of correct code reflect, so a
-    # reflection check that always failed would show here.  Each check
-    # reflects its input once, so the halves are the reflections beyond
-    # the checks.
+    # In a full sweep every chain step from fmp._HALF_MIN outputs on, and
+    # every bridge product above it with an operand longer than the half h
+    # it would form, takes the half path (forms its lower half and reflects
+    # it), and no other does: the bridge of depths (1, 1) is short at every
+    # prime.  All inputs of correct code reflect, so a reflection check that
+    # always failed would show here.  Each check reflects its input once, so
+    # the halves are the reflections beyond the checks.
     extend, product = fmp._extend, fmp._product
     reflects, reflected = fmp._reflects, fmp._reflected
-    seen = {"below": 0, "above": 0, "checks": 0, "failed": 0, "reflections": 0}
+    seen = {"below": 0, "short": 0, "above": 0, "checks": 0, "failed": 0, "reflections": 0}
 
     def counted_extend(values, parts, k, p):
         seen["above" if len(values) + p - 1 >= fmp._HALF_MIN else "below"] += 1
         return extend(values, parts, k, p)
 
     def counted_product(a, b, first, second):
-        seen["above" if len(a.coeffs) + len(b.coeffs) > fmp._HALF_MIN else "below"] += 1
+        h = (len(first) + len(second)) * a.p // 2 + 1
+        if len(a.coeffs) + len(b.coeffs) <= fmp._HALF_MIN:
+            seen["below"] += 1
+        else:
+            seen["above" if max(len(a.coeffs), len(b.coeffs)) > h else "short"] += 1
         return product(a, b, first, second)
 
     def counted_reflects(v, parts, p):
@@ -317,4 +350,5 @@ def test_half_path_exactly_above_the_gate(fresh_memos, monkeypatch, p):
     if p < fmp._HALF_MIN:
         assert seen["below"] > 0 and seen["above"] == seen["reflections"] == 0, seen
     else:
-        assert seen["below"] == seen["failed"] == 0 and seen["above"] == halves > 0, seen
+        assert seen["below"] == seen["failed"] == 0 and seen["short"] > 0, seen
+        assert seen["above"] == halves > 0, seen
