@@ -109,11 +109,11 @@ class BlockTriple:
 
 @lru_cache(maxsize=4)
 def _inverse_powers(k: int, p: int) -> Sequence[int]:
-    """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0, from table k-1.  A
-    few recent tables are kept: one prime's chain steps and strict-chain
-    polylogs ask for the same few exponents again and again."""
+    """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0.  A few recent
+    tables are kept: one prime's chain steps and strict-chain polylogs ask for
+    the same few exponents again and again."""
     inv = inverse_table(p)
-    return inv if k == 1 else tuple([x * y % p for x, y in zip(_inverse_powers(k - 1, p), inv)])
+    return inv if k == 1 else tuple([pow(iv, k, p) for iv in inv])
 
 
 def _window_extend(values: Sequence[int], k: int, p: int, size: int | None = None) -> list[int]:

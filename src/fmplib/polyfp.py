@@ -150,7 +150,7 @@ _TWO_POINT_MIN = 256
 def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Exact convolution of reduced coefficient vectors, by Kronecker
     substitution: pack each vector into one big integer with enough room per
-    chunk that product coefficients cannot collide, multiply (or square), unpack.
+    chunk that product coefficients cannot collide, multiply, unpack.
 
     Exact for every p (no floating point, no fixed-width overflow), and far
     faster than a Python-level schoolbook loop at the degrees the identity
@@ -167,15 +167,11 @@ def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = (bound.bit_length() + 7) // 8
     if min(len(a), len(b)) < _TWO_POINT_MIN:
-        x = _pack(a, width)
-        return _residues(x * (x if a is b else _pack(b, width)), width, n, p)
+        return _residues(_pack(a, width) * _pack(b, width), width, n, p)
     half = 4 * width
     even_a, odd_a = _pack(a[0::2], width), _pack(a[1::2], width) << half
-    plus, minus = even_a + odd_a, even_a - odd_a
-    if a is not b:
-        even_b, odd_b = _pack(b[0::2], width), _pack(b[1::2], width) << half
-    x = plus * (plus if a is b else even_b + odd_b)
-    y = minus * (minus if a is b else even_b - odd_b)
+    even_b, odd_b = _pack(b[0::2], width), _pack(b[1::2], width) << half
+    x, y = (even_a + odd_a) * (even_b + odd_b), (even_a - odd_a) * (even_b - odd_b)
     out = [0] * n
     out[0::2] = _residues((x + y) >> 1, width, (n + 1) // 2, p)
     out[1::2] = _residues((x - y) >> (half + 1), width, n // 2, p)

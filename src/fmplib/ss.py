@@ -135,9 +135,10 @@ def grouped_index(phi: AdjacentDistinctSurjection, index: Index) -> Index:
 
 
 # The head and tail memos keep one prime's working set: prop42 and the two
-# corollaries read 8 head prefixes and 7 tail suffixes, plus the two empty
-# bases.  Keeping more primes would grow memory with the prime range.
-@lru_cache(maxsize=9)
+# corollaries share 15 head prefixes and 7 tail suffixes, plus the two empty
+# bases, and read 8 of the heads now that ss_star mirrors reversed keys.
+# Keeping more primes would grow memory with the prime range.
+@lru_cache(maxsize=16)
 def _heads(prefix: tuple[int, ...], p: int) -> array:
     """heads[v] = sum over strict chains 0 < n_1 < ... < n_c = v of
     1/(n_1^{k_1} ... n_c^{k_c}), for the c parts of prefix; the empty prefix

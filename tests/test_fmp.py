@@ -262,6 +262,17 @@ def test_depth_first_oracle_matches_product_chains():
         assert naive_reference_general(blocks, 11) == naive_reference_product(blocks, 11), idx
 
 
+@pytest.mark.parametrize("p", [7, 13])
+def test_large_parts_match_the_oracles(fresh_memos, p):
+    # Index parts have no upper bound: a part of 1000 takes one power table,
+    # equal to raising each inverse to the 1000th power.
+    idx = Index.of(1000, 1)
+    assert list(fmp._inverse_powers(1000, p)) == [pow(v, -1000, p) if v else 0 for v in range(p)]
+    assert oy_fmp(idx, p) == naive_reference(idx, p)
+    for slot in (1, 2):
+        assert ss.ss_star(idx, slot, p) == ss.ss_star_reference(idx, slot, p)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("an oracle read the DP's structures")
 

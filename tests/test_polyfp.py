@@ -280,7 +280,7 @@ def crossover_pairs(draw):
 @given(crossover_pairs())
 def test_convolve_matches_schoolbook_at_the_crossover(data):
     # _convolve on the raw vectors, so a trailing zero keeps its length; a
-    # vector times itself is packed once and squared.
+    # vector times itself too.
     p, a, b = data
     expected = list(schoolbook_mul(PolyFp(p, a), PolyFp(p, b)).coeffs)
     for x, y in ((a, b), (b, a)):
