@@ -136,7 +136,8 @@ def grouped_index(phi: AdjacentDistinctSurjection, index: Index) -> Index:
 
 # The head and tail memos keep one prime's working set: prop42 and the two
 # corollaries share 15 head prefixes and 7 tail suffixes, plus the two empty
-# bases, and read 8 of the heads now that ss_star mirrors reversed keys.
+# bases; as ss_star mirrors reversed keys they read 8 of the heads, and the
+# rest of the head memo serves other callers, such as `fmp compute ss`.
 # Keeping more primes would grow memory with the prime range.
 @lru_cache(maxsize=16)
 def _heads(prefix: tuple[int, ...], p: int) -> array:
