@@ -179,8 +179,9 @@ def _product(a: PolyFp, b: PolyFp, first: tuple[int, ...], second: tuple[int, ..
 @lru_cache(maxsize=None)
 def _chain_values(parts: tuple[int, ...], p: int) -> array:
     """Chain values of parts, one step on those of parts[:-1]; the empty
-    chain has total 0 with value 1.  Every value at a multiple of p is zero,
-    checked once per memo entry: a nonzero one means a faulty chain step.
+    chain has total 0 with value 1.  Shorter prefixes are read shortest first,
+    so none recurses more than one level.  Every value at a multiple of p is
+    zero, checked once per memo entry: a nonzero one means a faulty chain step.
 
     Stored as 4-byte words, as PolyFp stores its coefficients (so p must be
     below 2^32), and shared with the polylogs built from them: never mutate
@@ -188,7 +189,9 @@ def _chain_values(parts: tuple[int, ...], p: int) -> array:
     if not parts:
         _require_word_prime(p)
         return _words([1])
-    values = _extend(_chain_values(parts[:-1], p), parts[:-1], parts[-1], p)
+    for r in range(len(parts)):
+        previous = _chain_values(parts[:r], p)
+    values = _extend(previous, parts[:-1], parts[-1], p)
     if any(values[::p]):
         raise ValueError(f"nonzero chain value at a multiple of {p} for {parts}")
     return values

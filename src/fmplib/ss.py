@@ -9,6 +9,7 @@ The strict-chain polylog of an index k of depth s and weight w at slot j is
 (-1)^w t^p times that of reversed k at slot s+1-j, read at 1/t, since
 m_i = p - n_{s+1-i} maps chains to chains, n_j to p - m_{s+1-j}, and signs
 the weight by (-1)^w.  Of each reversed pair one is formed, one mirrored.
+The same map makes the tails signed prefix sums of reversed heads (ss_star).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
 
 from .fmp import Index, _inverse_powers, _oracle_inverses
 from .identities import _symmetry_difference, ones_fmp, ones_symmetry_difference
@@ -134,11 +134,10 @@ def grouped_index(phi: AdjacentDistinctSurjection, index: Index) -> Index:
     return Index(tuple(parts))
 
 
-# The head and tail memos keep one prime's working set: prop42 and the two
-# corollaries share 15 head prefixes and 7 tail suffixes, plus the two empty
-# bases; as ss_star mirrors reversed keys they read 8 of the heads, and the
-# rest of the head memo serves other callers, such as `fmp compute ss`.
-# Keeping more primes would grow memory with the prime range.
+# The head memo keeps one prime's working set: prop42 and the corollaries
+# read 10 prefixes and reversed suffixes and the empty base; the rest serves
+# other callers, such as `fmp compute ss`.  Keeping more primes would grow
+# memory with the prime range.
 @lru_cache(maxsize=16)
 def _heads(prefix: tuple[int, ...], p: int) -> array:
     """heads[v] = sum over strict chains 0 < n_1 < ... < n_c = v of
@@ -155,19 +154,12 @@ def _heads(prefix: tuple[int, ...], p: int) -> array:
     return _words([0] + [run * w % p for run, w in zip(accumulate(heads), tab[1:])])
 
 
-@lru_cache(maxsize=8)
-def _tails(suffix: tuple[int, ...], p: int) -> array:
-    """tails[v] = sum over strict chains v < n_1 < ... < n_c < p of
-    1/(n_1^{k_1} ... n_c^{k_c}), for the c parts of suffix; the empty suffix
-    completes every v with 1.  One pass on the tails of suffix[1:], stored
-    as _heads stores its vectors."""
-    if not suffix:
-        return _words([1] * p)
-    # new[v] = sum over u > v of u^{-k} * tails[u], and new[p-1] = 0
-    tab = _inverse_powers(suffix[0], p)
-    tails = _tails(suffix[1:], p).tolist()
-    running = list(accumulate(map(mul, reversed(tab), reversed(tails))))
-    return _words([run % p for run in running[-2::-1]] + [0])
+def _heads_list(prefix: tuple[int, ...], p: int) -> list[int]:
+    """The heads of prefix, as a list.  Missing prefixes are formed shortest
+    first, so no pass recurses more than one level, however deep the prefix."""
+    for c in range(len(prefix)):
+        _heads(prefix[:c], p)
+    return _heads(prefix, p).tolist()
 
 
 # One prime's working set: at one prime a full sweep's conversions ask 77
@@ -178,14 +170,15 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     t^{n_slot} / (n_1^{k_1} ... n_s^{k_s}); every other argument is fixed at 1.
 
     The elementwise product of the heads of the parts up to the slot and the
-    tails of the parts past it; degree always below p.  Heads and tails are
-    prefix- and suffix-sum passes memoized per prefix and suffix, so the
-    slots of one index, and indices sharing a prefix or a suffix, share their
-    passes.  A key whose reversed partner sorts before it is mirrored from
-    the partner, one of the same keys: prop42 and the two corollaries form
-    19 of their 32 at one prime, from 15 passes.  The memos keep one prime's
-    vectors, as 4-byte words, and this one keeps one prime's polylogs, which
-    the conversions of several indices and the groups of one conversion share.
+    tails of the parts past it; degree always below p.  Heads are prefix-sum
+    passes memoized per prefix, and the tails of a suffix are signed prefix
+    sums of the heads of the reversed suffix, so the slots of one index, and
+    indices sharing a prefix or a reversed suffix, share their passes.  A key
+    whose reversed partner sorts before it is mirrored from the partner, one
+    of the same keys: prop42 and the two corollaries form 19 of their 32 at
+    one prime, from 10 passes.  The head memo keeps one prime's vectors, as
+    4-byte words, and this one keeps one prime's polylogs, which the
+    conversions of several indices and the groups of one conversion share.
     """
     _require_word_prime(p)
     ks = index.parts
@@ -194,8 +187,11 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     partner = (ks[::-1], len(ks) + 1 - slot)
     if partner < (ks, slot):
         return _mirrored(ss_star(Index(partner[0]), partner[1], p), index.weight % 2)
-    heads, tails = _heads(ks[:slot], p).tolist(), _tails(ks[slot:], p).tolist()
-    return PolyFp(p, [h * w % p for h, w in zip(heads, tails)])
+    # The suffix of weight w' has tails[v] = (-1)^w' sums[p-1-v], by the same law.
+    suffix = ks[slot:]
+    sums = list(accumulate(_heads_list(suffix[::-1], p)))
+    product = _words([h * s % p for h, s in zip(_heads_list(ks[:slot], p), reversed(sums))])
+    return PolyFp(p, _negated(product, p) if sum(suffix) % 2 else product)
 
 
 def _mirrored(f: PolyFp, odd: int) -> PolyFp:

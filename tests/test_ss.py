@@ -186,8 +186,8 @@ def test_reference_obeys_the_reversal_law(p):
 def test_ss_star_exact_across_primes_and_evictions(fresh_memos):
     # Every slot of every index of weight <= 5 and depth <= 4, with the four
     # primes interleaved key by key, in forward and then reverse order: the
-    # bounded head and tail memos evict and recompute, and no vector may be
-    # read at the wrong prime or after eviction.
+    # bounded head memo evicts and recomputes, and no vector may be read at
+    # the wrong prime or after eviction.
     primes = (5, 7, 11, 13)
     keys = [(idx, slot) for idx in all_indices(5, 4) for slot in range(1, idx.depth + 1)]
     expected = {(key, p): ss_star_reference(*key, p) for key in keys for p in primes}
@@ -195,14 +195,13 @@ def test_ss_star_exact_across_primes_and_evictions(fresh_memos):
         for p in primes:
             assert ss_star(*key, p) == expected[key, p], (key, p)
     # ss_star's own memo holds the last keys of the forward pass; clear it
-    # so that every read of the reverse pass reaches the head and tail memos.
+    # so that every read of the reverse pass reaches the head memo.
     ss_star.cache_clear()
     for key in keys[::-1]:
         for p in primes:
             assert ss_star(*key, p) == expected[key, p], (key, p)
-    for memo in (ss._heads, ss._tails):
-        info = memo.cache_info()
-        assert info.currsize == info.maxsize < info.misses, info
+    info = ss._heads.cache_info()
+    assert info.currsize == info.maxsize < info.misses, info
 
 
 def test_ss_star_slot_range():
@@ -210,6 +209,19 @@ def test_ss_star_slot_range():
         ss_star(Index.of(1, 2), 3, 7)
     with pytest.raises(ValueError):
         ss_star(Index.of(1, 2), 0, 7)
+
+
+def test_ss_star_of_a_deep_index(fresh_memos):
+    # 600 parts from cold memos, more than the 16 head vectors kept: each
+    # missing prefix is formed on the one before, shortest first, so no pass
+    # recurses on a deep prefix.  Slot 1 reads the heads of 599 reversed
+    # parts, slot 600 mirrors it and slot 300 reads two halves.  At p = 601
+    # the one chain is n_i = i.
+    idx, p = Index.ones(600), 601
+    for slot in (1, 300, 600):
+        got = ss_star(idx, slot, p)
+        assert not got.is_zero
+        assert got == ss_star_loop(idx, slot, p), slot
 
 
 # --- conversion -----------------------------------------------------------------------

@@ -395,6 +395,20 @@ def test_cli_compute_oy(capsys):
     assert capsys.readouterr().out.strip() == "t + 3t^2 + 2t^3 + 4t^4 (mod 5)"
 
 
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("oy", ["--prime", "7"]),
+        ("ss", ["--slot", "1", "--prime", "601"]),
+        ("zeta", ["--prime", "7"]),
+    ],
+)
+def test_cli_compute_deep_index(fresh_memos, capsys, kind, flags):
+    # 600 parts from cold memos: no memo recurses once per part.
+    assert main(["compute", kind, "--index", "1^600", *flags]) == 0
+    assert capsys.readouterr().out.strip().endswith(")")
+
+
 def test_cli_compute_zeta_matches_bernoulli(capsys):
     main(["compute", "zeta", "--index", "1,1,1,2", "--window", "1", "--prime", "13"])
     zeta_out = capsys.readouterr().out.strip()

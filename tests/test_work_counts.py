@@ -17,10 +17,11 @@ main theorem and the differences.  The worked closed forms follow from
 the main theorem too, and take the square of the depth-1 polylog from the
 shuffle bridge, so they form no power of their own.  The oracle crosscheck
 compares each chain once.  The strict-chain polylogs of prop42 and the
-corollaries share their prefix- and suffix-sum passes through the head and
-tail memos, each distinct one is evaluated once per prime, and of each
-reversed pair one is formed and the other mirrored from it.  These
-counts guard that sharing, which no result would reveal if it broke.  A full
+corollaries share their prefix-sum passes through the head memo, each
+distinct one is evaluated once per prime, every tail is read from the heads
+of its reversed suffix, and of each reversed pair one polylog is formed and
+the other mirrored from it.  These counts guard that sharing, which no
+result would reveal if it broke.  A full
 12-identity sweep at one prime is counted too, so that a change to the sweep
 or identity layers cannot add work unseen.  Every polynomial sum takes its
 terms as stored 'I' vectors, so no sum reduces and stages a term again.
@@ -118,10 +119,9 @@ def counts(fresh_memos, monkeypatch):
     )
     monkeypatch.setattr(ss, "_mirrored", counted_mirrored)
     # The steps recurse through the module's names, so the patch counts them;
-    # the empty prefix or suffix is no pass.
+    # the empty prefix is no pass.
     nonempty = lambda parts, p: bool(parts)
     monkeypatch.setattr(ss, "_heads", counted_misses(ss._heads, "passes", nonempty))
-    monkeypatch.setattr(ss, "_tails", counted_misses(ss._tails, "passes", nonempty))
     return seen
 
 
@@ -200,13 +200,13 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
 def test_prop42_shares_strict_chain_passes(counts):
     # The 14 indices' conversions ask for 46 strict-chain polylogs, 28 of
     # them distinct, each evaluated once.  11 are mirrored from a reversed
-    # partner; the 17 formed are built from 8 head and 6 tail passes, each
-    # shared by every slot and index that has its prefix or suffix.
+    # partner; the 17 formed are built from 9 head passes, each shared by
+    # every slot and index that has its prefix or its reversed suffix.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("prop42",)))
     _all_checked_pass(report)
     assert counts["ss_star"] <= 28, counts
     assert counts["ss_star"] - counts["mirrored"] <= 17, counts
-    assert counts["passes"] <= 14, counts
+    assert counts["passes"] <= 9, counts
 
 
 def test_full_sweep_at_one_prime(counts):
@@ -244,8 +244,8 @@ def test_full_sweep_at_one_prime(counts):
     # formed and 13 mirrored from a reversed partner.
     assert counts["ss_star"] <= 32, counts
     assert counts["ss_star"] - counts["mirrored"] <= 19, counts
-    # The corollaries add the tail (1,1,1) to prop42's passes.
-    assert counts["passes"] <= 15, counts
+    # The corollaries add the heads of (1,1,1) to prop42's passes.
+    assert counts["passes"] <= 10, counts
 
 
 
@@ -264,7 +264,7 @@ _ALONE = {
         shuffle_residuals=3,
         ss_star=5,
         mirrored=2,
-        passes=5,
+        passes=3,
     ),
     "corollary-d4": dict(
         products=4,
@@ -274,7 +274,7 @@ _ALONE = {
         shuffle_residuals=4,
         ss_star=15,
         mirrored=7,
-        passes=11,
+        passes=7,
     ),
 }
 
