@@ -177,21 +177,24 @@ def _product(a: PolyFp, b: PolyFp, first: tuple[int, ...], second: tuple[int, ..
 
 
 @lru_cache(maxsize=None)
-def _chain_values(parts: tuple[int, ...], p: int) -> array:
-    """Chain values of parts, one step on those of parts[:-1]; the empty
-    chain has total 0 with value 1.  Shorter prefixes are read shortest first,
-    so none recurses more than one level.  Every value at a multiple of p is
-    zero, checked once per memo entry: a nonzero one means a faulty chain step.
-
-    Stored as 4-byte words, as PolyFp stores its coefficients (so p must be
-    below 2^32), and shared with the polylogs built from them: never mutate
-    an entry."""
+def _chain_values(parts: tuple[int, ...], p: int, *start: tuple[int, ...]) -> array:
+    """Chain values of parts, one step on those of parts[:-1], from the
+    empty chain (total 0, value 1) or, with start = (first, second), from the
+    product of those blocks' polylogs.  Shorter prefixes are read shortest
+    first, so none recurses more than one level.  Every value a step leaves
+    at a multiple of p is zero, checked once per memo entry: a nonzero one
+    means a faulty step.  Stored as 4-byte words, as PolyFp stores its
+    coefficients (so p must be below 2^32), and shared with the polylogs
+    built from them: never mutate an entry."""
     if not parts:
         _require_word_prime(p)
-        return _words([1])
+        if not start:
+            return _words([1])
+        first, second = start
+        return _product(oy_fmp(Index(first), p), oy_fmp(Index(second), p), first, second).coeffs
     for r in range(len(parts)):
-        previous = _chain_values(parts[:r], p)
-    values = _extend(previous, parts[:-1], parts[-1], p)
+        previous = _chain_values(parts[:r], p, *start)
+    values = _extend(previous, sum(start, ()) + parts[:-1], parts[-1], p)
     if any(values[::p]):
         raise ValueError(f"nonzero chain value at a multiple of {p} for {parts}")
     return values
@@ -227,24 +230,18 @@ def zeta_variant(index: Index, i: int, p: int) -> Residue:
     return Residue(window_slices(index, p)[i - 1], p)
 
 
-@lru_cache(maxsize=None)
 def oy_fmp_general(blocks: BlockTriple, p: int) -> PolyFp:
-    """Three-block chain sum, by recursion on the third block.
-
-    Chains for the first and second blocks are independent, so with the third
-    block empty the sum is the product of their polylogs, and with the first
-    or second block empty the three blocks form one chain.  Each part of the
-    third block is one chain step on the combined total, every new total being
-    a denominator subject to the p-divisibility exclusion.  The shuffle
-    bridges ((1)^{n-j-1}, (1), (1)^j) share their steps through the memo.
-    """
+    """Three-block chain sum: the first two blocks' chains are independent,
+    and each part of the third block is one chain step on their combined
+    total, every new total a denominator subject to the p-divisibility
+    exclusion.  So it is the third block's chain values continued from the
+    product of the first two polylogs; with the first or second block empty,
+    the three blocks form one chain.  The shuffle bridges
+    ((1)^{n-j-1}, (1), (1)^j) share their steps through the chain memo."""
     first, second, third = blocks.first, blocks.second, blocks.third
     if not first or not second:
         return oy_fmp(Index(first + second + third), p)
-    if not third:
-        return _product(oy_fmp(Index(first), p), oy_fmp(Index(second), p), first, second)
-    shorter = oy_fmp_general(BlockTriple(first, second, third[:-1]), p)
-    return PolyFp(p, _extend(shorter.coeffs, first + second + third[:-1], third[-1], p))
+    return PolyFp(p, _chain_values(third, p, first, second))
 
 
 def _oracle_inverses(p: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -283,6 +283,36 @@ def test_deep_index_matches_the_loop_steps(fresh_memos):
     assert oy_fmp(Index.ones(600), p) == PolyFp.of(p, values)
 
 
+def test_deep_third_block_matches_the_loop_steps(fresh_memos):
+    # A bridge with 600 parts in its third block, from cold memos: the chain
+    # memo continues the product of the first two blocks one part at a time,
+    # shortest first, as it steps a plain chain.
+    p = 7
+    got = oy_fmp_general(BlockTriple((1,), (1,), (1,) * 600), p)
+    values = list((oy_fmp(Index.of(1), p) * oy_fmp(Index.of(1), p)).coeffs)
+    for _ in range(600):
+        values = window_extend_loop(values, 1, p)
+    assert any(values)
+    assert got == PolyFp.of(p, values)
+
+
+def test_nonzero_bridge_value_at_multiple_of_p_is_refused(monkeypatch, fresh_memos):
+    # A faulty step of a bridge's third block is caught as a chain's is: the
+    # bridge's steps are entries of the chain memo.  Only the bridge step
+    # has more than p outputs; the product before it takes no chain step.
+    original = fmp._window_extend
+
+    def faulty(values, k, p, size=None):
+        out = original(values, k, p, size)
+        if len(out) > p:
+            out[p] = 1
+        return out
+
+    monkeypatch.setattr(fmp, "_window_extend", faulty)
+    with pytest.raises(ValueError, match="nonzero chain value at a multiple of 7"):
+        oy_fmp_general(BlockTriple((1,), (1,), (1,)), 7)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("an oracle read the DP's structures")
 

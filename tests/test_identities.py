@@ -116,9 +116,9 @@ def _bump_chain_values(monkeypatch, indices, position):
     one another.  Use with fresh_memos, so that no memo keeps them."""
     original = fmp._chain_values
 
-    def perturbed(parts, q):
-        values = original(parts, q)
-        if parts in indices:
+    def perturbed(parts, q, *start):
+        values = original(parts, q, *start)
+        if not start and parts in indices:
             s = position(q)
             values = array("I", values)  # a copy: the memo's entry is shared
             values[s] = (values[s] + 1) % q
