@@ -28,9 +28,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
+from operator import mul
 
 from .modular import Residue, inverse_table, require_prime
-from .polyfp import PolyFp, _negated, _require_word_prime, _words
+from .polyfp import PolyFp, _negated, _require_word_prime, _shift_add, _words
 
 __all__ = [
     "BlockTriple",
@@ -176,14 +177,52 @@ def _product(a: PolyFp, b: PolyFp, first: tuple[int, ...], second: tuple[int, ..
     return PolyFp(p, _reflected(low.coeffs, first + second, p))
 
 
+# Least p at which a bridge (1)^r x (1) is _ones_bridge's chain step, not a
+# dense product: the first prime whose bridge products take 5-byte chunks.
+# Step over product time, r = 1..4 (one core, best of 7, checks included):
+# 0.81-1.12 at 1621; 0.56-0.79 at 1627, 0.37-0.52 at 4099, 0.13-0.19 at 16001.
+_BRIDGE_STEP_MIN = 1627
+
+
+def _ones_bridge(r: int, p: int) -> array | None:
+    """c_r = a_r * b, for a_r the chain values of (1)^r and b those of (1),
+    as one chain step on c_{r-1} + a_r (c_0 = b); None unless b is the table
+    of inverses and a_r is the chain step on a_{r-1}, on which the rule rests.
+
+    With theta = t d/dt, U = t + ... + t^{p-1} and Z zeroing the values at
+    multiples of p, theta b = U and theta a_r = Z(U a_{r-1}).  So by the
+    Leibniz rule, for p not dividing S, S c_r[S] = W(c_{r-1} + a_r)[S] -
+    x_m / S, where W is the step's window sum and x_m, m = S // p, is window
+    slice m of a_{r-1}, which Z took away (zero on correct code; 1/S is
+    b[S - mp]).  The r values at multiples of p are the dot products
+    c_r[mp] = sum over l of a_r[mp - l] / l, each formed: a_r need not reflect.
+    """
+    ones, inv = (1,) * r, _inverse_powers(1, p)
+    a, b, previous = _chain_values(ones, p), _chain_values((1,), p), _chain_values(ones[:-1], p)
+    if b != _words(inv) or a != _extend(previous, ones[:-1], 1, p):
+        return None
+    c = _chain_values((), p, ones[:-1], (1,)) if r > 1 else b
+    out = _extend(_shift_add([(1, 0, c), (1, 0, a)], p), ones, 1, p)
+    descending = inv[:0:-1]  # 1/l for l = p-1 down to 1
+    for top in range(p, len(out), p):
+        out[top] = sum(map(mul, a[top - p + 1 : top], descending)) % p
+    slices = window_slices(Index(ones[:-1]), p) if r > 1 else ()
+    for top, x in zip(range(p, len(out), p), slices):
+        if x:
+            span = zip(out[top + 1 : top + p], _inverse_powers(2, p)[1:])
+            out[top + 1 : top + p] = _words([(v - x * w) % p for v, w in span])
+    return out
+
+
 @lru_cache(maxsize=None)
 def _chain_values(parts: tuple[int, ...], p: int, *start: tuple[int, ...]) -> array:
     """Chain values of parts, one step on those of parts[:-1], from the
     empty chain (total 0, value 1) or, with start = (first, second), from the
-    product of those blocks' polylogs.  Shorter prefixes are read shortest
-    first, so none recurses more than one level.  Every value a step leaves
-    at a multiple of p is zero, checked once per memo entry: a nonzero one
-    means a faulty step.  Stored as 4-byte words, as PolyFp stores its
+    product of those blocks' polylogs, or from _ones_bridge for the start
+    ((1)^r, (1)) at p from _BRIDGE_STEP_MIN on.  Shorter prefixes and shorter
+    bridges are read shortest first, so none recurses more than one level.
+    Every value a step leaves at a multiple of p is zero, checked once per
+    memo entry: a nonzero one means a faulty step.  Stored as 4-byte words, as PolyFp stores its
     coefficients (so p must be below 2^32), and shared with the polylogs
     built from them: never mutate an entry."""
     if not parts:
@@ -191,6 +230,12 @@ def _chain_values(parts: tuple[int, ...], p: int, *start: tuple[int, ...]) -> ar
         if not start:
             return _words([1])
         first, second = start
+        if second == (1,) and set(first) == {1} and p >= _BRIDGE_STEP_MIN:
+            for r in range(1, len(first)):
+                _chain_values((), p, first[:r], second)
+            bridge = _ones_bridge(len(first), p)
+            if bridge is not None:
+                return bridge
         return _product(oy_fmp(Index(first), p), oy_fmp(Index(second), p), first, second).coeffs
     for r in range(len(parts)):
         previous = _chain_values(parts[:r], p, *start)

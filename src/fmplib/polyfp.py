@@ -229,9 +229,13 @@ class PolyFp:
         return not self.coeffs
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
+        if self.p == other.p and not (self.coeffs and other.coeffs):
+            return other if self.is_zero else self
         return PolyFp.sum_of(self.p, [(1, 0, self), (1, 0, other)])
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
+        if self.p == other.p and other.is_zero:
+            return self
         if self.p == other.p and self.coeffs == other.coeffs:
             return PolyFp(self.p, ())
         return PolyFp.sum_of(self.p, [(1, 0, self), (-1, 0, other)])

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .fmp import Index, _inverse_powers, _oracle_inverses
-from .identities import _symmetry_difference, ones_fmp, ones_symmetry_difference
+from .fmp import Index, _inverse_powers, _oracle_inverses, oy_fmp
+from .identities import _symmetry_difference, ones_symmetry_difference
 from .polyfp import PolyFp, _negated, _require_word_prime, _words
 
 __all__ = [
     "AdjacentDistinctSurjection",
     "ENUMERATION_CAP",
+    "conversion_residual",
     "corollary_depth3_residual",
     "corollary_depth4_residual",
     "enumerate_phi",
@@ -224,14 +225,24 @@ def _conversion_plan(index: Index) -> tuple[tuple[tuple[int, Index, int], int], 
     return tuple(Counter(terms).items())
 
 
+def _conversion_terms(index: Index, p: int) -> list[tuple[int, int, PolyFp]]:
+    """The shift-and-add terms of oy_from_ss: one per distinct (group,
+    grouped index, slot), weighted by its count of surjections; a (grouped
+    index, slot) that recurs is read from ss_star's memo."""
+    return [(c, (i - 1) * p, ss_star(g, slot, p)) for (i, g, slot), c in _conversion_plan(index)]
+
+
 def oy_from_ss(index: Index, p: int) -> PolyFp:
     """Rebuild the chain-sum polylog as sum over i of t^{(i-1)p} times the
     slot-indexed strict-chain polylogs of the grouped indices; must agree with
-    oy_fmp exactly, prime by prime.  Each distinct (group, grouped index,
-    slot) is one term weighted by its count of surjections; a (grouped
-    index, slot) that recurs is read from ss_star's memo."""
-    plan = _conversion_plan(index)
-    return PolyFp.sum_of(p, [(c, (i - 1) * p, ss_star(g, slot, p)) for (i, g, slot), c in plan])
+    oy_fmp exactly, prime by prime."""
+    return PolyFp.sum_of(p, _conversion_terms(index, p))
+
+
+def conversion_residual(index: Index, p: int) -> PolyFp:
+    """oy_from_ss(index, p) - oy_fmp(index, p), as one sum: where the
+    conversion holds, its zero total is recognised without unpacking."""
+    return PolyFp.sum_of(p, _conversion_terms(index, p) + [(-1, 0, oy_fmp(index, p))])
 
 
 def _corollary_residual(n: int, p: int) -> PolyFp:
@@ -246,10 +257,10 @@ def _corollary_residual(n: int, p: int) -> PolyFp:
     The difference is that of the all-ones polylog L_n, taken from the
     shuffle lemma (ones_symmetry_difference), plus that of F - L_n.  The
     conversion makes F = L_n, so the second composes the zero polynomial
-    unless the conversion or a chain is broken.
+    unless the conversion or a chain is broken.  F - L_n is prop42's
+    conversion residual.
     """
-    f = oy_from_ss(Index.ones(n), p)
-    rest = f - ones_fmp(n, p)
+    rest = conversion_residual(Index.ones(n), p)
     return ones_symmetry_difference(n, p) + _symmetry_difference(rest)
 
 

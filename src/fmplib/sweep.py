@@ -40,9 +40,9 @@ from .identities import (
 from .modular import bernoulli_mod, is_prime, primes_in
 from .polyfp import PolyFp
 from .ss import (
+    conversion_residual,
     corollary_depth3_residual,
     corollary_depth4_residual,
-    oy_from_ss,
     ss_star,
     ss_star_reference,
 )
@@ -98,7 +98,7 @@ def _zeta_vanishing(p):
 
 def _prop42(p):
     for idx in all_indices(4, 3):
-        yield f"conversion mismatch at {idx}", oy_from_ss(idx, p) - oy_fmp(idx, p)
+        yield f"conversion mismatch at {idx}", conversion_residual(idx, p)
 
 
 def _block_triples(max_total_depth: int) -> list[BlockTriple]:

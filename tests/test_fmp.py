@@ -313,6 +313,28 @@ def test_nonzero_bridge_value_at_multiple_of_p_is_refused(monkeypatch, fresh_mem
         oy_fmp_general(BlockTriple((1,), (1,), (1,)), 7)
 
 
+@pytest.mark.parametrize("p", [7, 13, 1621, 1627, 4099])
+def test_ones_bridge_steps_match_kronecker(fresh_memos, p):
+    # Each bridge (1)^r x (1) as one chain step on the next shorter, against
+    # the dense product it replaces.  Called directly it runs at any prime; a
+    # bridge start takes it from fmp._BRIDGE_STEP_MIN on (here 1621 lies
+    # below, 1627 on it), and the product otherwise.
+    l = oy_fmp(Index.of(1), p)
+    for r in range(1, 7):
+        expected = oy_fmp(Index.ones(r), p) * l
+        assert PolyFp(p, fmp._ones_bridge(r, p)) == expected, r
+        assert oy_fmp_general(BlockTriple((1,) * r, (1,), ()), p) == expected, r
+
+
+def test_deep_ones_bridge_walks_shortest_first(fresh_memos, monkeypatch):
+    # From cold memos, the bridge of (1)^600 x (1) reads its 599 shorter
+    # bridges shortest first, so none recurses more than one level.
+    p = 7
+    monkeypatch.setattr(fmp, "_BRIDGE_STEP_MIN", p)
+    got = oy_fmp_general(BlockTriple((1,) * 600, (1,), ()), p)
+    assert got == oy_fmp(Index.ones(600), p) * oy_fmp(Index.of(1), p)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("an oracle read the DP's structures")
 

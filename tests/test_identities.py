@@ -25,6 +25,8 @@ from fmplib.fmp import (
     Index,
     naive_reference,
     naive_reference_general,
+    oy_fmp,
+    oy_fmp_general,
     zeta_variant,
 )
 from fmplib.identities import (
@@ -139,6 +141,22 @@ def test_error_terms_match_sums_of_products_where_nonzero(p, monkeypatch, fresh_
     for n in range(3, 6):
         assert not shuffle_lemma_residual(n, p).is_zero, n
         assert not recurrence_residual(n, n - 3, p).is_zero, n
+
+
+@pytest.mark.parametrize("parts,s", [((1,), 2), ((1, 1), 5)])
+def test_bridge_steps_follow_perturbed_chains(parts, s, monkeypatch, fresh_memos):
+    # Above fmp._BRIDGE_STEP_MIN a bridge (1)^r x (1) is a chain step that
+    # holds only for a depth-1 polylog of inverses and for chains that step
+    # from their prefixes.  With (1) bumped the first fails at every r; with
+    # (1, 1) bumped the second fails at r = 2, and from r = 3 on the step
+    # runs with window slice 1 of (1, 1) nonzero.  Every bridge must still be
+    # the product of the perturbed chains.
+    p = 4099
+    _bump_chain_values(monkeypatch, (parts,), lambda q: s)
+    l = oy_fmp(Index.of(1), p)
+    for r in range(1, 6):
+        expected = oy_fmp(Index.ones(r), p) * l
+        assert oy_fmp_general(BlockTriple((1,) * r, (1,), ()), p) == expected, r
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (2, 11), (3, 7), (3, 13), (5, 7), (5, 11)])

@@ -126,6 +126,26 @@ def test_add_examples():
     assert f + PolyFp.zero(p) == f
 
 
+def test_zero_operand_sums_form_nothing(monkeypatch):
+    # Adding zero, or subtracting it, returns the other operand itself, with
+    # no sum formed; operands of different primes are still refused.
+    p, f = 13, PolyFp.of(13, [2, 0, 3])
+    zero = PolyFp.zero(p)
+
+    def summed(*args):
+        raise AssertionError("a sum with a zero operand was formed")
+
+    monkeypatch.setattr(polyfp, "_shift_add", summed)
+    assert f + zero is f and zero + f is f and f - zero is f
+    assert (zero + zero).is_zero and (zero - zero).is_zero
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="mod 13 vs mod 7"):
+        f + PolyFp.zero(7)
+    with pytest.raises(ValueError, match="mod 13 vs mod 7"):
+        f - PolyFp.zero(7)
+    assert zero - f == PolyFp.of(p, [11, 0, 10])
+
+
 # --- multiplication ---------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import eval_terms, oy_from_ss_loop, ss_star_loop
 
-from fmplib import ss
+from fmplib import polyfp, ss
 from fmplib.fmp import Index, all_indices, oy_fmp
 from fmplib.polyfp import PolyFp
 from fmplib.ss import (
@@ -277,6 +277,22 @@ def test_conversion_matches_the_surjection_loop_where_nonzero(p, monkeypatch):
     idx = Index.ones(4)
     assert oy_from_ss(idx, p) != oy_fmp(idx, p)
     assert oy_from_ss(idx, p) == oy_from_ss_loop(idx, p)
+    assert ss.conversion_residual(idx, p) == oy_from_ss(idx, p) - oy_fmp(idx, p)
+
+
+@pytest.mark.parametrize("p", [7, 101, 4099])
+def test_conversion_residual_is_zero_without_unpacking(p, monkeypatch):
+    # prop42's check on correct code: the conversion's terms minus the chain
+    # polylog sum to zero, recognised from the packed total.
+    for idx in all_indices(4, 3):
+        ss.conversion_residual(idx, p)  # every strict-chain polylog formed
+
+    def unpacked(*args):
+        raise AssertionError("a zero conversion residual was unpacked")
+
+    monkeypatch.setattr(polyfp, "_residues", unpacked)
+    for idx in all_indices(4, 3):
+        assert ss.conversion_residual(idx, p).is_zero, str(idx)
 
 
 def test_conversion_cap():

@@ -228,9 +228,11 @@ def test_sweep_deterministic_across_workers(monkeypatch):
 
 # SHA-256 of the JSON report of every identity, without its timing.  Pinned
 # from the sweep that took each symmetry difference by composing the whole
-# polylog, so a faster path must give the same bytes.  The sweep at 4099,
-# whose dense products take the two-point multiply with 5-byte chunks, was
-# pinned from the one-point multiply.  All three were re-pinned when
+# polylog, so a faster path must give the same bytes.  The sweep at 4099
+# was pinned from the one-point multiply; its shuffle bridges have since
+# become chain steps (fmp._ones_bridge), so there only the closed forms'
+# products and K's Taylor shift take the two-point multiply with 5-byte
+# chunks.  All three were re-pinned when
 # shuffle-lemma n = 1 became null ("requires n >= 2"), after checking that
 # those outcomes were the reports' only change.
 _GOLDEN_REPORTS = {

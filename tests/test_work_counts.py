@@ -147,6 +147,17 @@ def test_all_ones_identities_share_products_and_chain_steps(counts):
     assert counts["steps"] <= 14, counts
 
 
+def test_all_ones_identities_form_no_product_above_the_bridge_step(counts):
+    # From fmp._BRIDGE_STEP_MIN on each bridge (1)^r x (1) is a chain step on
+    # the next shorter bridge, and M_{n-1} * L_1 in the main theorem has a
+    # zero operand: no product at all.
+    p = fmp._BRIDGE_STEP_MIN
+    ids = ("shuffle-lemma", "recurrence", "main-theorem")
+    report = run_sweep(RunConfig(lo=p, hi=p, identities=ids))
+    _all_checked_pass(report)
+    assert counts["products"] == 0, counts
+
+
 def test_main_theorem_forms_only_the_shuffle_products(counts):
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("main-theorem",)))
     _all_checked_pass(report)
