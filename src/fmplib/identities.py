@@ -138,6 +138,15 @@ def recurrence_residual(n: int, k: int, p: int) -> PolyFp:
     return PolyFp.sum_of(p, terms + _f_terms(n, k, p) + _g_terms(n, k, p))
 
 
+def _induction_step(n: int, prev: PolyFp, terms: list) -> PolyFp:
+    """Y_n by the main theorem's induction step n Y_n = Y_{n-1} l + the sum
+    of terms (weight, shift, poly), with l the depth-1 polylog.  The product
+    is free where Y_{n-1} = 0."""
+    p = prev.p
+    inv_n, terms = pow(n, -1, p), [(1, 0, prev * ones_fmp(1, p)), *terms]
+    return PolyFp.sum_of(p, [(inv_n * c, s, f) for c, s, f in terms])
+
+
 @lru_cache(maxsize=None)
 def main_theorem_residual(n: int, p: int) -> PolyFp:
     """Depth-n all-ones polylog minus (1/n!) [ (depth-1 polylog)^n + C_n ], where
@@ -153,9 +162,8 @@ def main_theorem_residual(n: int, p: int) -> PolyFp:
     _require_p_gt_n(n, p)
     if n <= 1:
         return PolyFp.zero(p)
-    inv_n = pow(n, -1, p)
-    product = main_theorem_residual(n - 1, p) * ones_fmp(1, p)
-    return PolyFp.sum_of(p, [(inv_n, 0, product), (-inv_n, 0, shuffle_lemma_residual(n, p))])
+    prev = main_theorem_residual(n - 1, p)
+    return _induction_step(n, prev, [(-1, 0, shuffle_lemma_residual(n, p))])
 
 
 def _symmetry_difference(f: PolyFp) -> PolyFp:
@@ -198,17 +206,6 @@ def functional_eq_residual(n: int, p: int) -> PolyFp:
     return PolyFp.sum_of(p, [(inv_fact, 0, _power_difference(n, p)), (1, 0, m)])
 
 
-def _corrections(n: int, p: int) -> list[PolyFp]:
-    """[C_1, ..., C_n], the main theorem's corrections, by Horner:
-    C_1 = 0 and C_k = C_{k-1} l + (k-1)! (f_k + g_k) for the depth-1 polylog l."""
-    out = [PolyFp.zero(p)]
-    for k in range(2, n + 1):
-        w = math.factorial(k - 1)
-        terms = [(1, 0, out[-1] * ones_fmp(1, p)), (w, 0, f_poly(k, p)), (w, 0, g_poly(k, p))]
-        out.append(PolyFp.sum_of(p, terms))
-    return out
-
-
 @lru_cache(maxsize=None)
 def ones_symmetry_difference(n: int, p: int) -> PolyFp:
     """D(L_n) = L_n(t) - L_n(1-t) for the depth-n all-ones polylog L_n, by
@@ -229,14 +226,12 @@ def ones_symmetry_difference(n: int, p: int) -> PolyFp:
     if n == 0:
         return PolyFp.zero(p)
     prev, kont = ones_symmetry_difference(n - 1, p), kontsevich_residual(p)
-    shuffle = _symmetry_difference(shuffle_lemma_residual(n, p))
-    terms = [(1, 0, prev * ones_fmp(1, p)), (-1, 0, shuffle)]
+    terms = [(-1, 0, _symmetry_difference(shuffle_lemma_residual(n, p)))]
     if not kont.is_zero:
         terms.append((1, 0, (ones_fmp(n - 1, p) - prev) * kont))
     for k in range(n - 1):
         terms += _f_terms(n, k, p, True) + _g_terms(n, k, p, True)
-    inv_n = pow(n, -1, p)
-    return PolyFp.sum_of(p, [(inv_n * c, s, f) for c, s, f in terms])
+    return _induction_step(n, prev, terms)
 
 
 def depth5_symmetry_difference(p: int) -> PolyFp:
@@ -269,26 +264,31 @@ def obstruction_n5_residual(p: int) -> PolyFp:
 
 def closed_form_residuals(p: int) -> list[tuple[str, PolyFp]]:
     """(note, residual) for each worked closed form, at depths 3, 4, 5, and
-    for the factorization f_4 = f_3 * (depth-1 polylog).
+    for the factorization f_4 = f_3 l, with l the depth-1 polylog.
 
-    Each depth-n form is the main theorem with C_n written out: exactly,
-    depth-n polylog - l^n/n! = M_n + C_n/n! for the depth-1 polylog l.  C_n
-    is built by Horner, C_k = C_{k-1} l + (k-1)! (f_k + g_k) with C_1 = 0, and
-    l^2 in the depth-5 tail is the shuffle bridge, so no power of l is formed."""
+    Q_n = depth-n polylog - l^n/n! takes the main theorem's induction step
+    n Q_n = Q_{n-1} l - S_n + f_n + g_n, with Q_1 = 0, so the residual
+    R_n = Q_n - X_n of a stated form X_n takes the step with the terms
+    X_{n-1} l - n X_n - S_n + f_n + g_n.  The forms are X_2 = 0,
+    X_3 = z(1,2) (T - T^2)/3 with T = t^p, X_4 = X_3 l and
+    X_5 = f_3 l^2/15 + f_5/5.  With D = f_3 - 3 X_3, X_4 l - 5 X_5 is
+    -(D/3) l^2 - f_5, l^2 the shuffle bridge, and f_4 - f_3 l is
+    f_4 - 3 X_3 l - D l.  So each product has R_{n-1} or D as an operand,
+    and both are zero where the forms hold."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
-    l, f3, inv = ones_fmp(1, p), f_poly(3, p), lambda c: pow(c, -1, p)
-    theorem = {
-        n: [(1, 0, main_theorem_residual(n, p)), (inv(math.factorial(n)), 0, c_n)]
-        for n, c_n in enumerate(_corrections(5, p)[1:], 2)
-    }
-    # -(1/3) t^p (1-t)^p z12 g = -(z12/3) (T - T^2) g with T = t^p
-    c = zeta_variant(Index.of(1, 2), 1, p).value * inv(3)
-    minus_tail_third = lambda g: [(-c, p, g), (c, 2 * p, g)]
-    n5_tail = [(-inv(15), 0, f3 * _bridge(2, 0, p)), (-inv(5), 0, f_poly(5, p))]
+    l, one, z = ones_fmp(1, p), PolyFp.one(p), zeta_variant(Index.of(1, 2), 1, p).value
+    minus_3x3 = lambda g: [(-z, p, g), (z, 2 * p, g)]  # -3 X_3 g
+    d = PolyFp.sum_of(p, [(1, 0, f_poly(3, p)), *minus_3x3(one)])
+    n5_tail = [(-pow(3, -1, p), 0, d * _bridge(2, 0, p)), (-1, 0, f_poly(5, p))]
+    r = {1: PolyFp.zero(p)}
+    for n, tail in ((2, []), (3, minus_3x3(one)), (4, minus_3x3(l)), (5, n5_tail)):
+        terms = [(-1, 0, shuffle_lemma_residual(n, p)), (1, 0, f_poly(n, p)), (1, 0, g_poly(n, p))]
+        r[n] = _induction_step(n, r[n - 1], terms + tail)
+    f4 = PolyFp.sum_of(p, [(1, 0, f_poly(4, p)), *minus_3x3(l), (-1, 0, d * l)])
     return [
-        ("closed-form {'n': 3}", PolyFp.sum_of(p, theorem[3] + minus_tail_third(PolyFp.one(p)))),
-        ("closed-form {'n': 4}", PolyFp.sum_of(p, theorem[4] + minus_tail_third(l))),
-        ("closed-form-f4-factorization {}", f_poly(4, p) - f3 * l),
-        ("closed-form {'n': 5}", PolyFp.sum_of(p, theorem[5] + n5_tail)),
+        ("closed-form {'n': 3}", r[3]),
+        ("closed-form {'n': 4}", r[4]),
+        ("closed-form-f4-factorization {}", f4),
+        ("closed-form {'n': 5}", r[5]),
     ]

@@ -110,6 +110,8 @@ class Residue:
         return f"{self.value} (mod {self.p})"
 
 
+# One entry: obstruction-n5 and zeta-vanishing read B_{p-5} at the same prime.
+@lru_cache(maxsize=1)
 def bernoulli_mod(m: int, p: int) -> Residue:
     """Reduction mod p of the rational Bernoulli number B_m, m even.
 

@@ -66,16 +66,10 @@ class AdjacentDistinctSurjection:
     def s(self) -> int:
         return max(self.values)
 
-    def descent_prefix(self) -> tuple[int, ...]:
-        """delta(i) = number of descents among the first i-1 adjacent pairs."""
-        out = [0] * self.r
-        for a in range(1, self.r):
-            out[a] = out[a - 1] + (1 if self.values[a - 1] > self.values[a] else 0)
-        return tuple(out)
-
     @property
     def beta(self) -> int:
-        return self.descent_prefix()[-1] + 1
+        """The group key: one more than the number of descents."""
+        return 1 + sum(a > b for a, b in zip(self.values, self.values[1:]))
 
 
 @lru_cache(maxsize=None)

@@ -437,7 +437,8 @@ def test_closed_forms_all_pass(p):
     assert all(residual.is_zero for _, residual in pairs)
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 101, 1009])
+# fmp._BRIDGE_STEP_MIN is 1627: below it L_1^2 is a product, from it on a chain step.
+@pytest.mark.parametrize("p", [7, 11, 13, 101, 1009, 1621, 1627])
 def test_closed_forms_match_direct_form(p):
     assert closed_form_residuals(p) == closed_forms_direct(p)
 
@@ -456,7 +457,7 @@ _CLOSED_FORM_BUMPS = {
 
 
 @pytest.mark.parametrize("bump", list(_CLOSED_FORM_BUMPS))
-@pytest.mark.parametrize("p", [7, 11, 13, 101, 1009])
+@pytest.mark.parametrize("p", [7, 11, 13, 101, 1009, 1621, 1627])
 def test_closed_forms_match_direct_form_perturbed(p, bump, monkeypatch, fresh_memos):
     parts, position, broken = _CLOSED_FORM_BUMPS[bump]
     _bump_chain_values(monkeypatch, (parts,), position)

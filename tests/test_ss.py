@@ -98,14 +98,9 @@ def test_surjection_validation():
 
 
 def test_classify_examples():
-    # descent-count prefix and the group key beta = delta(r) + 1
-    for values, prefix, beta in (
-        ((1, 2), (0, 0), 1),
-        ((2, 1), (0, 1), 2),
-        ((1, 2, 1), (0, 0, 1), 2),
-    ):
-        phi = AdjacentDistinctSurjection(values)
-        assert (phi.descent_prefix(), phi.beta) == (prefix, beta)
+    # the group key beta = (number of descents) + 1
+    for values, beta in (((1, 2), 1), ((2, 1), 2), ((1, 2, 1), 2), ((3, 1, 2, 1), 3)):
+        assert AdjacentDistinctSurjection(values).beta == beta
 
 
 def test_grouped_index_examples():

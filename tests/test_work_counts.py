@@ -13,9 +13,11 @@ follow from the shuffle lemma's own induction step and the Kontsevich
 residual: each is a sum of shifted window terms, and composes only the
 zero polynomial, on correct code.  The shuffle residual is memoized, so
 each depth's is evaluated once and shared by the shuffle-lemma check, the
-main theorem and the differences.  The worked closed forms follow from
-the main theorem too, and take the square of the depth-1 polylog from the
-shuffle bridge, so they form no power of their own.  The oracle crosscheck
+main theorem and the differences.  The worked closed forms take the main
+theorem's induction step on their own residuals: each of their products has
+a residual of lower depth or the defect of f_3 as an operand, zero on
+correct code, and the square of the depth-1 polylog is the shuffle bridge,
+so after the main theorem they form no product.  The oracle crosscheck
 compares each chain once.  The strict-chain polylogs of prop42 and the
 corollaries share their prefix-sum passes through the head memo, each
 distinct one is evaluated once per prime, every tail is read from the heads
@@ -23,8 +25,9 @@ of its reversed suffix, and of each reversed pair one polylog is formed and
 the other mirrored from it.  These counts guard that sharing, which no
 result would reveal if it broke.  A full
 12-identity sweep at one prime is counted too, so that a change to the sweep
-or identity layers cannot add work unseen.  Every polynomial sum takes its
-terms as stored 'I' vectors, so no sum reduces and stages a term again.
+or identity layers cannot add work unseen; it computes B_{p-5} once.  Every
+polynomial sum takes its terms as stored 'I' vectors, so no sum reduces and
+stages a term again.
 """
 
 import functools
@@ -33,7 +36,7 @@ from array import array
 
 import pytest
 
-from fmplib import fmp, identities, polyfp, ss
+from fmplib import fmp, identities, modular, polyfp, ss
 from fmplib.polyfp import PolyFp
 from fmplib.sweep import IDENTITY_IDS, RunConfig, run_sweep
 
@@ -64,11 +67,12 @@ def counts(fresh_memos, monkeypatch):
         "passes": 0,
         "oracles": 0,
         "shuffle_residuals": 0,
+        "bernoulli": 0,
     }
     convolve, window_extend = polyfp._convolve, fmp._window_extend
     compose, ss_star = polyfp.compose_one_minus_t, ss.ss_star
     oracle = fmp.naive_reference_general
-    shuffle_residual = identities.shuffle_lemma_residual
+    shuffle_residual, bernoulli = identities.shuffle_lemma_residual, modular.bernoulli_mod
     mirrored = ss._mirrored
 
     def counted_convolve(a, b, p):
@@ -117,6 +121,7 @@ def counts(fresh_memos, monkeypatch):
     _wrap_everywhere(
         monkeypatch, shuffle_residual, counted_misses(shuffle_residual, "shuffle_residuals")
     )
+    _wrap_everywhere(monkeypatch, bernoulli, counted_misses(bernoulli, "bernoulli"))
     monkeypatch.setattr(ss, "_mirrored", counted_mirrored)
     # The steps recurse through the module's names, so the patch counts them;
     # the empty prefix is no pass.
@@ -174,13 +179,14 @@ def test_functional_eq_forms_no_power_of_depth1(counts):
 
 
 def test_closed_forms_forms_no_power_of_depth1(counts):
-    # After the main theorem, the closed forms' one dense product is C_4 * L_1
-    # in the Horner sum for C_5; L_1^2 is the shuffle bridge of M_2.
+    # After the main theorem the shuffle residuals, f_n, g_n and the bridge
+    # L_1^2 of S_2 are memoized, and every product of the closed forms has a
+    # zero operand: a residual of lower depth, or f_3 - 3 X_3.
     run_sweep(RunConfig(lo=P, hi=P, identities=("main-theorem",)))
-    dense = counts["dense"]
+    products = counts["products"]
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("closed-forms",)))
     _all_checked_pass(report)
-    assert counts["dense"] - dense <= 1, counts
+    assert counts["products"] == products, counts
 
 
 def test_symmetry_differences_compose_no_deep_polylog(counts):
@@ -238,14 +244,12 @@ def test_full_sweep_at_one_prime(counts):
     assert ("main-theorem", {"n": 1}) not in checked
     assert ("shuffle-lemma", {"n": 1}) not in checked
     assert ("oracle-crosscheck", {}) not in checked
-    # The dense products are the four shuffle bridges, C_4 * L_1 in C_5 and
-    # K's one Taylor shift.  The other three have an operand of two nonzero
-    # coefficients, f_3 or C_3 = 2 f_3: f_3 * L_1 in the f_4 factorization,
-    # f_3 * L_1^2 in the depth-5 closed form and C_3 * L_1 in C_4.  The error
-    # terms, the residuals, the symmetry differences, the conversion and the
-    # advertised closed forms are sums of shifted terms and form no product.
-    assert counts["products"] <= 9, counts
-    assert counts["dense"] <= 6, counts
+    # The products are the four shuffle bridges and K's one Taylor shift, all
+    # dense.  The error terms, the residuals, the symmetry differences, the
+    # conversion and the advertised closed forms are sums of shifted terms,
+    # and every other product has a zero operand, so it forms nothing.
+    assert counts["products"] <= 5, counts
+    assert counts["dense"] <= 5, counts
     assert counts["steps"] <= 25, counts
     assert counts["compositions"] <= 1, counts
     # One shuffle residual per depth 1..5, shared by shuffle-lemma, the main
@@ -257,7 +261,17 @@ def test_full_sweep_at_one_prime(counts):
     assert counts["ss_star"] - counts["mirrored"] <= 19, counts
     # The corollaries add the heads of (1,1,1) to prop42's passes.
     assert counts["passes"] <= 10, counts
+    # obstruction-n5 and zeta-vanishing share one B_{p-5}.
+    assert counts["bernoulli"] == 1, counts
 
+
+def test_full_sweep_at_the_bridge_step_forms_one_product(counts):
+    # From fmp._BRIDGE_STEP_MIN on the shuffle bridges, L_1^2 among them, are
+    # chain steps, so the one product left is K's Taylor shift.
+    p = fmp._BRIDGE_STEP_MIN
+    run_sweep(RunConfig(lo=p, hi=p, identities=IDENTITY_IDS))
+    assert counts["products"] == counts["dense"] == 1, counts
+    assert counts["compositions"] == counts["bernoulli"] == 1, counts
 
 
 # Each symmetry difference run alone from cold memos: the shuffle bridges
