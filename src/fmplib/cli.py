@@ -129,15 +129,13 @@ def _emit(make_report, args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.identity == "all" and args.floor is not None:
-        raise ValueError("--floor applies to one identity, not all")
     lo, hi = args.primes
     config = RunConfig(
         lo=lo,
         hi=hi,
         identities=IDENTITY_IDS if args.identity == "all" else (args.identity,),
         depths=args.n or (),
-        floors={} if args.floor is None else {args.identity: args.floor},
+        floor=args.floor,
         workers=args.workers,
     )
     reason = skip_reason(config)

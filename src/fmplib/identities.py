@@ -43,7 +43,7 @@ def ones_fmp(k: int, p: int) -> PolyFp:
     return PolyFp.one(p) if k == 0 else oy_fmp(Index.ones(k), p)
 
 
-# Unused by the sweep; perfbench's memo figures and the test oracles read it.
+# Unused by the sweep and the tests; only perfbench's memo figures read it.
 @lru_cache(maxsize=None)
 def _depth1_power(e: int, p: int) -> PolyFp:
     if e <= 1:
@@ -181,8 +181,10 @@ def _power_difference(n: int, p: int) -> PolyFp:
     """P_n = D(l^n) = l^n - E^n for the depth-1 polylog l, where D is the
     difference under t -> 1-t, a ring homomorphism taking l to E = l - K.
 
-    P_1 = U_1 = K, U_j = E U_{j-1} and P_j = l P_{j-1} + U_j.  Where K = 0
-    every product has a zero operand, so none costs work."""
+    P_0 = D(1) = 0, P_1 = U_1 = K, U_j = E U_{j-1} and P_j = l P_{j-1} + U_j.
+    Where K = 0 every product has a zero operand, so none costs work."""
+    if n == 0:
+        return PolyFp.zero(p)
     l, kont = ones_fmp(1, p), kontsevich_residual(p)
     e = l - kont
     powers = unit = kont

@@ -103,9 +103,6 @@ class Residue:
         if not 0 <= self.value < self.p:
             raise ValueError(f"{self.value} is not reduced mod {self.p}")
 
-    def __neg__(self):
-        return Residue(-self.value % self.p, self.p)
-
     def __str__(self):
         return f"{self.value} (mod {self.p})"
 

@@ -50,21 +50,19 @@ def _normalize(coeffs: Sequence[int]) -> array:
     return _words(coeffs if n == len(coeffs) else islice(coeffs, n))
 
 
-def _pack(v: Sequence[int], width: int) -> int:
+def _pack(words: array, width: int) -> int:
     """The integer whose width-byte little-endian chunks are the entries of
-    v, each below p < 2^32.  The entries are staged as 4-byte words (an 'I'
-    array is its own staging) and copied into the chunks by one strided
-    slice per byte that both a word and a chunk hold; the chunks' higher
-    bytes stay zero.  At width 4 on a little-endian host the words are the
-    chunks."""
-    words = v if isinstance(v, array) and v.typecode == _WORD else _words(v)
+    the stored vector words, each below p < 2^32.  The words are copied into
+    the chunks by one strided slice per byte that both a word and a chunk
+    hold; the chunks' higher bytes stay zero.  At width 4 on a little-endian
+    host the words are the chunks."""
     if sys.byteorder == "big":
-        words = _words(words)  # v may be a PolyFp's own array
+        words = _words(words)  # a copy: words may be a PolyFp's own array
         words.byteswap()
     elif width == words.itemsize:
         return int.from_bytes(words, "little")
     staged, size = words.tobytes(), words.itemsize
-    chunks = bytearray(width * len(v))
+    chunks = bytearray(width * len(words))
     for j in range(min(width, size)):
         chunks[j::width] = staged[j::size]
     return int.from_bytes(chunks, "little")
@@ -103,9 +101,9 @@ def _residues(x: int, width: int, n: int, p: int) -> list[int]:
     return [y % p for y in words]
 
 
-def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array:
+def _shift_add(terms: Iterable[tuple[int, int, array]], p: int) -> array:
     """The sum of c * t^shift * f over the (c, shift, f) terms, each f a
-    coefficient sequence, reduced mod p, as an 'I' array.
+    stored vector, reduced mod p, as an 'I' array.
 
     Kronecker substitution, as in _convolve: each distinct f is packed once
     into one big integer, and each term adds its packed value times c,
@@ -118,8 +116,7 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array
     once, unless p divides the total and no chunk of total // p reaches 2^b
     for b = 8 width - p.bit_length(): p times such chunks carries nothing,
     so p divides every chunk (every zero sum passes if k (p-1)^2 < p 2^b).
-    Weights may be any ints; an f that is not an 'I' array may hold any ints
-    and is reduced first, while an 'I' array is a stored vector, below p.
+    Weights may be any ints; every entry of every f is below p.
     """
     live = [(c, shift, f) for weight, shift, f in terms if (c := weight % p) and f]
     if not live:
@@ -130,8 +127,7 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array
     total = 0
     for c, shift, f in live:
         if id(f) not in packed:
-            reduced = isinstance(f, array) and f.typecode == _WORD
-            packed[id(f)] = _pack(f if reduced else _words(y % p for y in f), width)
+            packed[id(f)] = _pack(f, width)
         total += packed[id(f)] * c << 8 * width * shift
     if total % p == 0:
         spare = 8 * width - p.bit_length()
@@ -147,8 +143,8 @@ def _shift_add(terms: Iterable[tuple[int, int, Sequence[int]]], p: int) -> array
 _TWO_POINT_MIN = 256
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Exact convolution of reduced coefficient vectors, by Kronecker
+def _convolve(a: array, b: array, p: int) -> list[int]:
+    """Exact convolution of stored vectors, entries below p, by Kronecker
     substitution: pack each vector into one big integer with enough room per
     chunk that product coefficients cannot collide, multiply, unpack.
 
@@ -283,8 +279,8 @@ class PolyFp:
 
 
 def _factorial_tables(n: int, p: int) -> tuple[list[int], array]:
-    """k! and 1/k! mod p for 0 <= k < n, the inverses as an 'I' array that
-    _pack takes as it is; needs n <= p so every k! is a unit."""
+    """k! and 1/k! mod p for 0 <= k < n, the inverses as a stored vector for
+    _convolve; needs n <= p so every k! is a unit."""
     fact = [1] * n
     for k in range(1, n):
         fact[k] = fact[k - 1] * k % p

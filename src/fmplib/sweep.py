@@ -391,14 +391,15 @@ class SweepReport:
 @dataclass(frozen=True)
 class RunConfig:
     """A whole sweep request: prime range, identities, depths (replacing
-    their default depths), floors of selected identities, worker count.  A
-    request that cannot run as asked is refused here, before any work."""
+    their default depths), a floor (replacing the default floors of the one
+    identity selected), worker count.  A request that cannot run as asked is
+    refused here, before any work."""
 
     lo: int
     hi: int
     identities: tuple[str, ...]
     depths: tuple[int, ...] = ()
-    floors: dict = field(default_factory=dict)
+    floor: int | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -411,11 +412,11 @@ class RunConfig:
                 raise ValueError(f"identity {ident} takes no depth n")
         if any(n < 1 for n in self.depths):
             raise ValueError(f"depths must be >= 1, got {self.depths}")
-        for ident, floor in self.floors.items():
-            if ident not in self.identities:
-                raise ValueError(f"a floor for {ident!r}, which the request does not select")
-            if floor < 5:
-                raise ValueError(f"floor for {ident} must be >= 5, got {floor}")
+        if self.floor is not None:
+            if len(self.identities) != 1:
+                raise ValueError(f"a floor applies to one identity, not {len(self.identities)}")
+            if self.floor < 5:
+                raise ValueError(f"floor must be >= 5, got {self.floor}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         # A process pool forks every worker at its first task, however few
@@ -424,8 +425,8 @@ class RunConfig:
         if self.workers > cpus:
             raise ValueError(f"--workers {self.workers} exceeds the {cpus} available CPUs")
 
-    def floor(self, identity: str, params: dict) -> int:
-        return self.floors.get(identity, default_floor(identity, params))
+    def job_floor(self, identity: str, params: dict) -> int:
+        return default_floor(identity, params) if self.floor is None else self.floor
 
 
 def _jobs(config: RunConfig) -> list[tuple[str, dict]]:
@@ -447,7 +448,7 @@ def skip_reason(config: RunConfig) -> str | None:
     primes = primes_in(config.lo, config.hi)
     notes: dict[str, None] = {}
     for ident, params in _jobs(config):
-        floor = config.floor(ident, params)
+        floor = config.job_floor(ident, params)
         for p in primes:
             if p >= floor:
                 note = _null_note(ident, params, p)
@@ -478,7 +479,7 @@ def run_sweep(config: RunConfig) -> SweepReport:
             rows = list(pool.map(_run_prime, itertools.repeat(jobs), primes))
     elapsed = time.perf_counter() - start
     entries = [
-        IdentityEntry(ident, dict(params), config.floor(ident, params), [row[i] for row in rows])
+        IdentityEntry(ident, dict(params), config.job_floor(ident, params), [r[i] for r in rows])
         for i, (ident, params) in enumerate(jobs)
     ]
     return SweepReport(

@@ -213,14 +213,23 @@ def ss_star_loop(index: Index, slot: int, p: int) -> PolyFp:
     return PolyFp.of(p, [heads[v] * tails[v] % p for v in range(p)])
 
 
+def depth1_powers(e: int, p: int) -> list[PolyFp]:
+    """(depth-1 polylog)^j for j = 0..e, each one product on the last.  Not
+    memoized, so a test that perturbs the chain values gets their powers."""
+    l, powers = identities.ones_fmp(1, p), [PolyFp.one(p)]
+    for _ in range(e):
+        powers.append(powers[-1] * l)
+    return powers
+
+
 def correction_sum_powers(n: int, p: int) -> PolyFp:
-    """The correction sum term by term: (k-1)! (f_k + g_k) times the memoized
-    power (depth-1 polylog)^(n-k), summed over k = 2..n."""
-    total = PolyFp.zero(p)
+    """The correction sum term by term: (k-1)! (f_k + g_k) times the power
+    (depth-1 polylog)^(n-k), summed over k = 2..n."""
+    total, powers = PolyFp.zero(p), depth1_powers(n - 2, p)
     for k in range(2, n + 1):
         weight = math.factorial(k - 1) % p
         fg = identities.f_poly(k, p) + identities.g_poly(k, p)
-        total = total + fg * identities._depth1_power(n - k, p) * weight
+        total = total + fg * powers[n - k] * weight
     return total
 
 
@@ -235,7 +244,7 @@ def main_theorem_direct(n: int, p: int) -> PolyFp:
     """The main-theorem residual by its definition, curly_L minus
     (1/n!) (depth-1 polylog)^n, forming every power of the depth-1 polylog."""
     inv_fact = pow(math.factorial(n), -1, p)
-    return curly_L(n, p) - identities._depth1_power(n, p) * inv_fact
+    return curly_L(n, p) - depth1_powers(n, p)[n] * inv_fact
 
 
 def functional_eq_direct(n: int, p: int) -> PolyFp:
@@ -263,19 +272,19 @@ def closed_forms_direct(p: int) -> list[tuple[str, PolyFp]]:
     """The worked closed forms by their statements, forming every power of
     the depth-1 polylog: depth-n polylog - (depth-1 polylog)^n/n! - tail_n."""
     z12 = zeta_variant(Index.of(1, 2), 1, p).value
-    l1 = lambda e: identities._depth1_power(e, p)
+    l1 = depth1_powers(5, p)
     f3 = identities.f_poly(3, p)
     tail = PolyFp.of(p, [0] * p + [1]) - PolyFp.of(p, [0] * (2 * p) + [1])
     tail_third = tail * (z12 * pow(3, -1, p))
 
     def depth(n):
-        return identities.ones_fmp(n, p) - l1(n) * pow(math.factorial(n), -1, p)
+        return identities.ones_fmp(n, p) - l1[n] * pow(math.factorial(n), -1, p)
 
-    n5 = depth(5) - f3 * l1(2) * pow(15, -1, p) - identities.f_poly(5, p) * pow(5, -1, p)
+    n5 = depth(5) - f3 * l1[2] * pow(15, -1, p) - identities.f_poly(5, p) * pow(5, -1, p)
     return [
         ("closed-form {'n': 3}", depth(3) - tail_third),
-        ("closed-form {'n': 4}", depth(4) - tail_third * l1(1)),
-        ("closed-form-f4-factorization {}", identities.f_poly(4, p) - f3 * l1(1)),
+        ("closed-form {'n': 4}", depth(4) - tail_third * l1[1]),
+        ("closed-form-f4-factorization {}", identities.f_poly(4, p) - f3 * l1[1]),
         ("closed-form {'n': 5}", n5),
     ]
 

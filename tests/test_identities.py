@@ -348,6 +348,18 @@ def test_functional_eq_matches_direct_form_perturbed(p, bump, monkeypatch, fresh
     assert kontsevich_residual(p).is_zero == (parts != (1,))
 
 
+def test_depth0_differences_are_zero_where_k_is_not(monkeypatch, fresh_memos):
+    # The depth-0 polylog is 1, and D(1) = 0 whatever K is: with (1) bumped
+    # at S = 2, K is nonzero, and the functional equation and the symmetry
+    # difference at n = 0 must still be zero, as the direct form is.
+    p = 11
+    _bump_chain_values(monkeypatch, ((1,),), lambda q: 2)
+    assert not kontsevich_residual(p).is_zero
+    assert functional_eq_direct(0, p).is_zero
+    assert functional_eq_residual(0, p).is_zero
+    assert ones_symmetry_difference(0, p).is_zero
+
+
 def _assert_symmetry_differences_match_direct(p, depths):
     for n in depths:
         assert ones_symmetry_difference(n, p) == ones_symmetry_difference_direct(n, p), n

@@ -105,13 +105,13 @@ def test_polyfp_is_unhashable():
 
 @pytest.mark.parametrize("width", range(1, 17))
 def test_pack_tuple_and_array_agree(width):
+    # A stored vector packs to the chunk sum of its entries read as a tuple.
     top = min(2 ** (8 * width), 2**32) - 1
     rng = random.Random(width)
-    values = [top, 0, 1, *(rng.randrange(top + 1) for _ in range(40)), top]
-    packed = _pack(tuple(values), width)
+    values = (top, 0, 1, *(rng.randrange(top + 1) for _ in range(40)), top)
+    packed = sum(v << (8 * width * i) for i, v in enumerate(values))
     assert _pack(array("I", values), width) == packed
-    assert packed == sum(v << (8 * width * i) for i, v in enumerate(values))
-    assert _pack((), width) == _pack(array("I"), width) == 0
+    assert _pack(array("I"), width) == 0
 
 
 # --- addition --------------------------------------------------------------
@@ -347,8 +347,9 @@ def test_sparse_mul_zero_operand():
     f = PolyFp.of(p, range(1, 12))
     assert (f * PolyFp.zero(p)).is_zero and (PolyFp.zero(p) * f).is_zero
     # an unnormalized all-zero vector packs to 0, and Kronecker unpacks zeros
-    assert _convolve((0, 0, 0), f.coeffs, p) == [0] * (len(f.coeffs) + 2)
-    assert _convolve(f.coeffs, (0, 0, 0), p) == [0] * (len(f.coeffs) + 2)
+    zeros = array("I", [0, 0, 0])
+    assert _convolve(zeros, f.coeffs, p) == [0] * (len(f.coeffs) + 2)
+    assert _convolve(f.coeffs, zeros, p) == [0] * (len(f.coeffs) + 2)
 
 
 _coefficient_lists = st.one_of(
@@ -377,22 +378,22 @@ def test_sum_of_matches_schoolbook_products(data):
     for c, shift, f in polys:
         expected = expected + schoolbook_mul(PolyFp.of(p, [0] * shift + [c]), f)
     assert PolyFp.sum_of(p, polys) == expected
-    # the raw accumulator takes unreduced lists with trailing zeros
-    assert PolyFp.of(p, _shift_add(terms, p)) == expected
+    # the raw accumulator takes stored vectors with trailing zeros
+    stored = [(c, shift, array("I", [y % p for y in f])) for c, shift, f in terms]
+    assert PolyFp(p, _shift_add(stored, p)) == expected
 
 
 @example((7, []))
 @given(shift_add_terms())
 def test_packed_sum_matches_list_accumulator(data):
-    # The unreduced lists, and the same terms as stored 'I' vectors, each
-    # also taken a second time at another weight and shift, so that one
-    # packed vector serves two terms.
+    # The terms as stored 'I' vectors, each also taken a second time at
+    # another weight and shift, so that one packed vector serves two terms.
     p, terms = data
     stored = [(c, shift, array("I", [y % p for y in f])) for c, shift, f in terms]
-    for case in (terms, stored + [(c + 1, shift + 1, f) for c, shift, f in stored]):
-        total = _shift_add(case, p)
-        assert total.typecode == "I"
-        assert PolyFp(p, total) == PolyFp(p, shift_add_list(case, p))
+    case = stored + [(c + 1, shift + 1, f) for c, shift, f in stored]
+    total = _shift_add(case, p)
+    assert total.typecode == "I"
+    assert PolyFp(p, total) == PolyFp(p, shift_add_list(case, p))
 
 
 @pytest.mark.parametrize("p,count,width", [*_kronecker_cases(), (2**31 - 1, 300, 9)])

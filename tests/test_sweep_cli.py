@@ -43,15 +43,20 @@ def test_runconfig_validation(monkeypatch):
     with pytest.raises(ValueError):
         RunConfig(lo=5, hi=7, identities=("unknown-identity",))
     with pytest.raises(ValueError):
-        RunConfig(lo=5, hi=7, identities=("kontsevich",), floors={"kontsevich": 3})
+        RunConfig(lo=5, hi=7, identities=("kontsevich",), floor=3)
     with pytest.raises(ValueError):
         RunConfig(lo=5, hi=7, identities=("kontsevich",), workers=0)
     with pytest.raises(ValueError, match="identity kontsevich takes no depth n"):
         RunConfig(lo=5, hi=7, identities=("main-theorem", "kontsevich"), depths=(3,))
     with pytest.raises(ValueError, match=r"depths must be >= 1, got \(0, 1\)"):
         RunConfig(lo=5, hi=7, identities=("shuffle-lemma",), depths=(0, 1))
-    with pytest.raises(ValueError, match="a floor for 'main-theorem', which the request"):
-        RunConfig(lo=5, hi=7, identities=("kontsevich",), floors={"main-theorem": 11})
+    with pytest.raises(ValueError, match="a floor applies to one identity, not 2"):
+        RunConfig(lo=5, hi=7, identities=("kontsevich", "main-theorem"), floor=11)
+    # The one floor replaces the default floor of every depth.
+    config = RunConfig(lo=5, hi=7, identities=("main-theorem",), floor=11)
+    assert {config.job_floor("main-theorem", {"n": n}) for n in (2, 5)} == {11}
+    config = RunConfig(lo=5, hi=7, identities=("main-theorem",))
+    assert [config.job_floor("main-theorem", {"n": n}) for n in (2, 5)] == [5, 7]
     # Every caller of run_sweep is bounded, not only the CLI; a pool would
     # start all its workers, so the bound is tested on the config alone.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -315,7 +320,7 @@ def test_merge_conflict():
 def test_merge_floor_mismatch():
     a = run_sweep(RunConfig(lo=7, hi=13, identities=("kontsevich",)))
     b = run_sweep(
-        RunConfig(lo=17, hi=19, identities=("kontsevich",), floors={"kontsevich": 11})
+        RunConfig(lo=17, hi=19, identities=("kontsevich",), floor=11)
     )
     with pytest.raises(ValueError, match="floor mismatch for kontsevich: 5 vs 11"):
         merge_reports([a, b])
@@ -572,7 +577,8 @@ def test_cli_verify_rejects_n_for_unparameterized(monkeypatch):
     for argv, message in (
         (["kontsevich", "--n", "3"], "identity kontsevich takes no depth n"),
         (["all", "--n", "3"], "identity kontsevich takes no depth n"),
-        (["all", "--floor", "11"], "--floor applies to one identity, not all"),
+        (["all", "--floor", "11"], "a floor applies to one identity, not 12"),
+        (["kontsevich", "--floor", "3"], "floor must be >= 5, got 3"),
     ):
         with pytest.raises(SystemExit) as err:
             main(["verify", *argv, "--primes", "7..13"])
