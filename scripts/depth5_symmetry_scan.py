@@ -16,7 +16,7 @@ import sys
 
 from fmplib.cli import parse_prime_range
 from fmplib.fmp import Index, zeta_variant
-from fmplib.identities import depth5_symmetry_difference, obstruction_n5_closed_form
+from fmplib.identities import depth5_symmetry_difference, obstruction_n5_residual
 from fmplib.modular import bernoulli_mod, primes_in
 
 
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
         law_holds_everywhere &= law
         diff = depth5_symmetry_difference(p)
         symmetric = diff.is_zero
-        closed = (diff - obstruction_n5_closed_form(b, p)).is_zero
+        closed = obstruction_n5_residual(p).is_zero
         if closed:
             closed_form_matches.append(p)
         print(f"{p:>5} {b:>7} {w[0]:>6} {w[1]:>6} {w[2]:>6} {w[3]:>6}  "

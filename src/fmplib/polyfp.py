@@ -22,7 +22,7 @@ __all__ = [
 # 33.  So every prime must be below 2^32; a p-long vector could not be held
 # at a larger p anyway.  Narrower types for small p would save more but
 # cost about three times as much to build from a list.
-_WORD = "I"
+_WORD, _WORD_LIMIT = "I", 1 << 32
 
 
 def _words(values: Iterable[int]) -> array:
@@ -32,7 +32,7 @@ def _words(values: Iterable[int]) -> array:
 
 def _require_word_prime(p: int) -> int:
     """p, if it is a prime whose residues fit in one stored word."""
-    if p >= 1 << 32:
+    if p >= _WORD_LIMIT:
         raise ValueError(f"p = {p} is not below 2^32, the coefficient word size")
     return require_prime(p)
 

@@ -38,7 +38,7 @@ from .identities import (
     shuffle_lemma_residual,
 )
 from .modular import bernoulli_mod, is_prime, primes_in
-from .polyfp import PolyFp
+from .polyfp import _WORD_LIMIT, PolyFp
 from .ss import (
     conversion_residual,
     corollary_depth3_residual,
@@ -53,7 +53,6 @@ __all__ = [
     "PrimeOutcome",
     "RunConfig",
     "SweepReport",
-    "default_floor",
     "merge_reports",
     "run_sweep",
     "skip_reason",
@@ -138,8 +137,8 @@ def _oracle_crosscheck(p):
 class _Identity:
     """What the sweep knows about one identity.
 
-    evaluate is called as evaluate(n, p) when depths is nonempty, else as
-    evaluate(p).
+    evaluate is called as evaluate(*params.values(), p), so with n first
+    when depths is nonempty.
     floor(n) is the default prime from which a failure fails the sweep (n is
     0 for identities without depths).  Depths below min_n, primes p <= n,
     below min_prime or above max_prime are not evaluated and get pass null
@@ -185,11 +184,6 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def default_floor(identity: str, params: dict) -> int:
-    """Default minimal prime above which a failure fails the sweep."""
-    return _IDENTITIES[identity].floor(params.get("n", 0))
-
-
 def _null_note(identity: str, params: dict, p: int) -> str | None:
     """Why nothing is checked for this job at p, or None when it is evaluated."""
     row = _IDENTITIES[identity]
@@ -209,18 +203,20 @@ def _run_job(identity: str, params: dict, p: int) -> PrimeOutcome:
     note = _null_note(identity, params, p)
     if note is not None:
         return PrimeOutcome(p, None, note=note)
-    row = _IDENTITIES[identity]
-    result = row.evaluate(params["n"], p) if row.depths else row.evaluate(p)
-    checks = [(None, result)] if isinstance(result, PolyFp) else result
-    for note, residual in checks:
-        if not residual.is_zero:
-            return PrimeOutcome(p, False, residual.compact(), note)
+    try:
+        result = _IDENTITIES[identity].evaluate(*params.values(), p)
+        checks = [(None, result)] if isinstance(result, PolyFp) else result
+        for note, residual in checks:
+            if not residual.is_zero:
+                return PrimeOutcome(p, False, residual.compact(), note)
+    except (ArithmeticError, ValueError) as exc:  # a faulty prime fails alone
+        return PrimeOutcome(p, False, note=f"error: {exc}")
     return PrimeOutcome(p, True)
 
 
-def _run_prime(jobs: list[tuple[str, dict]], p: int) -> list[PrimeOutcome]:
+def _run_prime(jobs: list[tuple[str, dict, int]], p: int) -> list[PrimeOutcome]:
     """One task of a sweep: every job at one prime, on one process's memos."""
-    return [_run_job(ident, params, p) for ident, params in jobs]
+    return [_run_job(ident, params, p) for ident, params, _ in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +388,8 @@ class SweepReport:
 class RunConfig:
     """A whole sweep request: prime range, identities, depths (replacing
     their default depths), a floor (replacing the default floors of the one
-    identity selected), worker count.  A request that cannot run as asked is
-    refused here, before any work."""
+    identity selected), worker count.  A request that cannot run as asked
+    (no identity, an identity or depth twice, hi from 2^32) is refused here."""
 
     lo: int
     hi: int
@@ -405,6 +401,13 @@ class RunConfig:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty prime range {self.lo}..{self.hi}")
+        if self.hi >= _WORD_LIMIT:
+            raise ValueError(f"hi = {self.hi} is not below 2^32, the coefficient word size")
+        if not self.identities:
+            raise ValueError("no identity selected")
+        for name, values in (("identity", self.identities), ("depth", self.depths)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeated in {values}")
         for ident in self.identities:
             if ident not in _IDENTITIES:
                 raise ValueError(f"unknown identity {ident!r}")
@@ -425,15 +428,13 @@ class RunConfig:
         if self.workers > cpus:
             raise ValueError(f"--workers {self.workers} exceeds the {cpus} available CPUs")
 
-    def job_floor(self, identity: str, params: dict) -> int:
-        return default_floor(identity, params) if self.floor is None else self.floor
 
-
-def _jobs(config: RunConfig) -> list[tuple[str, dict]]:
+def _jobs(config: RunConfig) -> list[tuple[str, dict, int]]:
     """Every selected identity at each requested depth, or at each of its
-    default depths (n = 0 stands for an identity without depths)."""
+    default depths, with its floor: the request's one floor, or the default
+    floor at that depth (n = 0 stands for an identity without depths)."""
     return [
-        (ident, {"n": n} if n else {})
+        (ident, {"n": n} if n else {}, config.floor or _IDENTITIES[ident].floor(n))
         for ident in config.identities
         for n in config.depths or _IDENTITIES[ident].depths or (0,)
     ]
@@ -447,14 +448,11 @@ def skip_reason(config: RunConfig) -> str | None:
     stopped at the first evaluated (job, prime) pair."""
     primes = primes_in(config.lo, config.hi)
     notes: dict[str, None] = {}
-    for ident, params in _jobs(config):
-        floor = config.job_floor(ident, params)
-        for p in primes:
-            if p >= floor:
-                note = _null_note(ident, params, p)
-                if note is None:
-                    return None
-                notes[note] = None
+    for ident, params, floor in _jobs(config):
+        for note in (_null_note(ident, params, p) for p in primes if p >= floor):
+            if note is None:
+                return None
+            notes[note] = None
     return f"({'; '.join(notes)})" if notes else "at or above the identity floor"
 
 
@@ -479,8 +477,8 @@ def run_sweep(config: RunConfig) -> SweepReport:
             rows = list(pool.map(_run_prime, itertools.repeat(jobs), primes))
     elapsed = time.perf_counter() - start
     entries = [
-        IdentityEntry(ident, dict(params), config.job_floor(ident, params), [r[i] for r in rows])
-        for i, (ident, params) in enumerate(jobs)
+        IdentityEntry(ident, dict(params), floor, [r[i] for r in rows])
+        for i, (ident, params, floor) in enumerate(jobs)
     ]
     return SweepReport(
         ranges=[(config.lo, config.hi)],

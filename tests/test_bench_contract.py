@@ -57,6 +57,6 @@ def test_pinned_floors_are_default_floors():
         (ident, n)
         for ident in RUN["IDENTITIES"]
         for n in RUN["JOBS"].get(ident, (None,))
-        if RUN["job_floor"](ident, n) != sweep.default_floor(ident, {} if n is None else {"n": n})
+        if RUN["job_floor"](ident, n) != sweep._IDENTITIES[ident].floor(n or 0)
     ]
     assert not bad, bad

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from fmplib import cli, sweep
+from fmplib import cli, fmp, sweep
 from fmplib.cli import main, parse_index, parse_n_values, parse_prime_range
 from fmplib.fmp import BlockTriple, Index
 from fmplib.polyfp import PolyFp
@@ -22,7 +22,6 @@ from fmplib.sweep import (
     PrimeOutcome,
     RunConfig,
     SweepReport,
-    default_floor,
     merge_reports,
     run_sweep,
 )
@@ -52,11 +51,19 @@ def test_runconfig_validation(monkeypatch):
         RunConfig(lo=5, hi=7, identities=("shuffle-lemma",), depths=(0, 1))
     with pytest.raises(ValueError, match="a floor applies to one identity, not 2"):
         RunConfig(lo=5, hi=7, identities=("kontsevich", "main-theorem"), floor=11)
+    # Nothing selected, or one identity or depth twice, would report an
+    # empty or a doubled sweep.
+    with pytest.raises(ValueError, match="no identity selected"):
+        RunConfig(lo=5, hi=7, identities=())
+    with pytest.raises(ValueError, match=r"identity repeated in \('kontsevich', 'kontsevich'\)"):
+        RunConfig(lo=5, hi=7, identities=("kontsevich", "kontsevich"))
+    with pytest.raises(ValueError, match=r"depth repeated in \(3, 3\)"):
+        RunConfig(lo=5, hi=7, identities=("main-theorem",), depths=(3, 3))
     # The one floor replaces the default floor of every depth.
-    config = RunConfig(lo=5, hi=7, identities=("main-theorem",), floor=11)
-    assert {config.job_floor("main-theorem", {"n": n}) for n in (2, 5)} == {11}
-    config = RunConfig(lo=5, hi=7, identities=("main-theorem",))
-    assert [config.job_floor("main-theorem", {"n": n}) for n in (2, 5)] == [5, 7]
+    config = RunConfig(lo=5, hi=7, identities=("main-theorem",), floor=11, depths=(2, 5))
+    assert [floor for _, _, floor in sweep._jobs(config)] == [11, 11]
+    config = RunConfig(lo=5, hi=7, identities=("main-theorem",), depths=(2, 5))
+    assert [floor for _, _, floor in sweep._jobs(config)] == [5, 7]
     # Every caller of run_sweep is bounded, not only the CLI; a pool would
     # start all its workers, so the bound is tested on the config alone.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -69,10 +76,25 @@ def test_runconfig_validation(monkeypatch):
 
 
 def test_default_floors():
-    assert default_floor("kontsevich", {}) == 5
-    assert default_floor("main-theorem", {"n": 5}) == 7
-    assert default_floor("main-theorem", {"n": 2}) == 5
-    assert default_floor("obstruction-n5", {}) == 7
+    config = RunConfig(lo=5, hi=7, identities=("kontsevich", "main-theorem", "obstruction-n5"))
+    assert sweep._jobs(config) == [
+        ("kontsevich", {}, 5),
+        *(("main-theorem", {"n": n}, floor) for n, floor in zip(range(1, 6), (5, 5, 5, 6, 7))),
+        ("obstruction-n5", {}, 7),
+    ]
+
+
+def test_prime_range_must_lie_below_the_word_size(monkeypatch):
+    # Refused before any prime is sieved or evaluated, so a prime that the
+    # stored words cannot hold never becomes an "error:" outcome.
+    with pytest.raises(ValueError, match="hi = 4294967296 is not below 2\\^32"):
+        RunConfig(lo=5, hi=1 << 32, identities=("kontsevich",))
+    assert RunConfig(lo=5, hi=(1 << 32) - 1, identities=("kontsevich",)).hi == (1 << 32) - 1
+    monkeypatch.setattr(cli, "skip_reason", _no_sweep)
+    monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "kontsevich", "--primes", "4294967311..4294967400"])
+    assert err.value.code == "error: hi = 4294967400 is not below 2^32, the coefficient word size"
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -122,6 +144,52 @@ def test_every_evaluated_depth_checks_something(identity):
             result = row.evaluate(n, p)
             checks = [result] if isinstance(result, PolyFp) else list(result)
             assert checks, n
+
+
+def test_one_faulty_prime_fails_alone(monkeypatch, fresh_memos):
+    # A chain step that leaves a nonzero value at S = p when p = 11 trips the
+    # chain memo's check; that prime fails with the message, the others pass.
+    original = fmp._window_extend
+
+    def faulty(values, k, p, size=None):
+        out = original(values, k, p, size)
+        if p == 11 and len(out) > p:
+            out[p] = 1
+        return out
+
+    monkeypatch.setattr(fmp, "_window_extend", faulty)
+    config = RunConfig(lo=5, hi=31, identities=("shuffle-lemma",), depths=(2,))
+    [entry] = run_sweep(config).entries
+    [bad] = [o for o in entry.outcomes if o.p == 11]
+    assert bad == PrimeOutcome(
+        11, False, note="error: nonzero chain value at a multiple of 11 for (1, 1)"
+    )
+    assert all(o.passed for o in entry.outcomes if o.p != 11)
+    assert entry.exceptional == [11] and not entry.ok
+
+
+def test_arithmetic_fault_fails_its_prime_but_other_errors_propagate(monkeypatch):
+    def evaluate(p):
+        if p == 7:
+            raise ZeroDivisionError("division by zero")
+        return PolyFp.zero(p)
+
+    row = dataclasses.replace(sweep._IDENTITIES["kontsevich"], evaluate=evaluate)
+    monkeypatch.setitem(sweep._IDENTITIES, "kontsevich", row)
+    report = run_sweep(RunConfig(lo=5, hi=13, identities=("kontsevich",)))
+    assert [(o.p, o.passed, o.note) for o in report.entries[0].outcomes] == [
+        (5, True, None),
+        (7, False, "error: division by zero"),
+        (11, True, None),
+        (13, True, None),
+    ]
+    assert "exceptional: [7]" in report.to_text()
+    assert "kontsevich,-,7,false,\n" in report.to_csv()
+    # A fault of the program, not of the arithmetic, still ends the sweep.
+    row = dataclasses.replace(row, evaluate=lambda p: None)
+    monkeypatch.setitem(sweep._IDENTITIES, "kontsevich", row)
+    with pytest.raises(TypeError):
+        run_sweep(RunConfig(lo=5, hi=13, identities=("kontsevich",)))
 
 
 def test_sweep_crosscheck_null_where_nothing_checked():
