@@ -202,8 +202,9 @@ def _ones_bridge(r: int, p: int) -> array | None:
     c_r[mp] = sum over l of a_r[mp - l] / l, each formed: a_r need not reflect.
     """
     ones, inv = (1,) * r, _inverse_powers(1, p)
-    a, b, previous = _chain_values(ones, p), _chain_values((1,), p), _chain_values(ones[:-1], p)
-    if b != _words(inv) or a != _extend(previous, ones[:-1], 1, p):
+    a, b = _chain_values(ones, p), _chain_values((1,), p)
+    # At r = 1, a is b, which the first test compares with the table.
+    if b != _words(inv) or r > 1 and a != _extend(_chain_values(ones[:-1], p), ones[:-1], 1, p):
         return None
     c = _chain_values((), p, ones[:-1], (1,)) if r > 1 else b
     out = _extend(_shift_add([(1, 0, c), (1, 0, a)], p), ones, 1, p)
@@ -223,12 +224,16 @@ def _chain_values(parts: tuple[int, ...], p: int, *start: tuple[int, ...]) -> ar
     """Chain values of parts, one step on those of parts[:-1], from the
     empty chain (total 0, value 1) or, with start = (first, second), from the
     product of those blocks' polylogs, or from _ones_bridge for the start
-    ((1)^r, (1)) at p from _BRIDGE_STEP_MIN on.  Shorter prefixes and shorter
-    bridges are read shortest first, so none recurses more than one level.
-    Every value a step leaves at a multiple of p is zero, checked once per
-    memo entry: a nonzero one means a faulty step.  Stored as 4-byte words, as PolyFp stores its
-    coefficients (so p must be below 2^32), and shared with the polylogs
-    built from them: never mutate an entry."""
+    ((1)^r, (1)) at p from _BRIDGE_STEP_MIN on.  A depth-1 chain (k) from the
+    empty one is the table of S^{-k}, which is what its step would give.
+    Shorter prefixes and shorter bridges are read shortest first, so none
+    recurses more than one level.  Every value a step leaves at a multiple
+    of p is zero, checked once per memo entry: a nonzero one means a faulty
+    step.  Stored as 4-byte words, as PolyFp stores its coefficients (so p
+    must be below 2^32), and shared with the polylogs built from them: never
+    mutate an entry."""
+    if len(parts) == 1 and not start:
+        return _words(_inverse_powers(parts[0], _require_word_prime(p)))
     if not parts:
         _require_word_prime(p)
         if not start:

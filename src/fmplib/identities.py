@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 
 from .fmp import BlockTriple, Index, oy_fmp, oy_fmp_general, window_slices, zeta_variant
 from .modular import bernoulli_mod
@@ -93,12 +92,22 @@ def _g_terms(n: int, k: int, p: int, difference: bool = False) -> list:
     return _window_terms((1,) * m, h, p, (lambda: _symmetry_difference(h)) if difference else None)
 
 
+def _error_terms(
+    n: int, p: int, f: bool = True, g: bool = True, k: int | None = None, difference: bool = False
+) -> list:
+    """Shift-and-add terms of f_n (with f) plus g_n (with g), or of their
+    k-th summands alone; with difference, of their D (see _window_terms)."""
+    ks = range(n - 1) if k is None else (k,)
+    kinds = [kind for kind, wanted in ((_f_terms, f), (_g_terms, g)) if wanted]
+    return [term for j in ks for kind in kinds for term in kind(n, j, p, difference)]
+
+
 @lru_cache(maxsize=None)
 def f_poly(n: int, p: int) -> PolyFp:
     """First error-term polynomial, the sum of the _f_terms over k = 0..n-2.
     Empty sum for n < 2."""
     _require_p_gt_n(n, p)
-    return PolyFp.sum_of(p, chain.from_iterable(_f_terms(n, k, p) for k in range(n - 1)))
+    return PolyFp.sum_of(p, _error_terms(n, p, g=False))
 
 
 @lru_cache(maxsize=None)
@@ -106,17 +115,18 @@ def g_poly(n: int, p: int) -> PolyFp:
     """Second error-term polynomial, the sum of the _g_terms over k = 0..n-2.
     Empty sum for n < 3."""
     _require_p_gt_n(n, p)
-    return PolyFp.sum_of(p, chain.from_iterable(_g_terms(n, k, p) for k in range(n - 1)))
+    return PolyFp.sum_of(p, _error_terms(n, p, f=False))
 
 
 @lru_cache(maxsize=None)
 def shuffle_lemma_residual(n: int, p: int) -> PolyFp:
     """Product of the depth-(n-1) and depth-1 all-ones polylogs, minus
-    (n * depth-n polylog - f_n - g_n).  Memoized: the shuffle-lemma check,
-    the main theorem's induction and the symmetry differences all read it."""
+    (n * depth-n polylog - f_n - g_n), with f_n and g_n summed in place as
+    their terms.  Memoized: the shuffle-lemma check, the main theorem's
+    induction and the symmetry differences all read it."""
     _require_p_gt_n(n, p)
     terms = [(1, 0, _bridge(n, 0, p)), (-n, 0, ones_fmp(n, p))]
-    return PolyFp.sum_of(p, terms + [(1, 0, f_poly(n, p)), (1, 0, g_poly(n, p))])
+    return PolyFp.sum_of(p, terms + _error_terms(n, p))
 
 
 def _bridge(n: int, j: int, p: int) -> PolyFp:
@@ -135,7 +145,7 @@ def recurrence_residual(n: int, k: int, p: int) -> PolyFp:
     if not 0 <= k <= n - 2:
         raise ValueError(f"need 0 <= k <= n-2, got k={k}, n={n}")
     terms = [(1, 0, _bridge(n, k, p)), (-1, 0, _bridge(n, k + 1, p)), (-1, 0, ones_fmp(n, p))]
-    return PolyFp.sum_of(p, terms + _f_terms(n, k, p) + _g_terms(n, k, p))
+    return PolyFp.sum_of(p, terms + _error_terms(n, p, k=k))
 
 
 def _induction_step(n: int, prev: PolyFp, terms: list) -> PolyFp:
@@ -231,9 +241,7 @@ def ones_symmetry_difference(n: int, p: int) -> PolyFp:
     terms = [(-1, 0, _symmetry_difference(shuffle_lemma_residual(n, p)))]
     if not kont.is_zero:
         terms.append((1, 0, (ones_fmp(n - 1, p) - prev) * kont))
-    for k in range(n - 1):
-        terms += _f_terms(n, k, p, True) + _g_terms(n, k, p, True)
-    return _induction_step(n, prev, terms)
+    return _induction_step(n, prev, terms + _error_terms(n, p, difference=True))
 
 
 def depth5_symmetry_difference(p: int) -> PolyFp:
@@ -274,20 +282,25 @@ def closed_form_residuals(p: int) -> list[tuple[str, PolyFp]]:
     X_{n-1} l - n X_n - S_n + f_n + g_n.  The forms are X_2 = 0,
     X_3 = z(1,2) (T - T^2)/3 with T = t^p, X_4 = X_3 l and
     X_5 = f_3 l^2/15 + f_5/5.  With D = f_3 - 3 X_3, X_4 l - 5 X_5 is
-    -(D/3) l^2 - f_5, l^2 the shuffle bridge, and f_4 - f_3 l is
-    f_4 - 3 X_3 l - D l.  So each product has R_{n-1} or D as an operand,
-    and both are zero where the forms hold."""
+    -(D/3) l^2 - f_5, l^2 the shuffle bridge, so f_5 cancels from the step
+    at n = 5, and f_4 - f_3 l is f_4 - 3 X_3 l - D l.  So each product has
+    R_{n-1} or D as an operand, and both are zero where the forms hold.
+    f_n and g_n enter as their terms, so each check is one sum."""
     if p < 7:
         raise ValueError(f"requires p >= 7, got {p}")
     l, one, z = ones_fmp(1, p), PolyFp.one(p), zeta_variant(Index.of(1, 2), 1, p).value
     minus_3x3 = lambda g: [(-z, p, g), (z, 2 * p, g)]  # -3 X_3 g
-    d = PolyFp.sum_of(p, [(1, 0, f_poly(3, p)), *minus_3x3(one)])
-    n5_tail = [(-pow(3, -1, p), 0, d * _bridge(2, 0, p)), (-1, 0, f_poly(5, p))]
+    d = PolyFp.sum_of(p, _error_terms(3, p, g=False) + minus_3x3(one))
+    tails = {
+        2: _error_terms(2, p),
+        3: _error_terms(3, p) + minus_3x3(one),
+        4: _error_terms(4, p) + minus_3x3(l),
+        5: _error_terms(5, p, f=False) + [(-pow(3, -1, p), 0, d * _bridge(2, 0, p))],
+    }
     r = {1: PolyFp.zero(p)}
-    for n, tail in ((2, []), (3, minus_3x3(one)), (4, minus_3x3(l)), (5, n5_tail)):
-        terms = [(-1, 0, shuffle_lemma_residual(n, p)), (1, 0, f_poly(n, p)), (1, 0, g_poly(n, p))]
-        r[n] = _induction_step(n, r[n - 1], terms + tail)
-    f4 = PolyFp.sum_of(p, [(1, 0, f_poly(4, p)), *minus_3x3(l), (-1, 0, d * l)])
+    for n, tail in tails.items():
+        r[n] = _induction_step(n, r[n - 1], [(-1, 0, shuffle_lemma_residual(n, p)), *tail])
+    f4 = PolyFp.sum_of(p, [*_error_terms(4, p, g=False), *minus_3x3(l), (-1, 0, d * l)])
     return [
         ("closed-form {'n': 3}", r[3]),
         ("closed-form {'n': 4}", r[4]),

@@ -7,6 +7,7 @@ and safe to share between workers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,23 +60,39 @@ def primes_in(lo: int, hi: int) -> list[int]:
     """All primes p with max(lo, 5) <= p <= hi, ascending.
 
     The floor of 5 is global: below it the chain sums are empty or degenerate.
-    Only the window [max(lo, 5), hi] is sieved, by the primes up to isqrt(hi),
-    so memory grows with the width of the range and the root of hi, not hi.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
+    return list(_iter_primes(lo, hi))
+
+
+# Integers sieved at a time by _iter_primes: 64 KB of flags.
+_SIEVE_SPAN = 1 << 16
+
+
+def _iter_primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes of primes_in(lo, hi), lazily: [max(lo, 5), hi] is sieved
+    _SIEVE_SPAN integers at a time by the primes up to isqrt(hi), so memory
+    grows with the root of hi, not with the width of the range, and a
+    reader that stops early sieves no further."""
     lo = max(lo, 5)
     if hi < lo:
-        return []
+        return
     root = math.isqrt(hi)
     base = bytearray([1]) * (root + 1)
-    window = bytearray([1]) * (hi - lo + 1)
-    for q in range(2, root + 1):
+    for q in range(2, math.isqrt(root) + 1):
         if base[q]:
             base[q * q :: q] = bytearray(len(range(q * q, root + 1, q)))
-            start = max(q * q, -(-lo // q) * q)
-            window[start - lo :: q] = bytearray(len(range(start, hi + 1, q)))
-    return [lo + i for i, flag in enumerate(window) if flag]
+    sieving = [q for q in range(2, root + 1) if base[q]]
+    for start in range(lo, hi + 1, _SIEVE_SPAN):
+        end = min(start + _SIEVE_SPAN - 1, hi)
+        window = bytearray([1]) * (end - start + 1)
+        for q in sieving:
+            if q * q > end:
+                break
+            first = max(q * q, -(-start // q) * q)
+            window[first - start :: q] = bytearray(len(range(first, end + 1, q)))
+        yield from (start + i for i, flag in enumerate(window) if flag)
 
 
 @lru_cache(maxsize=None)

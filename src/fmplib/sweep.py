@@ -37,7 +37,7 @@ from .identities import (
     recurrence_residual,
     shuffle_lemma_residual,
 )
-from .modular import bernoulli_mod, is_prime, primes_in
+from .modular import _iter_primes, bernoulli_mod, is_prime, primes_in
 from .polyfp import _WORD_LIMIT, PolyFp
 from .ss import (
     conversion_residual,
@@ -445,11 +445,12 @@ def skip_reason(config: RunConfig) -> str | None:
     floor; otherwise why nothing is checked: the skip gate's notes at or
     above the floors, or the floors when no prime of the range reaches them.
     Decided from the skip gate alone, before anything is evaluated, and
-    stopped at the first evaluated (job, prime) pair."""
-    primes = primes_in(config.lo, config.hi)
+    stopped at the first evaluated (job, prime) pair, so the primes are read
+    lazily and the range is sieved no further than that pair."""
     notes: dict[str, None] = {}
     for ident, params, floor in _jobs(config):
-        for note in (_null_note(ident, params, p) for p in primes if p >= floor):
+        for p in _iter_primes(max(config.lo, floor), config.hi):
+            note = _null_note(ident, params, p)
             if note is None:
                 return None
             notes[note] = None

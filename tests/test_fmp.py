@@ -24,7 +24,7 @@ from fmplib.fmp import (
     zeta_variant,
 )
 from fmplib.modular import Residue
-from fmplib.polyfp import PolyFp
+from fmplib.polyfp import PolyFp, _words
 from fmplib.sweep import _block_triples
 
 
@@ -260,6 +260,14 @@ def test_depth_first_oracle_matches_product_chains():
     for idx in all_indices(5, 4):
         blocks = BlockTriple((), (), idx.parts)
         assert naive_reference_general(blocks, 11) == naive_reference_product(blocks, 11), idx
+
+
+@pytest.mark.parametrize("p", [5, 13, 1051, 4099])
+def test_depth1_chains_are_the_power_tables(fresh_memos, p):
+    # Read from _inverse_powers, not stepped: the same words as the chain
+    # step from the empty chain.
+    for k in range(1, 7):
+        assert fmp._chain_values((k,), p) == _words(_window_extend([1], k, p)), k
 
 
 @pytest.mark.parametrize("p", [7, 13])

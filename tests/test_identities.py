@@ -287,11 +287,15 @@ def test_main_theorem_recursion_with_perturbed_f3(p, monkeypatch, fresh_memos):
     # On correct code every M_{n-1} is zero, so the recursion's product
     # M_{n-1} * (depth-1 polylog) is never formed.  A wrong f_3 makes
     # M_3..M_5 nonzero, and the recursion must still give the definition.
-    original = identities.f_poly
-    bump = PolyFp.of(p, [0, 1])
-    monkeypatch.setattr(
-        identities, "f_poly", lambda n, q: original(n, q) + bump if n == 3 else original(n, q)
-    )
+    # f_3 is bumped where its terms are made, which the shuffle residual and
+    # f_poly (read by the direct form) both sum.
+    original, bump = identities._error_terms, (1, 0, PolyFp.of(p, [0, 1]))
+
+    def bumped(n, q, f=True, g=True, k=None, difference=False):
+        terms = original(n, q, f, g, k, difference)
+        return terms + [bump] if n == 3 and f and k is None and not difference else terms
+
+    monkeypatch.setattr(identities, "_error_terms", bumped)
     nonzero = [n for n in range(1, 6) if not main_theorem_direct(n, p).is_zero]
     assert nonzero == [3, 4, 5]
     for n in range(1, 6):

@@ -116,8 +116,10 @@ def test_primes_in_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
-    # Whole ranges, and windows whose low end is not 5.
-    for lo, hi in ((5, 10_000), (1000, 1100), (1, 4), (4, 11), (25, 29), (121, 127)):
+    # Whole ranges, windows whose low end is not 5, and a range sieved in
+    # three spans of _SIEVE_SPAN.
+    ranges = ((5, 10_000), (1000, 1100), (1, 4), (4, 11), (25, 29), (121, 127), (9, 140_000))
+    for lo, hi in ranges:
         expected = [n for n in range(max(lo, 5), hi + 1) if trial(n)]
         assert primes_in(lo, hi) == expected
 

@@ -473,6 +473,42 @@ def test_zero_test_matches_list_accumulator(data):
         assert expected.is_zero is (shape == "zero")
 
 
+def _zero_test_terms(shape, n, p, rng):
+    """Two random terms of n coefficients, with weights nonzero mod p; for
+    "zero" and "carried" each also negated, and for "carried" the term
+    [(-2^(8w)) % p, 1] added at t^(n-2), as in zero_test_sums."""
+    terms = [
+        (rng.randrange(1, p) + p * rng.randrange(-1, 2), 0, array("I", rng.choices(range(p), k=n)))
+        for _ in range(2)
+    ]
+    if shape != "random":
+        terms += [(-c, shift, f) for c, shift, f in terms]
+    if shape == "carried":
+        width = _sum_width(len(terms) + 1, p)
+        terms.append((1, n - 2, array("I", [(-(1 << 8 * width)) % p, 1])))
+    return terms
+
+
+@pytest.mark.parametrize("p", _WIDE_PRIMES)
+def test_zero_test_keeps_one_mask_per_width(p, monkeypatch):
+    # From an empty store: sums of 3 chunks build their masks, sums of 300
+    # grow them, and sums of 3 again read the longer masks, which AND to the
+    # same result.  Each sum is checked against the list accumulator.
+    monkeypatch.setattr(polyfp, "_HIGH_MASKS", {})
+    masks, rng, longest = polyfp._HIGH_MASKS, random.Random(p), 0
+    for n in (3, 300, 3):
+        for shape in ("zero", "carried", "random"):
+            terms = _zero_test_terms(shape, n, p, rng)
+            expected = PolyFp(p, shift_add_list(terms, p))
+            assert PolyFp(p, _shift_add(terms, p)) == expected, (n, shape)
+            assert expected.is_zero is (shape == "zero")
+        longest = max(longest, n)
+        assert masks, n
+        for (width, spare), mask in masks.items():
+            assert mask.bit_length() == 8 * width * longest, (n, width)
+            assert mask >> spare & 1 and not mask >> spare - 1 & 1
+
+
 # (p, k, width): k-term zero sums whose quotient chunks reach 2^(spare-1),
 # for spare = 8 width - p.bit_length(), under the bound k (p-1)^2 < p 2^spare
 # that keeps them below 2^spare, so _shift_add's zero test must pass them.

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from fmplib.sweep import (
     SweepReport,
     merge_reports,
     run_sweep,
+    skip_reason,
 )
 
 
@@ -598,6 +600,20 @@ def test_cli_verify_refuses_before_sweeping(monkeypatch, argv):
     with pytest.raises(SystemExit) as err:
         main(["verify", *argv])
     assert err.value.code == f"error: {_REFUSALS[' '.join(argv)]}; nothing to verify"
+
+
+def test_skip_gate_reads_primes_lazily():
+    # The gate stops at its first evaluated (job, prime) pair, p = 5 here,
+    # without sieving the rest of the range or listing its primes.
+    config = RunConfig(lo=5, hi=2 * 10**6, identities=("kontsevich",))
+    tracemalloc.start()
+    try:
+        reason = skip_reason(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reason is None
+    assert peak < 1_000_000, peak
 
 
 # A depth below 1 is refused by RunConfig, the one place that checks it.

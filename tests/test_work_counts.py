@@ -274,17 +274,36 @@ def test_full_sweep_at_the_bridge_step_forms_one_product(counts):
     assert counts["compositions"] == counts["bernoulli"] == 1, counts
 
 
+def test_error_terms_are_summed_in_place(fresh_memos, monkeypatch):
+    # At fmp._BRIDGE_STEP_MIN every sum of these identities is zero on
+    # correct code but the four bridge steps' c_{r-1} + a_r, and a zero sum
+    # is recognised without unpacking.  f_n and g_n enter each residual as
+    # their terms, so no sum of them alone is unpacked.
+    residues, callers = polyfp._residues, []
+
+    def recorded(*args):
+        callers.append(sys._getframe(2).f_code.co_name)  # past _shift_add
+        return residues(*args)
+
+    monkeypatch.setattr(polyfp, "_residues", recorded)
+    p = fmp._BRIDGE_STEP_MIN
+    ids = ("shuffle-lemma", "recurrence", "main-theorem", "closed-forms", "prop42")
+    _all_checked_pass(run_sweep(RunConfig(lo=p, hi=p, identities=ids)))
+    assert callers == ["_ones_bridge"] * 4, callers
+
+
 # Each symmetry difference run alone from cold memos: the shuffle bridges
-# of S_2..S_n, K's one Taylor shift, the chain steps those need and one
-# shuffle residual per depth; the corollaries add their conversions'
+# of S_2..S_n, K's one Taylor shift, the chain steps those need (a depth-1
+# chain is its power table and takes none) and one shuffle residual per
+# depth; the corollaries add their conversions'
 # strict-chain polylogs, some of them mirrored from a reversed partner.  No
 # deep polylog is composed.
 _ALONE = {
-    "obstruction-n5": dict(products=5, dense=5, steps=11, compositions=1, shuffle_residuals=5),
+    "obstruction-n5": dict(products=5, dense=5, steps=9, compositions=1, shuffle_residuals=5),
     "corollary-d3": dict(
         products=3,
         dense=3,
-        steps=5,
+        steps=3,
         compositions=1,
         shuffle_residuals=3,
         ss_star=5,
@@ -294,7 +313,7 @@ _ALONE = {
     "corollary-d4": dict(
         products=4,
         dense=4,
-        steps=8,
+        steps=6,
         compositions=1,
         shuffle_residuals=4,
         ss_star=15,
