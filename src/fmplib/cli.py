@@ -76,35 +76,29 @@ def _check_supported_prime(p: int):
         raise SystemExit(f"error: p={p} out of supported range (primes >= 5)")
 
 
-#: The flags each kind of `fmp compute` reads; every one is required but
-#: --window, which defaults to 1.
-_COMPUTE_FLAGS = {
-    "oy": ("index",),
-    "ss": ("index", "slot"),
-    "zeta": ("index", "window"),
-    "bernoulli": ("m",),
+#: Each kind of `fmp compute`: the flags it reads, every one required but
+#: --window (default 1), and the value it prints.
+_COMPUTE = {
+    "oy": (("index",), lambda a: oy_fmp(a.index, a.prime)),
+    "ss": (("index", "slot"), lambda a: ss_star(a.index, a.slot, a.prime)),
+    "zeta": (
+        ("index", "window"),
+        lambda a: zeta_variant(a.index, 1 if a.window is None else a.window, a.prime),
+    ),
+    "bernoulli": (("m",), lambda a: bernoulli_mod(a.m, a.prime)),
 }
 
 
 def _cmd_compute(args) -> int:
     _check_supported_prime(args.prime)
-    p = args.prime
-    reads = _COMPUTE_FLAGS[args.kind]
+    reads, value = _COMPUTE[args.kind]
     for flag in ("index", "slot", "window", "m"):
         given = getattr(args, flag) is not None
         if given and flag not in reads:
             raise SystemExit(f"error: compute {args.kind} takes no --{flag}")
         if not given and flag in reads and flag != "window":
             raise SystemExit(f"error: compute {args.kind} requires --{flag}")
-    if args.kind == "oy":
-        value = oy_fmp(args.index, p)
-    elif args.kind == "ss":
-        value = ss_star(args.index, args.slot, p)
-    elif args.kind == "zeta":
-        value = zeta_variant(args.index, 1 if args.window is None else args.window, p)
-    else:  # bernoulli
-        value = bernoulli_mod(args.m, p)
-    print(value)
+    print(value(args))
     return 0
 
 
@@ -160,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="compute one value at one prime")
-    comp.add_argument("kind", choices=("oy", "ss", "zeta", "bernoulli"))
+    comp.add_argument("kind", choices=tuple(_COMPUTE))
     comp.add_argument("--index", type=parse_index, help="index, e.g. 1,2 or 1^4")
     comp.add_argument("--prime", type=int, required=True)
     comp.add_argument("--slot", type=int, help="indeterminate slot (ss only)")

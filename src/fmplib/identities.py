@@ -9,7 +9,8 @@ diagnosis (a wrong window slice shows up as a recognizable shape).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .fmp import BlockTriple, Index, oy_fmp, oy_fmp_general, window_slices, zeta_variant
 from .modular import bernoulli_mod
@@ -187,35 +188,23 @@ def kontsevich_residual(p: int) -> PolyFp:
     return _symmetry_difference(ones_fmp(1, p))
 
 
-def _power_difference(n: int, p: int) -> PolyFp:
-    """P_n = D(l^n) = l^n - E^n for the depth-1 polylog l, where D is the
-    difference under t -> 1-t, a ring homomorphism taking l to E = l - K.
-
-    P_0 = D(1) = 0, P_1 = U_1 = K, U_j = E U_{j-1} and P_j = l P_{j-1} + U_j.
-    Where K = 0 every product has a zero operand, so none costs work."""
-    if n == 0:
-        return PolyFp.zero(p)
-    l, kont = ones_fmp(1, p), kontsevich_residual(p)
-    e = l - kont
-    powers = unit = kont
-    for _ in range(n - 1):
-        unit = e * unit
-        powers = l * powers + unit
-    return powers
-
-
 def functional_eq_residual(n: int, p: int) -> PolyFp:
     """L_n(t) - L_n(1-t) for L_n = depth-n polylog - C_n/n! = l^n/n! + M_n,
     with l the depth-1 polylog and M_n the main theorem's residual.
 
-    Composition with 1-t is a ring homomorphism, so exactly the residual is
-    P_n/n! + M_n - M_n(1-t), with P_n the difference of powers (see
-    _power_difference).  Where M_n = 0 the composition returns at once.
+    Composition with 1-t is a ring homomorphism taking l to l - K, so the
+    residual is exactly (l^n - (l - K)^n)/n! + M_n - M_n(1-t).  The powers
+    are formed only where K != 0, and where M_n = 0 the composition returns
+    at once.
     """
     _require_p_gt_n(n, p)
-    inv_fact = pow(math.factorial(n), -1, p)
-    m = _symmetry_difference(main_theorem_residual(n, p))
-    return PolyFp.sum_of(p, [(inv_fact, 0, _power_difference(n, p)), (1, 0, m)])
+    l, kont = ones_fmp(1, p), kontsevich_residual(p)
+    terms = [(1, 0, _symmetry_difference(main_theorem_residual(n, p)))]
+    if not kont.is_zero:
+        inv_fact = pow(math.factorial(n), -1, p)
+        for sign, base in ((1, l), (-1, l - kont)):
+            terms.append((sign * inv_fact, 0, reduce(mul, [base] * n, PolyFp.one(p))))
+    return PolyFp.sum_of(p, terms)
 
 
 @lru_cache(maxsize=None)

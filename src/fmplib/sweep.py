@@ -185,7 +185,8 @@ IDENTITY_IDS = tuple(_IDENTITIES)
 
 
 def _null_note(identity: str, params: dict, p: int) -> str | None:
-    """Why nothing is checked for this job at p, or None when it is evaluated."""
+    """Why nothing is checked for this job at p, or None when it is evaluated.
+    It changes with p only at skip_reason's thresholds."""
     row = _IDENTITIES[identity]
     n = params.get("n", 0)
     if n < row.min_n:
@@ -444,12 +445,19 @@ def skip_reason(config: RunConfig) -> str | None:
     """None when a sweep would evaluate some job at some prime at or above its
     floor; otherwise why nothing is checked: the skip gate's notes at or
     above the floors, or the floors when no prime of the range reaches them.
-    Decided from the skip gate alone, before anything is evaluated, and
-    stopped at the first evaluated (job, prime) pair, so the primes are read
-    lazily and the range is sieved no further than that pair."""
+    Decided from the skip gate alone, before anything is evaluated.  A job's
+    note changes with p only at its thresholds n + 1, min_prime and
+    max_prime + 1, so it is read at the first prime at or above the floor
+    and at or above each threshold, ascending, and no further than the
+    first evaluated (job, prime) pair."""
     notes: dict[str, None] = {}
     for ident, params, floor in _jobs(config):
-        for p in _iter_primes(max(config.lo, floor), config.hi):
+        row, start = _IDENTITIES[ident], max(config.lo, floor)
+        cuts = (params.get("n", 0) + 1, row.min_prime, row.max_prime + 1)
+        for cut in sorted({start, *(c for c in cuts if start < c <= config.hi)}):
+            p = next(_iter_primes(cut, config.hi), None)
+            if p is None:
+                break
             note = _null_note(ident, params, p)
             if note is None:
                 return None

@@ -336,8 +336,10 @@ _CHAIN_BUMPS = {
 }
 
 
+# 1627 is fmp._BRIDGE_STEP_MIN: from there the shuffle bridges are chain
+# steps, not products.
 @pytest.mark.parametrize("bump", list(_CHAIN_BUMPS))
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 1627])
 def test_functional_eq_matches_direct_form_perturbed(p, bump, monkeypatch, fresh_memos):
     parts, position, first = _CHAIN_BUMPS[bump]
     _bump_chain_values(monkeypatch, (parts,), position)

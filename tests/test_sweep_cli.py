@@ -16,6 +16,7 @@ import pytest
 from fmplib import cli, fmp, sweep
 from fmplib.cli import main, parse_index, parse_n_values, parse_prime_range
 from fmplib.fmp import BlockTriple, Index
+from fmplib.modular import primes_in
 from fmplib.polyfp import PolyFp
 from fmplib.sweep import (
     IDENTITY_IDS,
@@ -614,6 +615,47 @@ def test_skip_gate_reads_primes_lazily():
         tracemalloc.stop()
     assert reason is None
     assert peak < 1_000_000, peak
+
+
+def test_skip_gate_reads_each_threshold_once(monkeypatch):
+    # oracle-crosscheck is capped at 13, so from 17 on its note never
+    # changes: the gate reads it at the first prime at or above the floor and
+    # each threshold, not at each of the 78,492 primes in 17..10^6.
+    calls = []
+    original = sweep._null_note
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sweep, "_null_note", counted)
+    config = RunConfig(lo=17, hi=10**6, identities=("oracle-crosscheck",))
+    assert skip_reason(config) == "(oracle caps below this prime; nothing checked)"
+    assert len(calls) <= 4, len(calls)
+
+
+def _gate_by_every_prime(config):
+    # The skip gate read at every prime of the range at or above each floor.
+    notes = {}
+    for ident, params, floor in sweep._jobs(config):
+        for p in (q for q in primes_in(config.lo, config.hi) if q >= floor):
+            note = sweep._null_note(ident, params, p)
+            if note is None:
+                return None
+            notes[note] = None
+    return f"({'; '.join(notes)})" if notes else "at or above the identity floor"
+
+
+@pytest.mark.parametrize("identity", IDENTITY_IDS)
+def test_skip_gate_matches_every_prime_reading(identity):
+    # Depths (6, 20) with floor 5 over 5..7: n = 6 is skipped at 5 and
+    # evaluated at 7, so a gate reading one prime per job refuses wrongly.
+    depths = [(), (3,), (1, 13), (6, 20)] if sweep._IDENTITIES[identity].depths else [()]
+    grid = itertools.product(depths, (None, 5, 19), range(1, 30, 4), (7, 13, 23, 31))
+    for depth, floor, lo, hi in grid:
+        if lo <= hi:
+            config = RunConfig(lo, hi, (identity,), depth, floor)
+            assert skip_reason(config) == _gate_by_every_prime(config), config
 
 
 # A depth below 1 is refused by RunConfig, the one place that checks it.
