@@ -109,11 +109,11 @@ class BlockTriple:
 
 
 # At one prime a full sweep's chain steps and strict-chain polylogs ask for
-# the exponents 1 to 6, 35 times at p = 1051 and 47 at 64007, and miss this
-# memo 9 times; a miss at k > 1 builds a p-long tuple.  Keeping 6 misses 6
-# times and did not pay: a full sweep at 64007 took 2.16-2.46 s with 4 kept
-# and 2.30-2.51 s with 6 (3 cold runs each, one core), and its max RSS rose
-# from 77 to 81 MB.
+# the exponents 1 to 6, 49 times at p = 1051 and 60 at 64007 (k = 2 13 times,
+# 3 6 times, 4 twice, 5 and 6 once), and miss this memo 9 times; a miss at
+# k > 1 builds a p-long tuple.  Keeping 6 misses 6 times and did not pay: a
+# full sweep at 64007 took 2.16-2.46 s with 4 kept and 2.30-2.51 s with 6
+# (3 cold runs each, one core), and its max RSS rose from 77 to 81 MB.
 @lru_cache(maxsize=4)
 def _inverse_powers(k: int, p: int) -> Sequence[int]:
     """tab[v] = v^{-k} mod p for 0 < v < p, and tab[0] = 0."""

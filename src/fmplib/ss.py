@@ -8,8 +8,9 @@ with 1-t its right side, so the residual is F(t) - F(1-t).
 The strict-chain polylog of an index k of depth s and weight w at slot j is
 (-1)^w t^p times that of reversed k at slot s+1-j, read at 1/t, since
 m_i = p - n_{s+1-i} maps chains to chains, n_j to p - m_{s+1-j}, and signs
-the weight by (-1)^w.  Of each reversed pair one is formed, one mirrored.
-The same map makes the tails signed prefix sums of reversed heads (ss_star).
+the weight by (-1)^w.  The last slot is a heads vector, slot 1 its reverse's
+mirror, and of each interior pair one is formed, one mirrored.  The same map
+makes the tails signed prefix sums of reversed heads (ss_star).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -130,31 +132,33 @@ def grouped_index(phi: AdjacentDistinctSurjection, index: Index) -> Index:
 
 
 # The head memo keeps one prime's working set: prop42 and the corollaries
-# read 10 prefixes and reversed suffixes and the empty base; the rest serves
-# other callers, such as `fmp compute ss`.  Keeping more primes would grow
-# memory with the prime range.
+# read 11 prefixes and reversed suffixes of two parts or more; the rest
+# serves other callers, such as `fmp compute ss`.  Keeping more primes would
+# grow memory with the prime range.
 @lru_cache(maxsize=16)
 def _heads(prefix: tuple[int, ...], p: int) -> array:
     """heads[v] = sum over strict chains 0 < n_1 < ... < n_c = v of
-    1/(n_1^{k_1} ... n_c^{k_c}), for the c parts of prefix; the empty prefix
-    is the chain ending at 0.  One pass on the heads of prefix[:-1].
+    1/(n_1^{k_1} ... n_c^{k_c}), for the c >= 2 parts of prefix.  One pass
+    on the heads of prefix[:-1].
 
     Stored as 4-byte words, as PolyFp stores its coefficients: every entry
     is below p < 2^32."""
-    if not prefix:
-        return _words([1] + [0] * (p - 1))
     # new[v] = v^{-k} * (heads[0] + ... + heads[v-1]) for 0 < v < p
     tab = _inverse_powers(prefix[-1], p)
-    heads = _heads(prefix[:-1], p).tolist()
+    heads = _heads(prefix[:-1], p) if len(prefix) > 2 else _inverse_powers(prefix[0], p)
     return _words([0] + [run * w % p for run, w in zip(accumulate(heads), tab[1:])])
 
 
-def _heads_list(prefix: tuple[int, ...], p: int) -> list[int]:
-    """The heads of prefix, as a list.  Missing prefixes are formed shortest
-    first, so no pass recurses more than one level, however deep the prefix."""
-    for c in range(len(prefix)):
+def _heads_of(prefix: tuple[int, ...], p: int) -> Sequence[int]:
+    """The heads of a nonempty prefix.  A one-part prefix (k) has the heads
+    v^{-k}, 0 at v = 0: its power table, no pass and no memo slot.  Missing
+    longer prefixes are formed shortest first, so no pass recurses more than
+    one level, however deep the prefix."""
+    if len(prefix) == 1:
+        return _inverse_powers(prefix[0], p)
+    for c in range(2, len(prefix)):
         _heads(prefix[:c], p)
-    return _heads(prefix, p).tolist()
+    return _heads(prefix, p)
 
 
 # One prime's working set: at one prime a full sweep's conversions ask 77
@@ -165,13 +169,16 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     t^{n_slot} / (n_1^{k_1} ... n_s^{k_s}); every other argument is fixed at 1.
 
     The elementwise product of the heads of the parts up to the slot and the
-    tails of the parts past it; degree always below p.  Heads are prefix-sum
+    tails of the parts past it; degree always below p.  At the last slot the
+    tails are 1 (the empty chain above n_s), so the polylog is the heads of
+    the whole index, and slot 1 is mirrored from the last slot of the
+    reversed index.  Only an interior slot forms a product, or is mirrored
+    from its reversed partner if that sorts first.  Heads are prefix-sum
     passes memoized per prefix, and the tails of a suffix are signed prefix
     sums of the heads of the reversed suffix, so the slots of one index, and
-    indices sharing a prefix or a reversed suffix, share their passes.  A key
-    whose reversed partner sorts before it is mirrored from the partner, one
-    of the same keys: prop42 and the two corollaries form 19 of their 32 at
-    one prime, from 10 passes.  The head memo keeps one prime's vectors, as
+    indices sharing a prefix or a reversed suffix, share their passes:
+    prop42 and the two corollaries form 4 products and 11 passes for their
+    32 polylogs at one prime.  The head memo keeps one prime's vectors, as
     4-byte words, and this one keeps one prime's polylogs, which the
     conversions of several indices and the groups of one conversion share.
     """
@@ -179,13 +186,15 @@ def ss_star(index: Index, slot: int, p: int) -> PolyFp:
     ks = index.parts
     if not 1 <= slot <= len(ks):
         raise ValueError(f"slot {slot} out of range 1..{len(ks)}")
+    if slot == len(ks):
+        return PolyFp(p, _heads_of(ks, p))
     partner = (ks[::-1], len(ks) + 1 - slot)
-    if partner < (ks, slot):
+    if slot == 1 or partner < (ks, slot):
         return _mirrored(ss_star(Index(partner[0]), partner[1], p), index.weight % 2)
     # The suffix of weight w' has tails[v] = (-1)^w' sums[p-1-v], by the same law.
     suffix = ks[slot:]
-    sums = list(accumulate(_heads_list(suffix[::-1], p)))
-    product = _words([h * s % p for h, s in zip(_heads_list(ks[:slot], p), reversed(sums))])
+    sums = list(accumulate(_heads_of(suffix[::-1], p)))
+    product = _words([h * s % p for h, s in zip(_heads_of(ks[:slot], p), reversed(sums))])
     return PolyFp(p, _negated(product, p) if sum(suffix) % 2 else product)
 
 

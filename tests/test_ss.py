@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import eval_terms, oy_from_ss_loop, ss_star_loop
 
-from fmplib import polyfp, ss
+from fmplib import fmp, polyfp, ss
 from fmplib.fmp import Index, all_indices, oy_fmp
 from fmplib.polyfp import PolyFp
 from fmplib.ss import (
@@ -178,6 +178,25 @@ def test_reference_obeys_the_reversal_law(p):
             assert f[1:p] == [(-1) ** idx.weight * g[p - v] % p for v in range(1, p)], (idx, slot)
 
 
+@pytest.mark.parametrize("slot_first", [True, False], ids=["key-first", "partner-first"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_ss_star_every_route_matches_reference(fresh_memos, p, slot_first):
+    # Every slot of every index of weight <= 5 and depth <= 4, each asked
+    # with its reversed partner from cold memos, the key first or the partner
+    # first.  This takes every route both ways: a last slot is the heads of
+    # its index (a one-part one its power table), slot 1 is mirrored from
+    # the last slot of the reverse, formed first or read from the memo, and
+    # an interior slot forms a product or is mirrored from its partner.
+    for idx in all_indices(5, 4):
+        s, rev = idx.depth, Index(idx.parts[::-1])
+        for slot in range(1, s + 1):
+            for memo in (ss.ss_star, ss._heads, fmp._inverse_powers):
+                memo.cache_clear()
+            pair = [(idx, slot), (rev, s + 1 - slot)]
+            for key in pair if slot_first else pair[::-1]:
+                assert ss_star(*key, p) == ss_star_reference(*key, p), (key, p)
+
+
 def test_ss_star_exact_across_primes_and_evictions(fresh_memos):
     # Every slot of every index of weight <= 5 and depth <= 4, with the four
     # primes interleaved key by key, in forward and then reverse order: the
@@ -209,9 +228,9 @@ def test_ss_star_slot_range():
 def test_ss_star_of_a_deep_index(fresh_memos):
     # 600 parts from cold memos, more than the 16 head vectors kept: each
     # missing prefix is formed on the one before, shortest first, so no pass
-    # recurses on a deep prefix.  Slot 1 reads the heads of 599 reversed
-    # parts, slot 600 mirrors it and slot 300 reads two halves.  At p = 601
-    # the one chain is n_i = i.
+    # recurses on a deep prefix.  Slot 1 mirrors slot 600, the heads of all
+    # 600 parts, and slot 300 reads two halves.  At p = 601 the one chain is
+    # n_i = i.
     idx, p = Index.ones(600), 601
     for slot in (1, 300, 600):
         got = ss_star(idx, slot, p)

@@ -20,10 +20,12 @@ correct code, and the square of the depth-1 polylog is the shuffle bridge,
 so after the main theorem they form no product.  The oracle crosscheck
 compares each chain once.  The strict-chain polylogs of prop42 and the
 corollaries share their prefix-sum passes through the head memo, each
-distinct one is evaluated once per prime, every tail is read from the heads
-of its reversed suffix, and of each reversed pair one polylog is formed and
-the other mirrored from it.  These counts guard that sharing, which no
-result would reveal if it broke.  A full
+distinct one is evaluated once per prime, a polylog at its index's last
+slot is the heads of the whole index, slot 1 is mirrored from the last slot
+of the reversed index, and only an interior slot forms a product, its tail
+read from the heads of its reversed suffix; of each reversed interior pair
+one is formed and the other mirrored from it.  These counts guard that
+sharing, which no result would reveal if it broke.  A full
 12-identity sweep at one prime is counted too, so that a change to the sweep
 or identity layers cannot add work unseen; it computes B_{p-5} once.  Every
 polynomial sum takes its terms as stored 'I' vectors, so no sum reduces and
@@ -57,6 +59,11 @@ def _wrap_everywhere(monkeypatch, original, wrapper):
 
 @pytest.fixture
 def counts(fresh_memos, monkeypatch):
+    """Work done from cold memos, by kind.  For the strict-chain polylogs:
+    ss_star's misses, those mirrored from a reversed partner, those read as
+    the heads of their whole index (last slot), and the head passes, one
+    per head memo miss; the rest of the misses are products
+    (_strict_products)."""
     seen = {
         "products": 0,
         "dense": 0,
@@ -64,6 +71,7 @@ def counts(fresh_memos, monkeypatch):
         "compositions": 0,
         "ss_star": 0,
         "mirrored": 0,
+        "heads_reads": 0,
         "passes": 0,
         "oracles": 0,
         "shuffle_residuals": 0,
@@ -98,6 +106,12 @@ def counts(fresh_memos, monkeypatch):
         seen["mirrored"] += 1
         return mirrored(f, odd)
 
+    def counted_heads_read(index, slot, p):
+        # A key at its index's last slot is the heads of the whole index:
+        # no product.  Every ss_star miss counts once.
+        seen["heads_reads"] += slot == index.depth
+        return True
+
     def counted_oracle(blocks, p):
         seen["oracles"] += 1
         return oracle(blocks, p)
@@ -116,17 +130,18 @@ def counts(fresh_memos, monkeypatch):
     _wrap_everywhere(monkeypatch, convolve, counted_convolve)
     _wrap_everywhere(monkeypatch, window_extend, counted_window_extend)
     _wrap_everywhere(monkeypatch, compose, counted_compose)
-    _wrap_everywhere(monkeypatch, ss_star, counted_misses(ss_star, "ss_star"))
+    _wrap_everywhere(
+        monkeypatch, ss_star, counted_misses(ss_star, "ss_star", counted_heads_read)
+    )
     _wrap_everywhere(monkeypatch, oracle, counted_oracle)
     _wrap_everywhere(
         monkeypatch, shuffle_residual, counted_misses(shuffle_residual, "shuffle_residuals")
     )
     _wrap_everywhere(monkeypatch, bernoulli, counted_misses(bernoulli, "bernoulli"))
     monkeypatch.setattr(ss, "_mirrored", counted_mirrored)
-    # The steps recurse through the module's names, so the patch counts them;
-    # the empty prefix is no pass.
-    nonempty = lambda parts, p: bool(parts)
-    monkeypatch.setattr(ss, "_heads", counted_misses(ss._heads, "passes", nonempty))
+    # The passes recurse through the module's names, so the patch counts them;
+    # a one-part head is its power table, read without the memo: no pass.
+    monkeypatch.setattr(ss, "_heads", counted_misses(ss._heads, "passes"))
     return seen
 
 
@@ -214,16 +229,26 @@ def test_crosscheck_runs_each_loop_oracle_once(counts):
     assert counts["oracles"] <= 166, counts
 
 
+def _strict_products(counts):
+    """Strict-chain polylogs formed as a product: the misses of ss_star that
+    are neither mirrored from a partner nor a heads read at the last slot."""
+    return counts["ss_star"] - counts["mirrored"] - counts["heads_reads"]
+
+
 def test_prop42_shares_strict_chain_passes(counts):
     # The 14 indices' conversions ask for 46 strict-chain polylogs, 28 of
-    # them distinct, each evaluated once.  11 are mirrored from a reversed
-    # partner; the 17 formed are built from 9 head passes, each shared by
-    # every slot and index that has its prefix or its reversed suffix.
+    # them distinct, each evaluated once.  14 sit at their index's last slot
+    # and are heads vectors, 11 are mirrored from a reversed partner (every
+    # slot 1 of depth 2 or more from the last slot of its reverse), and only
+    # 3, at interior slots, form a product.  The heads take 10 passes, each
+    # shared by every slot and index that has its prefix or its reversed
+    # suffix; a one-part head is its power table and takes none.
     report = run_sweep(RunConfig(lo=P, hi=P, identities=("prop42",)))
     _all_checked_pass(report)
     assert counts["ss_star"] <= 28, counts
-    assert counts["ss_star"] - counts["mirrored"] <= 17, counts
-    assert counts["passes"] <= 9, counts
+    assert _strict_products(counts) <= 3, counts
+    assert counts["passes"] <= 10, counts
+    assert counts["passes"] + _strict_products(counts) <= 13, counts
 
 
 def test_full_sweep_at_one_prime(counts):
@@ -255,12 +280,13 @@ def test_full_sweep_at_one_prime(counts):
     # One shuffle residual per depth 1..5, shared by shuffle-lemma, the main
     # theorem's induction and the symmetry differences.
     assert counts["shuffle_residuals"] == 5, counts
-    # 77 strict-chain polylogs asked for, 32 of them distinct, 19 of those
-    # formed and 13 mirrored from a reversed partner.
+    # 77 strict-chain polylogs asked for, 32 of them distinct: 15 heads
+    # reads, 13 mirrored from a reversed partner and 4 products.  The
+    # corollaries add the heads of (1,1,1) to prop42's passes.
     assert counts["ss_star"] <= 32, counts
-    assert counts["ss_star"] - counts["mirrored"] <= 19, counts
-    # The corollaries add the heads of (1,1,1) to prop42's passes.
-    assert counts["passes"] <= 10, counts
+    assert _strict_products(counts) <= 4, counts
+    assert counts["passes"] <= 11, counts
+    assert counts["passes"] + _strict_products(counts) <= 15, counts
     # obstruction-n5 and zeta-vanishing share one B_{p-5}.
     assert counts["bernoulli"] == 1, counts
 
@@ -295,9 +321,10 @@ def test_error_terms_are_summed_in_place(fresh_memos, monkeypatch):
 # Each symmetry difference run alone from cold memos: the shuffle bridges
 # of S_2..S_n, K's one Taylor shift, the chain steps those need (a depth-1
 # chain is its power table and takes none) and one shuffle residual per
-# depth; the corollaries add their conversions'
-# strict-chain polylogs, some of them mirrored from a reversed partner.  No
-# deep polylog is composed.
+# depth; the corollaries add their conversions' strict-chain polylogs:
+# corollary-d3's 5 are 2 heads reads, 2 mirrored and 1 product on 3 passes,
+# corollary-d4's 15 are 5 heads reads, 7 mirrored and 3 products on 9
+# passes.  No deep polylog is composed.
 _ALONE = {
     "obstruction-n5": dict(products=5, dense=5, steps=9, compositions=1, shuffle_residuals=5),
     "corollary-d3": dict(
@@ -308,6 +335,7 @@ _ALONE = {
         shuffle_residuals=3,
         ss_star=5,
         mirrored=2,
+        heads_reads=2,
         passes=3,
     ),
     "corollary-d4": dict(
@@ -318,7 +346,8 @@ _ALONE = {
         shuffle_residuals=4,
         ss_star=15,
         mirrored=7,
-        passes=7,
+        heads_reads=5,
+        passes=9,
     ),
 }
 
